@@ -12,14 +12,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from gnskit import (
-    min_gns_cut_exact,
-    rcp_exact,
-    subset_fes_approx,
-    tilde_transform,
-    to_index_graph,
-)
-from gnskit.bounds import mais_exact
+from gnskit import bound_report
 from gnskit.instances import random_dag_network
 
 
@@ -44,18 +37,14 @@ def main() -> None:
         if net.m > args.max_links:
             continue
         collected += 1
-        g, _ = to_index_graph(net)
-        mais_value = mais_exact(g)[0]
-        rcp = rcp_exact(g)
-        approx = subset_fes_approx(net)
-        gns = min_gns_cut_exact(tilde_transform(net))
-        assert rcp.value <= net.m - mais_value <= approx.diagnostics.weight
-        assert net.m - mais_value == len(gns.cut)
-        if rcp.value > 0:
-            worst = max(worst, Fraction(approx.diagnostics.weight) / rcp.value)
+        # bound_report raises ContractViolation if the chain fails
+        report = bound_report(net, exact_gns=True)
+        rcp, weight = report.rcp_value, report.approx_weight
+        if rcp > 0:
+            worst = max(worst, Fraction(weight) / rcp)
         print(
-            f"{seed:>6} {net.m:>3} {net.k:>2} {mais_value:>4} "
-            f"{str(rcp.value):>6} {approx.diagnostics.weight:>6} {len(gns.cut):>4}"
+            f"{seed:>6} {net.m:>3} {net.k:>2} {report.mais_value:>4} "
+            f"{str(rcp):>6} {weight:>6} {len(report.gns_exact.cut):>4}"
         )
     print(f"\nchain held on all {collected} instances; worst approx/rcp = {worst}")
 

@@ -23,7 +23,7 @@ from .cyclepack import (
     subset_fes_approx,
     fes_to_fvs,
 )
-from .digraph import Digraph, tensor_power
+from .digraph import Digraph, _closes_cycle, tensor_power
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import (
     IndexCode,
@@ -41,22 +41,6 @@ from .network import (
 )
 
 
-def _creates_cycle(out_adj, members: set[int], v: int) -> bool:
-    """Does adding v to an acyclic induced set close a cycle (which would
-    necessarily pass through v)?"""
-    stack = [w for w in out_adj[v] if w in members]
-    seen = set(stack)
-    while stack:
-        u = stack.pop()
-        for w in out_adj[u]:
-            if w == v:
-                return True
-            if w in members and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def _max_acyclic(
     out_adj,
     candidates: Sequence[int],
@@ -68,7 +52,7 @@ def _max_acyclic(
     `target`, stops as soon as any set of that size is found."""
     members: set[int] = set()
     for v in required:
-        if _creates_cycle(out_adj, members, v):
+        if _closes_cycle(out_adj, members, v):
             return -1
         members.add(v)
     best = len(members)
@@ -84,7 +68,7 @@ def _max_acyclic(
             if target is not None and best >= target:
                 return
             v = candidates[i]
-            if not _creates_cycle(out_adj, members, v):
+            if not _closes_cycle(out_adj, members, v):
                 members.add(v)
                 rec(i + 1, count + 1)
                 members.discard(v)
@@ -308,8 +292,8 @@ def bound_report(
     mais_value: int | None = None
     fvs: frozenset[int] | None = None
     try:
-        mais_value, _cert = mais_exact(g, caps.mais_vertices)
         fvs = min_fvs_exact(g, caps.mais_vertices)
+        mais_value = m - len(fvs)  # the index graph has one vertex per link
     except CapacityError:
         skipped.append("mais")
 

@@ -164,9 +164,6 @@ def _cmd_code(args, caps: Caps) -> int:
     g = parse_digraph(_read(args.graph))
     packing = cyclepack_mod.rcp_exact(g, caps.rcp_cycles)
     code = indexcoding_mod.build_cycle_code(g, packing, args.field, caps.code_lcm)
-    ok, failing = indexcoding_mod.verify_index_code(g, code)
-    if not ok:
-        raise ContractViolation(f"generated code failed decoding for user {failing}")
     _emit(indexcoding_mod.serialize_index_code(code), args.output)
     return 0
 

@@ -16,7 +16,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
-from .digraph import Digraph, _find_cycle, enumerate_simple_cycles
+from .digraph import (
+    Digraph,
+    _closes_cycle,
+    _find_cycle,
+    _residual_cycle,
+    enumerate_simple_cycles,
+)
 from .errors import CapacityError, ContractViolation
 from .network import Link, MUNetwork, closure_links, to_index_graph
 
@@ -181,18 +187,18 @@ def _group_pairs(links: Sequence[Link]) -> dict[tuple[str, str], list[int]]:
     return grouped
 
 
-def _shortest_cycle_through(
+def _distances_from(
     terminal: str,
     out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
     lengths: dict[tuple[str, str], Fraction],
-) -> tuple[Fraction, tuple[tuple[str, str], ...]] | None:
-    """Shortest closed walk through `terminal` under the given lengths,
-    treating the terminal as split into an exit side and an entry side.
-    Returns its length and the pair sequence, or None if no cycle passes."""
+) -> tuple[dict[str, Fraction], dict[str, tuple[str, tuple[str, str]]]]:
+    """Dijkstra from the exit side of `terminal`, never re-entering it.
+    Returns each reached node's distance and its (parent, pair) on one
+    shortest path."""
     dist: dict[str, Fraction] = {}
     prev: dict[str, tuple[str, tuple[str, str]]] = {}
-    heap: list[tuple[Fraction, str, str, tuple[str, str] | None]] = []
-    for head, key in out_pairs.get(terminal, ()):  # leaving the exit side
+    heap: list[tuple[Fraction, str, str, tuple[str, str]]] = []
+    for head, key in out_pairs.get(terminal, ()):
         if head == terminal:
             continue
         heapq.heappush(heap, (lengths[key], head, terminal, key))
@@ -206,6 +212,18 @@ def _shortest_cycle_through(
             if head == terminal or head in dist:
                 continue
             heapq.heappush(heap, (d + lengths[k2], head, node, k2))
+    return dist, prev
+
+
+def _shortest_cycle_through(
+    terminal: str,
+    out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
+    lengths: dict[tuple[str, str], Fraction],
+) -> tuple[Fraction, tuple[tuple[str, str], ...]] | None:
+    """Shortest closed walk through `terminal` under the given lengths,
+    treating the terminal as split into an exit side and an entry side.
+    Returns its length and the pair sequence, or None if no cycle passes."""
+    dist, prev = _distances_from(terminal, out_pairs, lengths)
     best: tuple[Fraction, str, tuple[str, str]] | None = None
     for node, d in dist.items():
         for head, key in out_pairs.get(node, ()):
@@ -307,31 +325,13 @@ def _pair_graph(active: dict[tuple[str, str], list[int]]) -> dict[str, set[str]]
     return adj
 
 
-def _on_cycle(node: str, adj: dict[str, set[str]]) -> bool:
-    if node not in adj:
-        return False
-    stack = [w for w in adj[node]]
-    seen = set(stack)
-    while stack:
-        u = stack.pop()
-        if u == node:
-            return True
-        for w in adj.get(u, ()):
-            if w == node:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def _greedy_fes(active: dict[tuple[str, str], list[int]], cycle_cap: int) -> set[tuple[str, str]]:
     """Fallback: repeatedly delete the capacitated link hitting the most
     surviving cycles (ties to the smallest key) until no cycle remains."""
     removed: set[tuple[str, str]] = set()
     while True:
         adj = _pair_graph({k: v for k, v in active.items() if k not in removed})
-        cycle = _find_cycle({v: ws for v, ws in adj.items()})
+        cycle = _find_cycle(adj)
         if cycle is None:
             return removed
         try:
@@ -404,25 +404,10 @@ def subset_fes_approx(
     credit = metric.objective / (2 * max(net.k, 1))
     for s in order:
         adj = _pair_graph({k: v for k, v in active.items() if k not in cut_pairs})
-        if not _on_cycle(s, adj):
+        if not (s in adj and _closes_cycle(adj, adj, s)):
             continue
-        # metric distances from the terminal's exit side (never re-entering s)
-        dist: dict[str, Fraction] = {}
-        heap: list[tuple[Fraction, str]] = []
-        for (tail, head), ids in active.items():
-            if (tail, head) in cut_pairs or tail != s or head == s:
-                continue
-            heapq.heappush(heap, (lengths[(tail, head)], head))
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            for (tail, head), ids in active.items():
-                if (tail, head) in cut_pairs or tail != node or head == s:
-                    continue
-                if head not in dist:
-                    heapq.heappush(heap, (d + lengths[(tail, head)], head))
+        out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
+        dist, _ = _distances_from(s, out_pairs, lengths)
         radii = sorted({d for d in dist.values() if d < HALF} | {F0})
         best: tuple[Fraction, Fraction, frozenset[tuple[str, str]]] | None = None
         for rho in radii:
@@ -505,12 +490,7 @@ def fes_to_fvs(net: MUNetwork, fes: Iterable[int]) -> frozenset[int]:
         )
     g, lmap = to_index_graph(net)
     fvs = frozenset(v for v, eid in enumerate(lmap.vertex_to_id) if eid in fes_set)
-    residual = {
-        v: [w for w in g.out_neighbors(v) if w not in fvs]
-        for v in range(g.n)
-        if v not in fvs
-    }
-    if _find_cycle(residual) is not None:
+    if _residual_cycle(g, fvs) is not None:
         raise ContractViolation("translated vertex set is not a feedback vertex set")
     return fvs
 

@@ -72,17 +72,7 @@ class Digraph:
         return len(self.edges)
 
     def is_acyclic(self) -> bool:
-        indeg = [len(self._in[v]) for v in range(self.n)]
-        queue = [v for v in range(self.n) if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in self._out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return seen == self.n
+        return _residual_cycle(self) is None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
@@ -160,27 +150,35 @@ def tensor_power(g: Digraph, q: int, vertex_cap: int = DEFAULT_CAPS.tensor_verti
 
 def _find_cycle(adj: dict) -> tuple | None:
     """One directed cycle of a dict-adjacency graph, deterministically, or
-    None if acyclic. Nodes must be mutually comparable (all ints or all strs).
+    None if acyclic. Nodes must be mutually comparable (all ints or all strs);
+    successors that are not keys of `adj` are ignored.
 
-    Prunes nodes that cannot lie on a cycle, then walks minimal successors
-    until a node repeats; the cycle is rotated to start at its smallest node.
+    Peels nodes with no live in-edge or no live out-edge, in linear time; the
+    nodes left do not depend on the peeling order. Then walks minimal
+    successors until a node repeats; the cycle is rotated to start at its
+    smallest node.
     """
     live = {v: {w for w in ws if w in adj} for v, ws in adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        dead = [v for v, ws in live.items() if not ws]
-        indeg: dict = {v: 0 for v in live}
-        for v, ws in live.items():
-            for w in ws:
-                indeg[w] += 1
-        dead += [v for v in live if indeg[v] == 0 and v not in dead]
-        if dead:
-            changed = True
-            for v in dead:
-                live.pop(v, None)
-            for ws in live.values():
-                ws.difference_update(dead)
+    preds: dict = {v: set() for v in live}
+    for v, ws in live.items():
+        for w in ws:
+            preds[w].add(v)
+    queue = [v for v in live if not live[v] or not preds[v]]
+    dead = set(queue)
+    while queue:
+        v = queue.pop()
+        for w in live[v]:
+            preds[w].discard(v)
+            if not preds[w] and w not in dead:
+                dead.add(w)
+                queue.append(w)
+        for u in preds[v]:
+            live[u].discard(v)
+            if not live[u] and u not in dead:
+                dead.add(u)
+                queue.append(u)
+    for v in dead:
+        del live[v]
     if not live:
         return None
     walk = [min(live)]
@@ -193,6 +191,29 @@ def _find_cycle(adj: dict) -> tuple | None:
             return cycle[pivot:] + cycle[:pivot]
         seen_at[nxt] = len(walk)
         walk.append(nxt)
+
+
+def _residual_cycle(
+    g: Digraph, removed: frozenset[int] = frozenset()
+) -> tuple[int, ...] | None:
+    """Deterministic cycle of g minus the `removed` vertices, if any."""
+    return _find_cycle({v: g._out[v] for v in range(g.n) if v not in removed})
+
+
+def _closes_cycle(out_adj, members, v) -> bool:
+    """Does adding v to an acyclic induced set close a cycle (which would
+    necessarily pass through v)?"""
+    stack = [w for w in out_adj[v] if w in members]
+    seen = set(stack)
+    while stack:
+        u = stack.pop()
+        for w in out_adj[u]:
+            if w == v:
+                return True
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 def _scc_with_root(g: Digraph, root: int) -> frozenset[int]:

@@ -10,7 +10,7 @@ field, never a sampling argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -249,17 +249,12 @@ def uncertainty_check(
 class IndexCode:
     """Vector-linear broadcast code: r coefficient rows over F_p, each of
     width t*n, message v owning columns v*t .. v*t+t-1.
-
-    Decoders, when present, give each user's reconstruction as rows over
-    (received transmissions + own side-information subsymbols); they are
-    derived data and excluded from equality and serialization.
     """
 
     p: int
     blowup_t: int
     n: int
     rows: tuple[tuple[int, ...], ...]
-    decoders: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_prime(self.p)
@@ -330,9 +325,7 @@ def build_cycle_code(
     ok, failing = verify_index_code(g, code)
     if not ok:
         raise ContractViolation(f"constructed code failed decoding for user {failing}")
-    return IndexCode(
-        p=p, blowup_t=t, n=n, rows=tuple(rows), decoders=derive_decoders(g, code)
-    )
+    return code
 
 
 def _side_info_rows(g: Digraph, code: IndexCode, user: int) -> list:

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
-from .digraph import Digraph, _find_cycle
+from .digraph import Digraph, _find_cycle, _residual_cycle
 from .errors import CapacityError, ContractViolation, FormatError
 
 
@@ -157,22 +157,10 @@ def build_network(
             raise FormatError(f"link references unknown node: {tail} -> {head}")
         if tail == head:
             raise FormatError(f"link from {tail} to itself")
-    # acyclicity of the regular-link digraph
-    indeg = {x: 0 for x in node_list}
     out_nodes: dict[str, list[str]] = {x: [] for x in node_list}
     for tail, head in regular_links:
         out_nodes[tail].append(head)
-        indeg[head] += 1
-    queue = [x for x in node_list if indeg[x] == 0]
-    visited = 0
-    while queue:
-        x = queue.pop()
-        visited += 1
-        for y in out_nodes[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
-    if visited != len(node_list):
+    if _find_cycle(out_nodes) is not None:
         raise FormatError("regular links form a directed cycle")
 
     sources_seen: set[str] = set()
@@ -448,13 +436,6 @@ def min_gns_cut_exact(
     raise ContractViolation("no GNS cut found even after cutting every link")
 
 
-def _line_graph_cycle(g: Digraph, removed: frozenset[int]) -> tuple[int, ...] | None:
-    """Deterministic residual cycle of g minus `removed`, if any."""
-    live = {v: [w for w in g.out_neighbors(v) if w not in removed]
-            for v in range(g.n) if v not in removed}
-    return _find_cycle(live)
-
-
 def fvs_to_gns_cut(net: MUNetwork, fvs: Iterable[int]) -> GnsCertificate:
     """Map a feedback vertex set of the index graph to a verified GNS cut of
     the staging-transformed network, of equal cardinality.
@@ -469,7 +450,7 @@ def fvs_to_gns_cut(net: MUNetwork, fvs: Iterable[int]) -> GnsCertificate:
     bad = [v for v in fvs_set if not (0 <= v < g.n)]
     if bad:
         raise ValueError(f"vertices out of range: {sorted(bad)}")
-    cycle = _line_graph_cycle(g, fvs_set)
+    cycle = _residual_cycle(g, fvs_set)
     if cycle is not None:
         raise ContractViolation(
             "input is not a feedback vertex set of the index graph", witness=cycle

@@ -88,6 +88,42 @@ def oracle_mais(g: Digraph) -> int:
     return 0
 
 
+def reference_find_cycle(adj: dict) -> tuple | None:
+    """The rescanning form of `gnskit.digraph._find_cycle`, the reference
+    its linear-time peel is compared against: prune nodes without a live in-
+    or out-edge by rescanning every edge each round, then walk minimal
+    successors until a node repeats and rotate the cycle to start at its
+    smallest node."""
+    live = {v: {w for w in ws if w in adj} for v, ws in adj.items()}
+    changed = True
+    while changed:
+        changed = False
+        dead = [v for v, ws in live.items() if not ws]
+        indeg: dict = {v: 0 for v in live}
+        for v, ws in live.items():
+            for w in ws:
+                indeg[w] += 1
+        dead += [v for v in live if indeg[v] == 0 and v not in dead]
+        if dead:
+            changed = True
+            for v in dead:
+                live.pop(v, None)
+            for ws in live.values():
+                ws.difference_update(dead)
+    if not live:
+        return None
+    walk = [min(live)]
+    seen_at = {walk[0]: 0}
+    while True:
+        nxt = min(live[walk[-1]])
+        if nxt in seen_at:
+            cycle = tuple(walk[seen_at[nxt]:])
+            pivot = cycle.index(min(cycle))
+            return cycle[pivot:] + cycle[:pivot]
+        seen_at[nxt] = len(walk)
+        walk.append(nxt)
+
+
 def oracle_cycles(g: Digraph) -> set[tuple[int, ...]]:
     """Canonical simple cycles via networkx."""
     out = set()

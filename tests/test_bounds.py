@@ -15,6 +15,7 @@ from gnskit import (
     parse_report,
     serialize_report,
     strong_product,
+    to_index_graph,
 )
 from gnskit.bounds import (
     alpha_exact,
@@ -24,6 +25,7 @@ from gnskit.bounds import (
     tensor_bound,
 )
 from gnskit.cyclepack import rcp_exact
+from gnskit.instances import random_dag_network
 
 from helpers import (
     PARALLEL_LINKS,
@@ -195,6 +197,15 @@ class TestBoundReport:
         assert report.code_rate == 2
         assert report.co_rate_lb == 2
         assert report.skipped == ()
+
+    def test_mais_and_fvs_match_searches_and_oracle(self):
+        for seed in range(1, 13):
+            k = 1 + seed % 3
+            net = random_dag_network(2 * k + 3, 2 * k + 3 + seed % 4, k, seed=seed)
+            g, _ = to_index_graph(net)
+            report = bound_report(net)
+            assert report.mais_value == mais_exact(g)[0] == oracle_mais(g)
+            assert report.fvs == min_fvs_exact(g)
 
     def test_two_disjoint_unicasts(self):
         report = bound_report(parse_network(TWO_DISJOINT))

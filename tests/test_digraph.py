@@ -1,5 +1,6 @@
 """Digraph algebra: products, blowups, cycles, embeddings, file format."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from gnskit import (
     verify_product_blowup_embedding,
 )
 from gnskit.bounds import alpha_exact, mais_exact
+from gnskit.digraph import _find_cycle
 
 from helpers import (
     complete_digraph,
@@ -24,7 +26,9 @@ from helpers import (
     oracle_alpha,
     oracle_cycles,
     oracle_mais,
+    reference_find_cycle,
     symmetric_cycle,
+    to_nx,
 )
 
 
@@ -188,6 +192,29 @@ class TestCycleEnumeration:
         from helpers import oracle_cycles_bruteforce
 
         assert set(enumerate_simple_cycles(g)) == oracle_cycles_bruteforce(g)
+
+
+def dict_graphs(node):
+    """Hypothesis strategy for dict-adjacency graphs over `node` values;
+    successor lists may repeat, loop back or name nodes that are not keys."""
+    return st.dictionaries(node, st.lists(node, max_size=4), max_size=9)
+
+
+class TestFindCycle:
+    @settings(max_examples=300, deadline=None)
+    @given(dict_graphs(st.integers(0, 11)))
+    def test_matches_reference_int_nodes(self, adj):
+        assert _find_cycle(adj) == reference_find_cycle(adj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dict_graphs(st.sampled_from(["a", "b", "c", "s1", "t1", "s2", "t2", "~s1"])))
+    def test_matches_reference_str_nodes(self, adj):
+        assert _find_cycle(adj) == reference_find_cycle(adj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs(max_n=6))
+    def test_is_acyclic_matches_networkx(self, g):
+        assert g.is_acyclic() == nx.is_directed_acyclic_graph(to_nx(g))
 
 
 class TestEmbedding:
