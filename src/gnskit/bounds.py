@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
@@ -41,52 +41,63 @@ from .network import (
 )
 
 
+def _masks(adj: Sequence[Sequence[int]]) -> list[int]:
+    return [sum(1 << w for w in ws) for ws in adj]
+
+
 def _max_acyclic(
-    out_adj,
+    out: Sequence[int],
     candidates: Sequence[int],
     required: Sequence[int] = (),
     target: int | None = None,
 ) -> int:
     """Largest acyclic induced superset of `required` inside required plus
-    `candidates`; returns -1 if `required` itself induces a cycle. With
-    `target`, stops as soon as any set of that size is found."""
-    members: set[int] = set()
+    `candidates`, on out-neighbour bitmasks `out`; returns -1 if `required`
+    itself induces a cycle. With `target`, stops at any set of that size.
+    Branches on each candidate in order, including it first if it closes no
+    cycle; a popped state runs down its include chain and stacks the
+    exclude branches it passes."""
+    members = 0
     for v in required:
-        if _closes_cycle(out_adj, members, v):
+        if _closes_cycle(out, members, v):
             return -1
-        members.add(v)
-    best = len(members)
+        members |= 1 << v
+    best = members.bit_count()
     ncand = len(candidates)
-
-    def rec(start: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        for i in range(start, ncand):
-            if count + (ncand - i) <= best:
-                return
-            if target is not None and best >= target:
-                return
+    stop = best + ncand if target is None else target  # a set this large ends the search
+    stack = [(0, members, best)]
+    while stack:
+        i, members, count = stack.pop()
+        while best < stop and count + (ncand - i) > best:
             v = candidates[i]
-            if not _closes_cycle(out_adj, members, v):
-                members.add(v)
-                rec(i + 1, count + 1)
-                members.discard(v)
-
-    if target is None or best < target:
-        rec(0, best)
+            i += 1
+            if not _closes_cycle(out, members, v):
+                stack.append((i, members, count))
+                members |= 1 << v
+                count += 1
+                best = max(best, count)
     return best
 
 
-def _search_order(g: Digraph, excluded: set[int] | frozenset[int] = frozenset()) -> list[int]:
-    deg = [len(g.out_neighbors(v)) + len(g.in_neighbors(v)) for v in range(g.n)]
-    return sorted(
-        (v for v in range(g.n) if v not in excluded), key=lambda v: (-deg[v], v)
-    )
+def _search_order(g: Digraph) -> list[int]:
+    """Candidates by decreasing total degree, then index."""
+    return sorted(range(g.n), key=lambda v: (-len(g._out[v]) - len(g._in[v]), v))
 
 
 def _mais_size(g: Digraph) -> int:
-    return _max_acyclic(g._out, _search_order(g))
+    return _max_acyclic(_masks(g._out), _search_order(g))
+
+
+def _lexmin(n: int, size: int, fits: Callable[[list[int]], bool]) -> list[int]:
+    """Lexicographically smallest `size`-subset of range(n) all of whose
+    prefixes `fits`: each vertex in order is kept if it still fits."""
+    chosen: list[int] = []
+    for v in range(n):
+        if len(chosen) == size:
+            break
+        if fits(chosen + [v]):
+            chosen.append(v)
+    return chosen
 
 
 def mais_exact(
@@ -96,16 +107,15 @@ def mais_exact(
     smallest witnessing vertex set."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    size = _mais_size(g)
-    chosen: list[int] = []
-    for v in range(g.n):
-        if len(chosen) == size:
-            break
-        trial = chosen + [v]
-        cand = [c for c in _search_order(g, set(trial))]
-        if _max_acyclic(g._out, cand, trial, target=size) >= size:
-            chosen.append(v)
-    return size, frozenset(chosen)
+    out, order = _masks(g._out), _search_order(g)
+    size = _max_acyclic(out, order)
+
+    def fits(trial: list[int]) -> bool:
+        skip = set(trial)
+        cand = [v for v in order if v not in skip]
+        return _max_acyclic(out, cand, trial, target=size) >= size
+
+    return size, frozenset(_lexmin(g.n, size, fits))
 
 
 def min_fvs_exact(
@@ -115,37 +125,30 @@ def min_fvs_exact(
     certificate of the maximum acyclic set)."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    size = _mais_size(g)
-    opt = g.n - size
-    chosen: list[int] = []
-    avoid: set[int] = set()
-    for v in range(g.n):
-        if len(chosen) == opt:
-            break
-        trial = avoid | {v}
-        cand = _search_order(g, trial)
-        if _max_acyclic(g._out, cand, (), target=size) >= size:
-            chosen.append(v)
-            avoid.add(v)
-    return frozenset(chosen)
+    out, order = _masks(g._out), _search_order(g)
+    size = _max_acyclic(out, order)
+
+    def fits(trial: list[int]) -> bool:
+        skip = set(trial)
+        cand = [v for v in order if v not in skip]
+        return _max_acyclic(out, cand, target=size) >= size
+
+    return frozenset(_lexmin(g.n, g.n - size, fits))
 
 
 def _mis_size(masks: Sequence[int], allowed: int, target: int | None = None) -> int:
+    """Independence number inside `allowed`, by binary branch on the vertex
+    of largest remaining degree: include it first, then exclude it."""
     best = 0
-
-    def rec(remaining: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if remaining == 0:
-            return
-        if count + remaining.bit_count() <= best:
-            return
-        if target is not None and best >= target:
-            return
+    stop = allowed.bit_count() if target is None else target
+    stack = [(allowed, 0)]
+    while stack:
+        remaining, count = stack.pop()
+        best = max(best, count)
+        if best >= stop or count + remaining.bit_count() <= best:
+            continue
         # branch on the vertex of largest remaining degree, smallest index first
-        pick = -1
-        pick_deg = -1
+        pick, pick_deg = -1, -1
         scan = remaining
         while scan:
             v = (scan & -scan).bit_length() - 1
@@ -154,14 +157,11 @@ def _mis_size(masks: Sequence[int], allowed: int, target: int | None = None) -> 
             if d > pick_deg:
                 pick, pick_deg = v, d
         if pick_deg == 0:
-            if count + remaining.bit_count() > best:
-                best = count + remaining.bit_count()
-            return
+            best = count + remaining.bit_count()
+            continue
         bit = 1 << pick
-        rec(remaining & ~(masks[pick] | bit), count + 1)
-        rec(remaining & ~bit, count)
-
-    rec(allowed, 0)
+        stack.append((remaining & ~bit, count))
+        stack.append((remaining & ~(masks[pick] | bit), count + 1))
     return best
 
 
@@ -172,25 +172,21 @@ def alpha_exact(
     lexicographically smallest maximum independent set."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = [o | i for o, i in zip(_masks(g._out), _masks(g._in))]
     full = (1 << g.n) - 1
     size = _mis_size(masks, full)
-    chosen: list[int] = []
-    allowed = full
-    for v in range(g.n):
-        if len(chosen) == size:
-            break
-        if not (allowed >> v) & 1:
-            continue
-        rest = allowed & ~(masks[v] | (1 << v))
-        need = size - len(chosen) - 1
-        if _mis_size(masks, rest, target=need) >= need:
-            chosen.append(v)
-            allowed = rest
-    return size, frozenset(chosen)
+
+    def fits(trial: list[int]) -> bool:
+        *chosen, v = trial
+        if any(masks[v] >> u & 1 for u in chosen):
+            return False
+        rest = full
+        for u in trial:
+            rest &= ~(masks[u] | 1 << u)
+        need = size - len(trial)
+        return _mis_size(masks, rest, target=need) >= need
+
+    return size, frozenset(_lexmin(g.n, size, fits))
 
 
 class TensorBound(NamedTuple):

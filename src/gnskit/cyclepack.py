@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from .caps import DEFAULT_CAPS
 from .digraph import (
     Digraph,
-    _closes_cycle,
     _find_cycle,
     _residual_cycle,
     enumerate_simple_cycles,
@@ -404,10 +403,10 @@ def subset_fes_approx(
     credit = metric.objective / (2 * max(net.k, 1))
     for s in order:
         adj = _pair_graph({k: v for k, v in active.items() if k not in cut_pairs})
-        if not (s in adj and _closes_cycle(adj, adj, s)):
-            continue
         out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
         dist, _ = _distances_from(s, out_pairs, lengths)
+        if not any(s in adj[v] for v in dist):
+            continue  # no surviving cycle passes through s
         radii = sorted({d for d in dist.values() if d < HALF} | {F0})
         best: tuple[Fraction, Fraction, frozenset[tuple[str, str]]] | None = None
         for rho in radii:

@@ -200,19 +200,22 @@ def _residual_cycle(
     return _find_cycle({v: g._out[v] for v in range(g.n) if v not in removed})
 
 
-def _closes_cycle(out_adj, members, v) -> bool:
-    """Does adding v to an acyclic induced set close a cycle (which would
-    necessarily pass through v)?"""
-    stack = [w for w in out_adj[v] if w in members]
-    seen = set(stack)
-    while stack:
-        u = stack.pop()
-        for w in out_adj[u]:
-            if w == v:
-                return True
-            if w in members and w not in seen:
-                seen.add(w)
-                stack.append(w)
+def _closes_cycle(out: Sequence[int], members: int, v: int) -> bool:
+    """Does adding v to the acyclic induced set `members` close a cycle
+    (necessarily through v)? Sets are bitmasks, `out[u]` is u's out-neighbour
+    mask: a breadth-first search from v inside `members` that stops at v."""
+    goal = 1 << v
+    seen = frontier = out[v] & members
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= out[low.bit_length() - 1]
+            frontier ^= low
+        if reach & goal:
+            return True
+        frontier = reach & members & ~seen
+        seen |= frontier
     return False
 
 

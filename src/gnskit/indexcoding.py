@@ -117,43 +117,43 @@ class _GFBasis:
         self.pivots: dict[int, list[int]] = {}  # pivot column -> normalized row
         self.bit_basis: list[int] = []  # p == 2 fast path
 
-    def _reduce2(self, row: int) -> int:
-        for b in self.bit_basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        return row
+    def copy(self) -> _GFBasis:
+        twin = _GFBasis(self.width, self.p)
+        twin.pivots = dict(self.pivots)  # rows are replaced, never mutated
+        twin.bit_basis = list(self.bit_basis)
+        return twin
 
-    def add(self, row) -> bool:
+    def _reduce(self, row):
+        """`row` minus its part in the span (a bitmask int when p == 2)."""
         if self.p == 2:
-            reduced = self._reduce2(row)
-            if reduced:
-                self.bit_basis.append(reduced)
-                self.bit_basis.sort(key=lambda b: b & -b)
-                return True
-            return False
+            for b in self.bit_basis:
+                if row & b & -b:
+                    row ^= b
+            return row
         vec = list(row)
         for col, base in self.pivots.items():
             f = vec[col]
             if f:
                 vec = [(a - f * b) % self.p for a, b in zip(vec, base)]
-        for col, a in enumerate(vec):
+        return vec
+
+    def add(self, row) -> bool:
+        reduced = self._reduce(row)
+        if self.p == 2:
+            if reduced:
+                self.bit_basis.append(reduced)
+                self.bit_basis.sort(key=lambda b: b & -b)
+            return bool(reduced)
+        for col, a in enumerate(reduced):
             if a:
                 inv = pow(a, self.p - 2, self.p)
-                vec = [(x * inv) % self.p for x in vec]
-                self.pivots[col] = vec
+                self.pivots[col] = [(x * inv) % self.p for x in reduced]
                 return True
         return False
 
     def contains(self, row) -> bool:
-        if self.p == 2:
-            return self._reduce2(row) == 0
-        vec = list(row)
-        for col, base in self.pivots.items():
-            f = vec[col]
-            if f:
-                vec = [(a - f * b) % self.p for a, b in zip(vec, base)]
-        return not any(vec)
+        reduced = self._reduce(row)
+        return not (reduced if self.p == 2 else any(reduced))
 
     @property
     def rank(self) -> int:
@@ -364,20 +364,16 @@ def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     if code.n != g.n:
         raise ValueError("code message count does not match the graph")
     width = code.blowup_t * code.n
-    base_rows = _code_rows(code)
+    code_basis = _GFBasis(width, code.p)
+    for row in _code_rows(code):
+        code_basis.add(row)
     for user in range(g.n):
-        basis = _GFBasis(width, code.p)
-        for row in base_rows:
-            basis.add(row)
+        basis = code_basis.copy()
         for row in _side_info_rows(g, code, user):
             basis.add(row)
         for s in range(code.blowup_t):
             col = user * code.blowup_t + s
-            if code.p == 2:
-                target = 1 << col
-            else:
-                target = [0] * width
-                target[col] = 1
+            target = 1 << col if code.p == 2 else [int(c == col) for c in range(width)]
             if not basis.contains(target):
                 return False, user
     return True, None

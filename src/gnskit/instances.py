@@ -200,8 +200,8 @@ def random_dag_network(
 
 
 def random_instance(kind: str, seed: int, **params):
-    """Dispatcher used by the command line: kind is "digraph" or
-    "dag-network"; params are forwarded to the matching generator."""
+    """Dispatch by name: kind is "digraph" or "dag-network"; params are
+    forwarded to the matching generator."""
     if kind == "digraph":
         return random_digraph(params["n"], params["prob"], seed)
     if kind == "dag-network":

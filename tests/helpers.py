@@ -124,6 +124,53 @@ def reference_find_cycle(adj: dict) -> tuple | None:
         walk.append(nxt)
 
 
+def _reference_closes_cycle(out_adj, members: set[int], v: int) -> bool:
+    stack = [w for w in out_adj[v] if w in members]
+    seen = set(stack)
+    while stack:
+        u = stack.pop()
+        for w in out_adj[u]:
+            if w == v:
+                return True
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def reference_max_acyclic(out_adj, candidates, required=(), target=None) -> int:
+    """The set-based, recursive form of `gnskit.bounds._max_acyclic` on tuple
+    adjacency, the reference its bitmask stack search is compared against:
+    largest acyclic induced superset of `required` inside required plus
+    `candidates`, -1 if `required` has a cycle, stopping at `target`."""
+    members: set[int] = set()
+    for v in required:
+        if _reference_closes_cycle(out_adj, members, v):
+            return -1
+        members.add(v)
+    best = len(members)
+    ncand = len(candidates)
+
+    def rec(start: int, count: int) -> None:
+        nonlocal best
+        if count > best:
+            best = count
+        for i in range(start, ncand):
+            if count + (ncand - i) <= best:
+                return
+            if target is not None and best >= target:
+                return
+            v = candidates[i]
+            if not _reference_closes_cycle(out_adj, members, v):
+                members.add(v)
+                rec(i + 1, count + 1)
+                members.discard(v)
+
+    if target is None or best < target:
+        rec(0, best)
+    return best
+
+
 def oracle_cycles(g: Digraph) -> set[tuple[int, ...]]:
     """Canonical simple cycles via networkx."""
     out = set()

@@ -1,6 +1,7 @@
 """Exact bound quantities, product/blowup identities, and the report."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,9 @@ from gnskit import (
     to_index_graph,
 )
 from gnskit.bounds import (
+    _max_acyclic,
+    _mis_size,
+    _search_order,
     alpha_exact,
     mais_exact,
     min_fvs_exact,
@@ -34,6 +38,7 @@ from helpers import (
     directed_cycle,
     oracle_alpha,
     oracle_mais,
+    reference_max_acyclic,
     symmetric_cycle,
 )
 from test_digraph import random_graphs
@@ -316,3 +321,87 @@ class TestCertificateTieBreaking:
             if all(frozenset((u, v)) not in und for u in sub for v in sub if u < v)
         )
         assert tuple(sorted(cert)) == first
+
+
+def _reference_lexmin(g, size, required_trial):
+    """The lexmin certificate loop driven by the reference search: keep each
+    vertex in order if a set of `size` still fits around the vertices so far
+    (as required members for mais, as removed vertices for the FVS)."""
+    order = _search_order(g)
+    target = reference_max_acyclic(g._out, order)
+    chosen = []
+    for v in range(g.n):
+        if len(chosen) == size:
+            break
+        trial = chosen + [v]
+        cand = [c for c in order if c not in trial]
+        required = trial if required_trial else ()
+        if reference_max_acyclic(g._out, cand, required, target=target) >= target:
+            chosen.append(v)
+    return frozenset(chosen)
+
+
+class TestSearchMatchesReference:
+    """The bitmask search on an explicit stack against the set-based
+    recursive search it replaced, on index graphs of benchmark size."""
+
+    @staticmethod
+    def _graphs():
+        for seed in (1, 2, 3, 4, 6, 7, 9, 10, 11, 12):
+            k = 3 + seed % 3
+            net = random_dag_network(2 * k + 3, 2 * k + 8 + seed % 5, k, seed=seed)
+            yield to_index_graph(net)[0]
+
+    def test_certificates(self):
+        for g in self._graphs():
+            assert 18 <= g.n <= 27
+            size = reference_max_acyclic(g._out, _search_order(g))
+            assert mais_exact(g, 64) == (size, _reference_lexmin(g, size, True))
+            assert min_fvs_exact(g, 64) == _reference_lexmin(g, g.n - size, False)
+
+    def test_targets_and_required_sets(self):
+        for g in self._graphs():
+            out = [sum(1 << w for w in ws) for ws in g._out]
+            order = _search_order(g)
+            size = _max_acyclic(out, order)
+            for target in (None, 1, size - 1, size, size + 1):
+                assert _max_acyclic(out, order, target=target) == reference_max_acyclic(
+                    g._out, order, target=target
+                )
+            for required in ([0, 1], list(range(0, g.n, 3)), order[:6]):
+                cand = [v for v in order if v not in required]
+                for target in (None, size):
+                    assert _max_acyclic(out, cand, required, target) == reference_max_acyclic(
+                        g._out, cand, required, target
+                    )
+
+
+DEEP = sys.getrecursionlimit() + 100  # more vertices than the recursion limit
+
+
+class TestDeepInputs:
+    """Inputs with more vertices than the recursion limit: the searches keep
+    their own stacks, so no input depth raises RecursionError."""
+
+    def _check_acyclic(self, g):
+        assert min_fvs_exact(g, DEEP) == frozenset()
+        assert mais_exact(g, DEEP) == (DEEP, frozenset(range(DEEP)))
+        assert tensor_bound(g, 1, DEEP, DEEP, DEEP).radicand == DEEP
+
+    def test_directed_path(self):
+        self._check_acyclic(Digraph(DEEP, [(v, v + 1) for v in range(DEEP - 1)]))
+
+    def test_dag(self):
+        edges = [(v, w) for v in range(DEEP) for w in (v + 1, v + 2, v + 5) if w < DEEP]
+        self._check_acyclic(Digraph(DEEP, edges))
+
+    def test_directed_cycle(self):
+        g = directed_cycle(DEEP)
+        assert min_fvs_exact(g, DEEP) == frozenset({0})
+        assert mais_exact(g, DEEP) == (DEEP - 1, frozenset(range(DEEP - 1)))
+
+    def test_independence_of_a_clique(self):
+        # every search node branches: the include side ends at once, the
+        # exclude side goes one vertex deeper
+        full = (1 << DEEP) - 1
+        assert _mis_size([full & ~(1 << v) for v in range(DEEP)], full) == 1

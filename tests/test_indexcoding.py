@@ -24,7 +24,7 @@ from gnskit import (
 )
 from gnskit.bounds import mais_exact
 from gnskit.cyclepack import CyclePacking
-from gnskit.indexcoding import derive_decoders, minrank_edge_cap
+from gnskit.indexcoding import _GFBasis, derive_decoders, minrank_edge_cap
 
 from helpers import (
     complete_digraph,
@@ -132,8 +132,7 @@ class TestSubmultiplicativity:
     @given(random_graphs(max_n=3, p=0.3), random_graphs(max_n=3, p=0.3))
     def test_product_minrank(self, g, h):
         prod = strong_product(g, h)
-        if len(prod.edges) > 16:
-            return  # outside the exhaustive search budget
+        assume(len(prod.edges) <= 16)  # inside the exhaustive search budget
         assert minrank(g, 2)[0] * minrank(h, 2)[0] >= minrank(prod, 2)[0]
 
 
@@ -143,8 +142,7 @@ class TestBlowupMinrankChain:
     def test_normalized_blowup_minrank_dominates_tensor_mais(self, g, k, m):
         # (minrk(blowup)/k) ** m >= mais of the m-fold power, exactly
         b = blowup(g, k)
-        if len(b.edges) > 16:
-            return
+        assume(len(b.edges) <= 16)  # inside the exhaustive search budget
         value = minrank(b, 2)[0]
         power_mais = mais_exact(strong_product(g, g) if m == 2 else g)[0]
         assert value**m >= k**m * power_mais
@@ -262,6 +260,18 @@ class TestVerifyIndexCode:
         assert failing == 1
         sim_ok, sim_user = decode_simulation(g, code)
         assert not sim_ok and sim_user == 1
+
+    @pytest.mark.parametrize(
+        "p, first, second", [(2, 0b011, 0b010), (3, [1, 2, 0], [0, 1, 0])]
+    )
+    def test_basis_copy_is_independent(self, p, first, second):
+        basis = _GFBasis(3, p)
+        basis.add(first)
+        twin = basis.copy()
+        assert twin.add(second)
+        assert (basis.rank, twin.rank) == (1, 2)
+        assert not basis.contains(second) and twin.contains(second)
+        assert basis.add(second) and basis.rank == 2
 
     def test_dimension_mismatch(self):
         from gnskit import IndexCode
