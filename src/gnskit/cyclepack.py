@@ -1,10 +1,12 @@
 """Fractional cycle packing, its spreading-metric dual, and the
 sphere-growing subset feedback-edge-set approximation.
 
-All linear programming here is exact rational arithmetic (a dense primal
-simplex with Bland's rule), because the surrounding test suites assert
-exact equalities such as strong LP duality and the packing-versus-feedback
-inequalities that a floating-point solver would blur.
+All linear programming here is exact: one dense primal simplex with
+Bland's rule on an integer-preserving tableau (Python ints over one common
+denominator), whose results come back as Fractions, because the
+surrounding test suites assert exact equalities such as strong LP duality
+and the packing-versus-feedback inequalities that a floating-point solver
+would blur.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import CapacityError, ContractViolation
 from .network import Link, MUNetwork, closure_links, to_index_graph
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -60,72 +61,72 @@ class SpreadingMetric:
 
 def _simplex_max(
     num_vars: int,
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    objective: Sequence[int],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Maximize objective*x subject to rows*x <= rhs, x >= 0, rhs >= 0.
+    """Maximize objective*x subject to rows*x <= rhs, x >= 0, on integer
+    data with rhs >= 0.
 
-    Dense tableau simplex, Bland's rule for both the entering column and
-    ratio ties, so the optimum (and the returned vertex) is deterministic
-    and cycling is impossible. Returns (value, primal x, dual y), the duals
+    Integer-preserving dense tableau (Edmonds 1967, Bareiss 1968): the
+    entries are Python ints over one common denominator d, the previous
+    pivot element (d = |det| of the current basis, starting at 1), so every
+    row update (p*x - f*y) // d divides exactly and no Fraction is built
+    until the result. Bland's rule for both the entering column and ratio
+    ties, so the optimum (and the returned vertex) is deterministic and
+    cycling is impossible. Returns (value, primal x, dual y), the duals
     being the reduced costs of the slack columns.
     """
     m = len(rows)
     width = num_vars + m
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i in range(m):
-        row = list(rows[i]) + [F0] * m + [rhs[i]]
-        row[num_vars + i] = F1
+        row = list(rows[i]) + [0] * m + [rhs[i]]
+        row[num_vars + i] = 1
         tableau.append(row)
-    cost = [-c for c in objective] + [F0] * (m + 1)
+    cost = [-c for c in objective] + [0] * (m + 1)
     basis = list(range(num_vars, width))
+    d = 1
 
     while True:
-        enter = -1
-        for j in range(width):
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if cost[j] < 0), -1)
         if enter < 0:
             break
+        # ratio test b_i/a_i by cross-multiplication (every a_i compared is > 0)
         leave = -1
-        best_ratio: Fraction | None = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                b = tableau[i][-1]
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                left, right = b * best_a, best_b * a
+                if left < right or (left == right and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             raise ContractViolation("unbounded packing LP; constraints are malformed")
         pivot_row = tableau[leave]
-        inv = F1 / pivot_row[enter]
-        for j in range(width + 1):
-            pivot_row[j] *= inv
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                factor = tableau[i][enter]
-                row = tableau[i]
-                for j in range(width + 1):
-                    row[j] -= factor * pivot_row[j]
-        if cost[enter] != 0:
-            factor = cost[enter]
-            for j in range(width + 1):
-                cost[j] -= factor * pivot_row[j]
+        p = pivot_row[enter]
+        for i, row in enumerate(tableau):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+            elif p != d:  # only rescaled to the new denominator
+                tableau[i] = [p * x // d for x in row]
+        f = cost[enter]
+        cost = [(p * x - f * y) // d for x, y in zip(cost, pivot_row)]
         basis[leave] = enter
+        d = p
 
     x = [F0] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
-            x[b] = tableau[i][-1]
-    duals = [cost[num_vars + i] for i in range(m)]
-    return cost[-1], x, duals
+            x[b] = Fraction(tableau[i][-1], d)
+    duals = [Fraction(cost[num_vars + i], d) for i in range(m)]
+    return Fraction(cost[-1], d), x, duals
 
 
 def rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) -> CyclePacking:
@@ -140,12 +141,14 @@ def rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) -> CyclePack
     if not cycles:
         return CyclePacking(assignments=(), value=F0)
     touched = sorted({v for cyc in cycles for v in cyc})
-    rows = []
-    for v in touched:
-        rows.append([F1 if v in cyc else F0 for cyc in cycles])
-    rhs = [F1] * len(touched)
-    objective = [F1] * len(cycles)
-    value, weights, _ = _simplex_max(len(cycles), rows, rhs, objective)
+    row_of = {v: i for i, v in enumerate(touched)}
+    rows = [[0] * len(cycles) for _ in touched]
+    for j, cyc in enumerate(cycles):
+        for v in cyc:
+            rows[row_of[v]][j] = 1
+    value, weights, _ = _simplex_max(
+        len(cycles), rows, [1] * len(touched), [1] * len(cycles)
+    )
     assignments = tuple(
         (cyc, w) for cyc, w in zip(cycles, weights) if w > 0
     )
@@ -262,7 +265,7 @@ def solve_spreading_metric(
     grouped = _group_pairs(link_objs)
     pair_keys = sorted(grouped)
     pair_index = {key: i for i, key in enumerate(pair_keys)}
-    costs = [Fraction(len(grouped[key])) for key in pair_keys]
+    costs = [len(grouped[key]) for key in pair_keys]
     out_pairs: dict[str, list[tuple[str, tuple[str, str]]]] = {}
     for tail, head in pair_keys:
         out_pairs.setdefault(tail, []).append((head, (tail, head)))
@@ -291,10 +294,10 @@ def solve_spreading_metric(
         constraints.extend(violated)
         # packing dual of the covering LP: one variable per cycle constraint
         rows = [
-            [F1 if i in cyc_set else F0 for cyc_set in constraints]
+            [1 if i in cyc_set else 0 for cyc_set in constraints]
             for i in range(len(pair_keys))
         ]
-        _, _, duals = _simplex_max(len(constraints), rows, costs, [F1] * len(constraints))
+        _, _, duals = _simplex_max(len(constraints), rows, costs, [1] * len(constraints))
         x = duals
     raise CapacityError(
         f"spreading metric did not converge within {iteration_cap} generated constraints"

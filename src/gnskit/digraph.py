@@ -289,7 +289,13 @@ def enumerate_simple_cycles(g: Digraph, cap: int = DEFAULT_CAPS.cycles) -> list[
             path.pop()
             return found
 
-        circuit(root)
+        try:
+            circuit(root)
+        finally:
+            # each closure refers to itself through its cell; deleting the
+            # names breaks that cycle, so `cycles` and the search state are
+            # freed on return or refusal instead of waiting for the collector
+            del circuit, unblock
     return cycles
 
 

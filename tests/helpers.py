@@ -11,13 +11,18 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
+from typing import Sequence
 
 import networkx as nx
 
 import gnskit
-from gnskit import Digraph, MUNetwork, build_network
+from gnskit import ContractViolation, Digraph, MUNetwork, build_network
+
+F0 = Fraction(0)
+F1 = Fraction(1)
 
 
 def cli_env() -> dict[str, str]:
@@ -169,6 +174,79 @@ def reference_max_acyclic(out_adj, candidates, required=(), target=None) -> int:
     if target is None or best < target:
         rec(0, best)
     return best
+
+
+def reference_simplex_max(
+    num_vars: int,
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    objective: Sequence[Fraction],
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """The Fraction tableau that `gnskit.cyclepack._simplex_max` replaced,
+    the reference its integer-preserving tableau is compared against.
+    Maximize objective*x subject to rows*x <= rhs, x >= 0, rhs >= 0, on
+    Fraction data.
+
+    Dense tableau simplex, Bland's rule for both the entering column and
+    ratio ties, so the optimum (and the returned vertex) is deterministic
+    and cycling is impossible. Returns (value, primal x, dual y), the duals
+    being the reduced costs of the slack columns.
+    """
+    m = len(rows)
+    width = num_vars + m
+    tableau: list[list[Fraction]] = []
+    for i in range(m):
+        row = list(rows[i]) + [F0] * m + [rhs[i]]
+        row[num_vars + i] = F1
+        tableau.append(row)
+    cost = [-c for c in objective] + [F0] * (m + 1)
+    basis = list(range(num_vars, width))
+
+    while True:
+        enter = -1
+        for j in range(width):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio: Fraction | None = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise ContractViolation("unbounded packing LP; constraints are malformed")
+        pivot_row = tableau[leave]
+        inv = F1 / pivot_row[enter]
+        for j in range(width + 1):
+            pivot_row[j] *= inv
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                factor = tableau[i][enter]
+                row = tableau[i]
+                for j in range(width + 1):
+                    row[j] -= factor * pivot_row[j]
+        if cost[enter] != 0:
+            factor = cost[enter]
+            for j in range(width + 1):
+                cost[j] -= factor * pivot_row[j]
+        basis[leave] = enter
+
+    x = [F0] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            x[b] = tableau[i][-1]
+    duals = [cost[num_vars + i] for i in range(m)]
+    return cost[-1], x, duals
 
 
 def oracle_cycles(g: Digraph) -> set[tuple[int, ...]]:

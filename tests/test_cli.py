@@ -64,6 +64,14 @@ class TestBounds:
         report = parse_report(capsys.readouterr().out)
         assert [tb.q for tb in report.tensor_bounds] == [1, 2]
 
+    def test_in_process_calls_share_no_state(self, single, capsys):
+        assert main(["bounds", single, "--q", "1", "2", "--out", "machine"]) == 0
+        first = parse_report(capsys.readouterr().out)
+        assert main(["bounds", single, "--out", "machine"]) == 0
+        second = parse_report(capsys.readouterr().out)
+        assert [tb.q for tb in first.tensor_bounds] == [1, 2]
+        assert [tb.q for tb in second.tensor_bounds] == [1]
+
     def test_ratio_constant_flag_accepted(self, parallel, capsys):
         assert main(["bounds", parallel, "--ratio-constant", "16"]) == 0
         capsys.readouterr()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gnskit import (
     CapacityError,
@@ -19,10 +19,12 @@ from gnskit import (
     subset_fes_approx,
     to_index_graph,
 )
+from gnskit import cyclepack
 from gnskit.bounds import mais_exact, min_fvs_exact
 from gnskit.cyclepack import (
     CyclePacking,
     _greedy_fes,
+    _simplex_max,
     validate_packing,
     vertex_split_links,
 )
@@ -31,8 +33,66 @@ from helpers import (
     SINGLE_PATH,
     TWO_DISJOINT,
     directed_cycle,
+    reference_simplex_max,
 )
 from test_digraph import random_graphs
+
+
+def reference_on_ints(num_vars, rows, rhs, objective):
+    """`reference_simplex_max` on the integer data `_simplex_max` takes."""
+    return reference_simplex_max(
+        num_vars,
+        [[Fraction(a) for a in row] for row in rows],
+        [Fraction(b) for b in rhs],
+        [Fraction(c) for c in objective],
+    )
+
+
+@st.composite
+def integer_lps(draw):
+    """Small integer LPs in the form `_simplex_max` takes; the narrow
+    ranges make degenerate ratio ties and unbounded columns common."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 4))
+    entries = st.integers(-2, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    objective = draw(st.lists(entries, min_size=n, max_size=n))
+    return n, rows, rhs, objective
+
+
+class TestSimplexMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(integer_lps())
+    def test_same_value_vertex_and_duals(self, lp):
+        try:
+            expected = reference_on_ints(*lp)
+        except ContractViolation:
+            with pytest.raises(ContractViolation, match="unbounded"):
+                _simplex_max(*lp)
+            return
+        value, x, duals = _simplex_max(*lp)
+        assert (value, x, duals) == expected
+        assert all(type(v) is Fraction for v in [value, *x, *duals])
+
+    def test_rcp_and_spreading_metric_on_networks(self, monkeypatch):
+        from gnskit.instances import random_dag_network
+
+        nets = [random_dag_network(7, 12, 3, seed=seed) for seed in range(1, 11)]
+
+        def solve_all():
+            results = []
+            for net in nets:
+                g, _ = to_index_graph(net)
+                terminals = [s for s, _ in net.pairs]
+                results.append(
+                    (rcp_exact(g), solve_spreading_metric(closure_links(net), terminals))
+                )
+            return results
+
+        fraction_free = solve_all()
+        monkeypatch.setattr(cyclepack, "_simplex_max", reference_on_ints)
+        assert solve_all() == fraction_free
 
 
 class TestRcpExact:

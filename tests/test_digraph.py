@@ -1,5 +1,7 @@
 """Digraph algebra: products, blowups, cycles, embeddings, file format."""
 
+import gc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,23 @@ class TestCycleEnumeration:
     def test_cap_raises(self):
         with pytest.raises(CapacityError, match="cap of 2"):
             enumerate_simple_cycles(complete_digraph(3), cap=2)
+
+    def test_frees_its_state_without_the_collector(self):
+        # the cycle list and search state go with the last reference, on
+        # return and on refusal alike, so a refused enumeration of many
+        # cycles does not pin them until a collection happens to run
+        g = complete_digraph(5)
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_simple_cycles(g)
+            try:
+                enumerate_simple_cycles(g, cap=10)
+            except CapacityError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs(max_n=6))
