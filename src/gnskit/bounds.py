@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple, Sequence
 from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
     CyclePacking,
-    rcp_exact,
-    subset_fes_approx,
     fes_to_fvs,
+    packing_from_metric,
+    subset_fes_approx,
 )
 from .digraph import Digraph, _closes_cycle, tensor_power
 from .errors import CapacityError, ContractViolation, FormatError
@@ -35,6 +35,7 @@ from .indexcoding import (
 from .network import (
     GnsCertificate,
     MUNetwork,
+    closure_links,
     min_gns_cut_exact,
     tilde_transform,
     to_index_graph,
@@ -280,6 +281,10 @@ def bound_report(
     dual correlated-sources rate is the packing value itself. The
     approximation is also regression-checked against
     ratio_constant * ln(k+1)**2 times the packing value.
+
+    The packing is the dual of the spreading metric that the approximation
+    solves, mapped to the index graph by `packing_from_metric`, so rcp is
+    never skipped and costs no cycle enumeration.
     """
     g, _ = to_index_graph(net)
     m, k = net.m, net.k
@@ -293,15 +298,10 @@ def bound_report(
     except CapacityError:
         skipped.append("mais")
 
-    rcp: CyclePacking | None = None
-    try:
-        rcp = rcp_exact(g, caps.rcp_cycles)
-    except CapacityError:
-        skipped.append("rcp")
-
     approx = subset_fes_approx(net, caps.spreading_iterations, caps.cycles)
     approx_fvs = fes_to_fvs(net, approx.fes)
     approx_weight = approx.diagnostics.weight
+    rcp = packing_from_metric(closure_links(net), approx.metric)
 
     gns: GnsCertificate | None = None
     if exact_gns:
@@ -328,16 +328,15 @@ def bound_report(
     code: IndexCode | None = None
     code_rate: Fraction | None = None
     co_rate: Fraction | None = None
-    if rcp is not None:
-        try:
-            code = build_cycle_code(g, rcp, field, caps.code_lcm)
-            code_rate = code.rate
-            co_rate = co_rate_from_beta(m, code_rate)
-        except CapacityError:
-            skipped.append("code")
+    try:
+        code = build_cycle_code(g, rcp, field, caps.code_lcm)
+        code_rate = code.rate
+        co_rate = co_rate_from_beta(m, code_rate)
+    except CapacityError:
+        skipped.append("code")
 
     # exact chain assertions over whatever was computed
-    if mais_value is not None and rcp is not None and rcp.value > m - mais_value:
+    if mais_value is not None and rcp.value > m - mais_value:
         raise ContractViolation(
             f"packing value {rcp.value} exceeds m - mais = {m - mais_value}"
         )
@@ -349,32 +348,31 @@ def bound_report(
         raise ContractViolation(
             f"staged GNS cut size {len(gns.cut)} differs from m - mais = {m - mais_value}"
         )
-    if rcp is not None and code_rate is not None and code_rate != m - rcp.value:
+    if code_rate is not None and code_rate != m - rcp.value:
         raise ContractViolation("cycle code rate must equal m minus the packing value")
-    if rcp is not None and co_rate is not None and co_rate != rcp.value:
+    if co_rate is not None and co_rate != rcp.value:
         raise ContractViolation("dual correlated rate must equal the packing value")
     if mais_value is not None:
         for tb in tensors:
             if tb.q == 1 and tb.radicand != mais_value:
                 raise ContractViolation("first tensor bound disagrees with mais")
-    if rcp is not None:
-        if rcp.value == 0:
-            if approx_weight != 0:
-                raise ContractViolation("nonzero cut on an acyclic closure")
-        else:
-            limit = ratio_constant * math.log(k + 1) ** 2 * float(rcp.value)
-            if approx_weight > limit:
-                raise ContractViolation(
-                    f"approximation weight {approx_weight} exceeds the regression "
-                    f"bound {limit:.3f}"
-                )
+    if rcp.value == 0:
+        if approx_weight != 0:
+            raise ContractViolation("nonzero cut on an acyclic closure")
+    else:
+        limit = ratio_constant * math.log(k + 1) ** 2 * float(rcp.value)
+        if approx_weight > limit:
+            raise ContractViolation(
+                f"approximation weight {approx_weight} exceeds the regression "
+                f"bound {limit:.3f}"
+            )
 
     return BoundReport(
         m=m,
         k=k,
         mais_value=mais_value,
         fvs=fvs,
-        rcp_value=rcp.value if rcp is not None else None,
+        rcp_value=rcp.value,
         packing=rcp,
         approx_weight=approx_weight,
         approx_fvs=approx_fvs,

@@ -138,10 +138,14 @@ def _cmd_convert(args, caps: Caps) -> int:
 def _cmd_cyclepack(args, caps: Caps) -> int:
     if args.from_network:
         net = network_mod.parse_network(_read(args.input))
-        g, _ = network_mod.to_index_graph(net)
+        closed = network_mod.closure_links(net)
+        metric = cyclepack_mod.solve_spreading_metric(
+            closed, [s for s, _ in net.pairs], caps.spreading_iterations
+        )
+        packing = cyclepack_mod.packing_from_metric(closed, metric)
     else:
         g = parse_digraph(_read(args.input))
-    packing = cyclepack_mod.rcp_exact(g, caps.rcp_cycles)
+        packing = cyclepack_mod.rcp_exact(g, caps.rcp_cycles)
     lines = ["cyclepacking", f"value: {packing.value}"]
     for cyc, w in packing.assignments:
         lines.append(f"assign: {w} " + " ".join(str(v) for v in cyc))

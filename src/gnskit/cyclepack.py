@@ -36,7 +36,8 @@ class CyclePacking:
     """Rational weights on simple cycles with per-vertex load at most 1.
 
     `assignments` holds (cycle, weight) pairs with positive weight, cycles in
-    canonical rotation, in enumeration order. `value` is the total weight.
+    canonical rotation: in enumeration order from `rcp_exact`, in sorted
+    order from `packing_from_metric`. `value` is the total weight.
     """
 
     assignments: tuple[tuple[tuple[int, ...], Fraction], ...]
@@ -50,10 +51,13 @@ class CyclePacking:
 class SpreadingMetric:
     """Non-negative rational link lengths under which every cycle through a
     terminal measures at least 1; `objective` is the capacity-weighted total
-    (parallel links share one length)."""
+    (parallel links share one length). `packing` is its LP dual: generated
+    cycles as (tail, head) pair sequences with positive weights summing to
+    `objective`, each pair loaded at most its link count."""
 
     lengths: tuple[tuple[int, Fraction], ...]  # (link id, length), id order
     objective: Fraction
+    packing: tuple[tuple[tuple[tuple[str, str], ...], Fraction], ...]
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.lengths)
@@ -257,7 +261,9 @@ def solve_spreading_metric(
     Parallel links are grouped into one capacitated variable. Each round
     solves the current covering LP exactly through its packing dual, then a
     shortest-closed-walk oracle per terminal either finds a violated cycle
-    or proves feasibility, which by LP duality makes the metric optimal.
+    or proves feasibility, which by LP duality makes the metric optimal and
+    the last packing an optimal packing over all cycles through a terminal
+    (column generation with a shortest-cycle pricing step).
     """
     link_objs = [
         e if isinstance(e, Link) else Link(e[0], e[1], e[2]) for e in links
@@ -271,18 +277,22 @@ def solve_spreading_metric(
         out_pairs.setdefault(tail, []).append((head, (tail, head)))
 
     constraints: list[frozenset[int]] = []
+    cycles: list[tuple[tuple[str, str], ...]] = []  # pair sequence of each constraint
     known: set[frozenset[int]] = set()
     x = [F0] * len(pair_keys)
+    weights: list[Fraction] = []
     for _ in range(iteration_cap + 1):
         lengths = {key: x[pair_index[key]] for key in pair_keys}
-        violated = []
+        violated = 0
         for t in sorted(set(terminals)):
             found = _shortest_cycle_through(t, out_pairs, lengths)
             if found is not None and found[0] < 1:
                 row = frozenset(pair_index[key] for key in found[1])
                 if row not in known:
-                    violated.append(row)
                     known.add(row)
+                    constraints.append(row)
+                    cycles.append(found[1])
+                    violated += 1
         if not violated:
             objective = sum((c * xi for c, xi in zip(costs, x)), start=F0)
             metric = tuple(
@@ -290,18 +300,48 @@ def solve_spreading_metric(
                 for e in sorted(link_objs, key=lambda e: e.id)
                 if e.tail is not None
             )
-            return SpreadingMetric(lengths=metric, objective=objective)
-        constraints.extend(violated)
+            packing = tuple((cyc, w) for cyc, w in zip(cycles, weights) if w > 0)
+            return SpreadingMetric(lengths=metric, objective=objective, packing=packing)
         # packing dual of the covering LP: one variable per cycle constraint
         rows = [
             [1 if i in cyc_set else 0 for cyc_set in constraints]
             for i in range(len(pair_keys))
         ]
-        _, _, duals = _simplex_max(len(constraints), rows, costs, [1] * len(constraints))
-        x = duals
+        _, weights, x = _simplex_max(len(constraints), rows, costs, [1] * len(constraints))
     raise CapacityError(
         f"spreading metric did not converge within {iteration_cap} generated constraints"
     )
+
+
+def packing_from_metric(closed_links: Sequence[Link], metric: SpreadingMetric) -> CyclePacking:
+    """The metric's packing as a vertex packing of the index graph, whose
+    vertex v is link v. Each pair's parallel links are filled in id order,
+    one unit per link, so a cycle's weight splits where one of its pairs
+    crosses to the next link. Raises ContractViolation unless the value is
+    the metric's objective: with the metric proven feasible, a packing that
+    passes `validate_packing` is then optimal."""
+    grouped = _group_pairs(closed_links)
+    used = {key: F0 for key in grouped}
+    weights: dict[tuple[int, ...], Fraction] = {}
+    for pairs, w in metric.packing:
+        cuts = {F0, w}
+        for key in pairs:
+            start = used[key]
+            cuts.update(j - start for j in range(math.floor(start) + 1, math.ceil(start + w)))
+        points = sorted(cuts)
+        for lo, hi in zip(points, points[1:]):
+            cyc = tuple(grouped[key][math.floor(used[key] + lo)] for key in pairs)
+            pivot = cyc.index(min(cyc))
+            cyc = cyc[pivot:] + cyc[:pivot]
+            weights[cyc] = weights.get(cyc, F0) + hi - lo
+        for key in pairs:
+            used[key] += w
+    value = sum(weights.values(), F0)
+    if value != metric.objective:
+        raise ContractViolation(
+            f"packing value {value} differs from the metric objective {metric.objective}"
+        )
+    return CyclePacking(assignments=tuple(sorted(weights.items())), value=value)
 
 
 @dataclass(frozen=True)
@@ -309,7 +349,6 @@ class ApproxDiagnostics:
     objective: Fraction
     weight: int
     ratio: float
-    fallback_used: bool
     terminal_order: tuple[str, ...]
 
 
@@ -317,46 +356,15 @@ class ApproxDiagnostics:
 class ApproxFes:
     fes: frozenset[int]
     diagnostics: ApproxDiagnostics
+    metric: SpreadingMetric  # the solved relaxation, with its optimal packing
 
 
-def _pair_graph(active: dict[tuple[str, str], list[int]]) -> dict[str, set[str]]:
+def _pair_graph(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {}
-    for tail, head in active:
+    for tail, head in pairs:
         adj.setdefault(tail, set()).add(head)
         adj.setdefault(head, set())
     return adj
-
-
-def _greedy_fes(active: dict[tuple[str, str], list[int]], cycle_cap: int) -> set[tuple[str, str]]:
-    """Fallback: repeatedly delete the capacitated link hitting the most
-    surviving cycles (ties to the smallest key) until no cycle remains."""
-    removed: set[tuple[str, str]] = set()
-    while True:
-        adj = _pair_graph({k: v for k, v in active.items() if k not in removed})
-        cycle = _find_cycle(adj)
-        if cycle is None:
-            return removed
-        try:
-            node_list = sorted(adj)
-            node_idx = {x: i for i, x in enumerate(node_list)}
-            g = Digraph(
-                len(node_list),
-                [
-                    (node_idx[t], node_idx[h])
-                    for (t, h) in active
-                    if (t, h) not in removed
-                ],
-            )
-            cycles = enumerate_simple_cycles(g, cap=cycle_cap)
-            counts: dict[tuple[str, str], int] = {}
-            for cyc in cycles:
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    key = (node_list[a], node_list[b])
-                    counts[key] = counts.get(key, 0) + 1
-            target = max(sorted(counts), key=lambda key: counts[key])
-        except CapacityError:
-            target = (cycle[0], cycle[1])
-        removed.add(target)
 
 
 def subset_fes_approx(
@@ -365,25 +373,26 @@ def subset_fes_approx(
     cycle_cap: int = DEFAULT_CAPS.cycles,
 ) -> ApproxFes:
     """Feedback edge set of the network closure by region growing on the
-    spreading metric, always re-verified, with a greedy fallback.
+    spreading metric, always re-verified.
 
-    Every cycle of the closure passes through a source node, so terminals
-    are processed one by one: the terminal is split into exit/entry sides,
+    Every cycle of the closure passes through a source node (regular links
+    are acyclic and closure links end at sources), so terminals are
+    processed one by one: the terminal is split into exit/entry sides,
     metric distances are swept over their breakpoints below 1/2, and the
     outgoing boundary of the cheapest ball (cut cost relative to ball volume
     plus an objective/(2k) credit) is cut. Parallel links are cut all or
-    none since the variables are capacitated. A final acyclicity check
-    guards the construction; if it ever failed, a greedy cycle-hitting
-    fallback would still return a valid feedback edge set.
+    none since the variables are capacitated. The ball chosen for source s
+    cuts every surviving cycle through s: the cycle leaves the ball at the
+    latest on its closing link, whose head s counts as outside. So once
+    every source is processed no cycle survives; a final acyclicity check
+    guards this argument.
     """
     closed = closure_links(net)
     terminals = [s for s, _ in net.pairs]
     metric = solve_spreading_metric(closed, terminals, iteration_cap)
     grouped = _group_pairs(closed)
-    lengths = {key: F0 for key in grouped}
     by_id = metric.as_dict()
-    for key, ids in grouped.items():
-        lengths[key] = by_id[ids[0]]
+    lengths = {key: by_id[ids[0]] for key, ids in grouped.items()}
 
     # terminal order: decreasing number of incident surviving cycles, then name
     order: list[str]
@@ -401,11 +410,10 @@ def subset_fes_approx(
     except CapacityError:
         order = sorted(terminals)
 
-    active: dict[tuple[str, str], list[int]] = {k: list(v) for k, v in grouped.items()}
     cut_pairs: set[tuple[str, str]] = set()
     credit = metric.objective / (2 * max(net.k, 1))
     for s in order:
-        adj = _pair_graph({k: v for k, v in active.items() if k not in cut_pairs})
+        adj = _pair_graph(grouped.keys() - cut_pairs)
         out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
         dist, _ = _distances_from(s, out_pairs, lengths)
         if not any(s in adj[v] for v in dist):
@@ -416,40 +424,28 @@ def subset_fes_approx(
             ball = {v for v, d in dist.items() if d <= rho}
             boundary = set()
             volume = credit
-            for key, ids in active.items():
-                if key in cut_pairs:
-                    continue
+            for key, ids in grouped.items():
                 tail, head = key
-                inside_tail = tail == s or tail in ball
-                if not inside_tail:
-                    continue
+                if key in cut_pairs or (tail != s and tail not in ball):
+                    continue  # cut, or its tail lies outside the ball
                 d_tail = F0 if tail == s else dist[tail]
                 volume += len(ids) * max(F0, min(rho, d_tail + lengths[key]) - d_tail)
-                outside_head = head == s or head not in ball
-                if outside_head:
+                if head == s or head not in ball:
                     boundary.add(key)
-            cost = Fraction(sum(len(active[key]) for key in boundary))
+            cost = Fraction(sum(len(grouped[key]) for key in boundary))
             ratio = cost / volume
             if best is None or ratio < best[0] or (ratio == best[0] and rho < best[1]):
                 best = (ratio, rho, frozenset(boundary))
         if best is not None:
             cut_pairs |= best[2]
 
-    fallback_used = False
-    survivors = {k: v for k, v in active.items() if k not in cut_pairs}
-    if _find_cycle(_pair_graph(survivors)) is not None:
-        fallback_used = True
-        cut_pairs |= _greedy_fes(survivors, cycle_cap)
-
     # minimality normalization: drop any capacitated cut that is not needed
     for key in sorted(cut_pairs):
-        trial = {k: v for k, v in active.items() if k not in cut_pairs or k == key}
-        if _find_cycle(_pair_graph(trial)) is None:
+        if _find_cycle(_pair_graph(grouped.keys() - cut_pairs | {key})) is None:
             cut_pairs.remove(key)
 
-    survivors = {k: v for k, v in active.items() if k not in cut_pairs}
-    if _find_cycle(_pair_graph(survivors)) is not None:
-        raise ContractViolation("feedback edge set verification failed after fallback")
+    if _find_cycle(_pair_graph(grouped.keys() - cut_pairs)) is not None:
+        raise ContractViolation("feedback edge set verification failed")
 
     fes = frozenset(eid for key in cut_pairs for eid in grouped[key])
     weight = len(fes)
@@ -463,9 +459,9 @@ def subset_fes_approx(
             objective=metric.objective,
             weight=weight,
             ratio=ratio_val,
-            fallback_used=fallback_used,
             terminal_order=tuple(order),
         ),
+        metric=metric,
     )
 
 

@@ -19,7 +19,17 @@ from typing import Sequence
 import networkx as nx
 
 import gnskit
-from gnskit import ContractViolation, Digraph, MUNetwork, build_network
+from gnskit import (
+    CapacityError,
+    ContractViolation,
+    CyclePacking,
+    Digraph,
+    MUNetwork,
+    build_network,
+    enumerate_simple_cycles,
+)
+from gnskit.caps import DEFAULT_CAPS
+from gnskit.cyclepack import _simplex_max
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -249,6 +259,34 @@ def reference_simplex_max(
     return cost[-1], x, duals
 
 
+def reference_rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) -> CyclePacking:
+    """`gnskit.cyclepack.rcp_exact` as it was when `bound_report` still
+    called it, the reference the packing from the spreading metric is
+    compared against: one LP column per enumerated simple cycle."""
+    try:
+        cycles = enumerate_simple_cycles(g, cap=cycle_cap)
+    except CapacityError as exc:
+        raise CapacityError(
+            f"{exc}; graph too cyclic for the exact packing LP, use the "
+            "subset feedback-edge-set approximation instead"
+        ) from None
+    if not cycles:
+        return CyclePacking(assignments=(), value=F0)
+    touched = sorted({v for cyc in cycles for v in cyc})
+    row_of = {v: i for i, v in enumerate(touched)}
+    rows = [[0] * len(cycles) for _ in touched]
+    for j, cyc in enumerate(cycles):
+        for v in cyc:
+            rows[row_of[v]][j] = 1
+    value, weights, _ = _simplex_max(
+        len(cycles), rows, [1] * len(touched), [1] * len(cycles)
+    )
+    assignments = tuple(
+        (cyc, w) for cyc, w in zip(cycles, weights) if w > 0
+    )
+    return CyclePacking(assignments=assignments, value=value)
+
+
 def oracle_cycles(g: Digraph) -> set[tuple[int, ...]]:
     """Canonical simple cycles via networkx."""
     out = set()
@@ -421,6 +459,33 @@ link s1 t1
 link s2 t2
 pair s1 t1
 pair s2 t2
+"""
+
+
+# three pairs through one doubled bottleneck a -> b (links 5 and 6), with
+# cross links s1 -> t3 and s3 -> t1; the optimal packing is fractional (5/2)
+SHARED_BOTTLENECK = """network
+node s1
+node s2
+node s3
+node t1
+node t2
+node t3
+node a
+node b
+link s1 t3
+link s3 t1
+link s1 a
+link s2 a
+link s3 a
+link a b
+link a b
+link b t1
+link b t2
+link b t3
+pair s1 t1
+pair s2 t2
+pair s3 t3
 """
 
 

@@ -11,12 +11,15 @@ from gnskit import (
     Digraph,
     blowup,
     bound_report,
+    closure_links,
     complement,
     parse_network,
     parse_report,
     serialize_report,
+    solve_spreading_metric,
     strong_product,
     to_index_graph,
+    verify_index_code,
 )
 from gnskit.bounds import (
     _max_acyclic,
@@ -28,7 +31,8 @@ from gnskit.bounds import (
     shannon_capacity_lb,
     tensor_bound,
 )
-from gnskit.cyclepack import rcp_exact
+from gnskit.caps import Caps
+from gnskit.cyclepack import rcp_exact, validate_packing, vertex_split_links
 from gnskit.instances import random_dag_network
 
 from helpers import (
@@ -39,6 +43,7 @@ from helpers import (
     oracle_alpha,
     oracle_mais,
     reference_max_acyclic,
+    reference_rcp_exact,
     symmetric_cycle,
 )
 from test_digraph import random_graphs
@@ -259,6 +264,47 @@ class TestBoundReport:
 
         with pytest.raises(FormatError):
             parse_report(text)
+
+
+class TestReportPackingMatchesReference:
+    """The report's packing is the dual of the spreading metric, mapped to
+    the index graph; the reference solves one LP over every enumerated
+    index-graph cycle."""
+
+    @staticmethod
+    def check(net):
+        g, _ = to_index_graph(net)
+        report = bound_report(net)
+        validate_packing(g, report.packing)
+        assert report.rcp_value == report.packing.value == reference_rcp_exact(g).value
+
+    def test_seeded_networks(self):
+        for seed in range(1, 11):
+            self.check(random_dag_network(7, 12, 3, seed=seed))
+
+    def test_sweep_family_with_parallel_links(self):
+        checked = 0
+        for seed in range(1, 201):  # the scripts/bound_chain_sweep.py family
+            try:
+                net = random_dag_network(4 + seed % 4, 3 + seed % 6, 1 + seed % 4, seed)
+            except ValueError:
+                continue
+            closed = closure_links(net)
+            if net.m <= 14 and len({(e.tail, e.head) for e in closed}) < len(closed):
+                self.check(net)
+                checked += 1
+        assert checked == 97
+
+    def test_past_the_enumeration_cap(self):
+        net = random_dag_network(10, 18, 4, seed=11)  # m = 25
+        g, _ = to_index_graph(net)
+        with pytest.raises(CapacityError):
+            reference_rcp_exact(g)  # more than 20000 cycles
+        report = bound_report(net, caps=Caps(mais_vertices=64))
+        assert report.skipped == ()
+        links, terminals = vertex_split_links(g)
+        assert report.rcp_value == solve_spreading_metric(links, terminals).objective
+        assert verify_index_code(g, report.code) == (True, None)
 
 
 class TestWeakDuality:

@@ -5,7 +5,14 @@ import pytest
 from gnskit import parse_digraph, parse_network, parse_report
 from gnskit.cli import main
 
-from helpers import PARALLEL_LINKS, SINGLE_PATH, run_cli
+from helpers import (
+    DIAMOND,
+    PARALLEL_LINKS,
+    SHARED_BOTTLENECK,
+    SINGLE_PATH,
+    TWO_DISJOINT,
+    run_cli,
+)
 
 
 @pytest.fixture()
@@ -147,6 +154,34 @@ class TestGen:
         assert main(["gen", "side-info-network", "--graph", str(graph)]) == 0
         net = parse_network(capsys.readouterr().out)
         assert len(net.nodes) == 8
+
+
+class TestCyclepackCommand:
+    @pytest.mark.parametrize(
+        "text", [PARALLEL_LINKS, SINGLE_PATH, DIAMOND, TWO_DISJOINT, SHARED_BOTTLENECK]
+    )
+    def test_from_network_prints_the_report_packing(self, text, tmp_path, capsys):
+        path = tmp_path / "net.mun"
+        path.write_text(text)
+        assert main(["cyclepack", str(path), "--from-network"]) == 0
+        packed = capsys.readouterr().out.splitlines()
+        assert main(["bounds", str(path), "--out", "machine"]) == 0
+        report = capsys.readouterr().out.splitlines()
+        section = report[report.index("packing:") + 1:]
+        assert [ln for ln in packed if ln.startswith("assign:")] == [
+            ln.strip() for ln in section if ln.startswith("  assign:")
+        ]
+        assert packed[1] == section[0].strip()  # value: ...
+
+    def test_only_digraph_input_is_capped_by_rcp_cycles(
+        self, parallel, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "rcp_cycles=1")
+        assert main(["cyclepack", parallel, "--from-network"]) == 0
+        assert "value: 2" in capsys.readouterr().out
+        assert main(["convert", parallel, "--output", str(tmp_path / "g.dg")]) == 0
+        assert main(["cyclepack", str(tmp_path / "g.dg")]) == 3
+        capsys.readouterr()
 
 
 class TestMinrankCommand:

@@ -23,16 +23,18 @@ from gnskit import cyclepack
 from gnskit.bounds import mais_exact, min_fvs_exact
 from gnskit.cyclepack import (
     CyclePacking,
-    _greedy_fes,
     _simplex_max,
+    packing_from_metric,
     validate_packing,
     vertex_split_links,
 )
 from helpers import (
     PARALLEL_LINKS,
+    SHARED_BOTTLENECK,
     SINGLE_PATH,
     TWO_DISJOINT,
     directed_cycle,
+    reference_rcp_exact,
     reference_simplex_max,
 )
 from test_digraph import random_graphs
@@ -216,6 +218,50 @@ class TestSpreadingMetric:
             assert total >= 1
 
 
+def metric_and_packing(net):
+    closed = closure_links(net)
+    metric = solve_spreading_metric(closed, [s for s, _ in net.pairs])
+    return metric, packing_from_metric(closed, metric)
+
+
+class TestPackingFromMetric:
+    def test_weight_split_across_parallel_links(self):
+        net = parse_network(SHARED_BOTTLENECK)
+        g, _ = to_index_graph(net)
+        metric, packing = metric_and_packing(net)
+        # s2's only cycle s2 -> a -> b -> t2 -> s2 has weight 1 and finds the
+        # first a -> b link (5) half full, so it continues on link 6
+        s2_cycle = (("s2", "a"), ("a", "b"), ("b", "t2"), ("t2", "s2"))
+        assert dict(metric.packing)[s2_cycle] == 1
+        weights = packing.weight_map()
+        assert weights[(3, 5, 8, 11)] == weights[(3, 6, 8, 11)] == Fraction(1, 2)
+        load = {v: sum(w for c, w in packing.assignments if v in c) for v in range(g.n)}
+        assert load[5] == load[6] == 1
+        assert max(load.values()) <= 1
+        validate_packing(g, packing)
+        assert packing.value == metric.objective == Fraction(5, 2)
+        assert reference_rcp_exact(g).value == Fraction(5, 2)
+
+    def test_sorted_canonical_cycles(self):
+        _, packing = metric_and_packing(parse_network(PARALLEL_LINKS))
+        assert packing.assignments == (((0, 2), Fraction(1)), ((1, 3), Fraction(1)))
+
+    def test_acyclic_closure_is_empty(self):
+        from helpers import crossed_unicasts
+
+        metric, packing = metric_and_packing(crossed_unicasts())
+        assert metric.packing == () and packing == CyclePacking((), Fraction(0))
+
+    def test_value_must_equal_the_objective(self):
+        import dataclasses
+
+        net = parse_network(PARALLEL_LINKS)
+        metric, _ = metric_and_packing(net)
+        wrong = dataclasses.replace(metric, objective=metric.objective + 1)
+        with pytest.raises(ContractViolation, match="differs"):
+            packing_from_metric(closure_links(net), wrong)
+
+
 class TestSubsetFesApprox:
     def test_acyclic_closure_empty(self):
         # zero-mincut pairs get no source links, so the closure stays acyclic
@@ -234,7 +280,6 @@ class TestSubsetFesApprox:
         result = subset_fes_approx(parse_network(PARALLEL_LINKS))
         assert len(result.fes) == 2
         assert result.diagnostics.ratio == 1.0
-        assert not result.diagnostics.fallback_used
 
     def test_output_is_verified_fes(self):
         import itertools
@@ -285,20 +330,6 @@ class TestSubsetFesApprox:
                 assert weight == 0
             else:
                 assert weight <= 8 * math.log(net.k + 1) ** 2 * rcp
-
-
-class TestGreedyFallback:
-    def test_clears_all_cycles(self):
-        active = {
-            ("a", "b"): [0],
-            ("b", "a"): [1],
-            ("b", "c"): [2],
-            ("c", "a"): [3],
-        }
-        removed = _greedy_fes(active, cycle_cap=100)
-        survivors = {k: v for k, v in active.items() if k not in removed}
-        d = nx.DiGraph(list(survivors))
-        assert nx.is_directed_acyclic_graph(d)
 
 
 class TestFesToFvs:
