@@ -298,7 +298,7 @@ def bound_report(
     except CapacityError:
         skipped.append("mais")
 
-    approx = subset_fes_approx(net, caps.spreading_iterations, caps.cycles)
+    approx = subset_fes_approx(net, caps.spreading_iterations)
     approx_fvs = fes_to_fvs(net, approx.fes)
     approx_weight = approx.diagnostics.weight
     rcp = packing_from_metric(closure_links(net), approx.metric)

@@ -20,7 +20,6 @@ ENV_VAR = "GNSKIT_CAP_OVERRIDES"
 @dataclass(frozen=True)
 class Caps:
     tensor_vertices: int = 5000
-    cycles: int = 10**6
     rcp_cycles: int = 20_000
     gns_cuttable: int = 18
     mais_vertices: int = 22

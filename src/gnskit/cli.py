@@ -95,9 +95,7 @@ def _cmd_gnscut(args, caps: Caps) -> int:
     net = network_mod.parse_network(_read(args.network))
     lines = ["gnscut"]
     if args.approx:
-        approx = cyclepack_mod.subset_fes_approx(
-            net, caps.spreading_iterations, caps.cycles
-        )
+        approx = cyclepack_mod.subset_fes_approx(net, caps.spreading_iterations)
         fvs = cyclepack_mod.fes_to_fvs(net, approx.fes)
         cert = network_mod.fvs_to_gns_cut(net, fvs)
         lines.append("mode: approx")

@@ -250,7 +250,7 @@ def _shortest_cycle_through(
 
 
 def solve_spreading_metric(
-    links: Sequence[Link] | Sequence[tuple[int, str, str]],
+    links: Sequence[Link],
     terminals: Iterable[str],
     iteration_cap: int = DEFAULT_CAPS.spreading_iterations,
 ) -> SpreadingMetric:
@@ -265,10 +265,7 @@ def solve_spreading_metric(
     the last packing an optimal packing over all cycles through a terminal
     (column generation with a shortest-cycle pricing step).
     """
-    link_objs = [
-        e if isinstance(e, Link) else Link(e[0], e[1], e[2]) for e in links
-    ]
-    grouped = _group_pairs(link_objs)
+    grouped = _group_pairs(links)
     pair_keys = sorted(grouped)
     pair_index = {key: i for i, key in enumerate(pair_keys)}
     costs = [len(grouped[key]) for key in pair_keys]
@@ -297,7 +294,7 @@ def solve_spreading_metric(
             objective = sum((c * xi for c, xi in zip(costs, x)), start=F0)
             metric = tuple(
                 (e.id, x[pair_index[(e.tail, e.head)]])
-                for e in sorted(link_objs, key=lambda e: e.id)
+                for e in sorted(links, key=lambda e: e.id)
                 if e.tail is not None
             )
             packing = tuple((cyc, w) for cyc, w in zip(cycles, weights) if w > 0)
@@ -349,7 +346,6 @@ class ApproxDiagnostics:
     objective: Fraction
     weight: int
     ratio: float
-    terminal_order: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -370,49 +366,38 @@ def _pair_graph(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
 def subset_fes_approx(
     net: MUNetwork,
     iteration_cap: int = DEFAULT_CAPS.spreading_iterations,
-    cycle_cap: int = DEFAULT_CAPS.cycles,
 ) -> ApproxFes:
     """Feedback edge set of the network closure by region growing on the
     spreading metric, always re-verified.
 
     Every cycle of the closure passes through a source node (regular links
     are acyclic and closure links end at sources), so terminals are
-    processed one by one: the terminal is split into exit/entry sides,
-    metric distances are swept over their breakpoints below 1/2, and the
-    outgoing boundary of the cheapest ball (cut cost relative to ball volume
-    plus an objective/(2k) credit) is cut. Parallel links are cut all or
-    none since the variables are capacitated. The ball chosen for source s
-    cuts every surviving cycle through s: the cycle leaves the ball at the
-    latest on its closing link, whose head s counts as outside. So once
-    every source is processed no cycle survives; a final acyclicity check
-    guards this argument.
+    processed one by one, in name order: the terminal is split into
+    exit/entry sides, metric distances are swept over their breakpoints
+    below 1/2, and the outgoing boundary of the cheapest ball (cut cost
+    relative to ball volume plus an objective/(2k) credit) is cut. Parallel
+    links are cut all or none since the variables are capacitated. The ball
+    chosen for source s cuts every surviving cycle through s: the cycle
+    leaves the ball at the latest on its closing link, whose head s counts
+    as outside. So once every source is processed no cycle survives; a
+    final acyclicity check guards this argument.
+
+    The order only breaks ties. On a 0/1 metric it does not change the cut
+    at all: the only radius below 1/2 is 0, and a pair leaving a
+    distance-0 ball has length 1, so every cut pair has length 1. Those
+    pairs cost the LP objective in total, and any feedback edge set costs
+    at least that much, so the cut is all of them, in any order.
     """
     closed = closure_links(net)
-    terminals = [s for s, _ in net.pairs]
+    terminals = sorted({s for s, _ in net.pairs})
     metric = solve_spreading_metric(closed, terminals, iteration_cap)
     grouped = _group_pairs(closed)
     by_id = metric.as_dict()
     lengths = {key: by_id[ids[0]] for key, ids in grouped.items()}
 
-    # terminal order: decreasing number of incident surviving cycles, then name
-    order: list[str]
-    try:
-        node_list = sorted({x for key in grouped for x in key})
-        node_idx = {x: i for i, x in enumerate(node_list)}
-        g0 = Digraph(len(node_list), [(node_idx[t], node_idx[h]) for t, h in grouped])
-        counts = {t: 0 for t in terminals}
-        for cyc in enumerate_simple_cycles(g0, cap=cycle_cap):
-            for v in cyc:
-                name = node_list[v]
-                if name in counts:
-                    counts[name] += 1
-        order = sorted(terminals, key=lambda t: (-counts[t], t))
-    except CapacityError:
-        order = sorted(terminals)
-
     cut_pairs: set[tuple[str, str]] = set()
     credit = metric.objective / (2 * max(net.k, 1))
-    for s in order:
+    for s in terminals:
         adj = _pair_graph(grouped.keys() - cut_pairs)
         out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
         dist, _ = _distances_from(s, out_pairs, lengths)
@@ -459,7 +444,6 @@ def subset_fes_approx(
             objective=metric.objective,
             weight=weight,
             ratio=ratio_val,
-            terminal_order=tuple(order),
         ),
         metric=metric,
     )
@@ -493,7 +477,7 @@ def fes_to_fvs(net: MUNetwork, fes: Iterable[int]) -> frozenset[int]:
     return fvs
 
 
-def vertex_split_links(g: Digraph) -> tuple[tuple[tuple[int, str, str], ...], tuple[str, ...]]:
+def vertex_split_links(g: Digraph) -> tuple[tuple[Link, ...], tuple[str, ...]]:
     """Edge list of the vertex-split of g, plus terminals covering all cycles.
 
     Each vertex v becomes an internal link "v.i" -> "v.o"; each edge (u, v)
@@ -503,10 +487,10 @@ def vertex_split_links(g: Digraph) -> tuple[tuple[tuple[int, str, str], ...], tu
     of g; this is the bridge used to cross-check LP duality on plain
     digraphs.
     """
-    links: list[tuple[int, str, str]] = []
+    links: list[Link] = []
     for v in range(g.n):
-        links.append((len(links), f"{v}.i", f"{v}.o"))
+        links.append(Link(len(links), f"{v}.i", f"{v}.o"))
     for u, v in sorted(g.edges):
-        links.append((len(links), f"{u}.o", f"{v}.i"))
+        links.append(Link(len(links), f"{u}.o", f"{v}.i"))
     terminals = tuple(f"{v}.i" for v in range(g.n))
     return tuple(links), terminals

@@ -16,6 +16,9 @@ from .errors import CapacityError, FormatError
 
 VertexSet = frozenset  # vertex subsets are plain frozensets of ints
 
+CYCLE_CAP = 10**6
+"""Default refusal point of `enumerate_simple_cycles`."""
+
 
 class Digraph:
     """Simple directed graph: no self-loops, no duplicate edges.
@@ -241,13 +244,16 @@ def _scc_with_root(g: Digraph, root: int) -> frozenset[int]:
     return frozenset(bwd)
 
 
-def enumerate_simple_cycles(g: Digraph, cap: int = DEFAULT_CAPS.cycles) -> list[tuple[int, ...]]:
+def enumerate_simple_cycles(g: Digraph, cap: int = CYCLE_CAP) -> list[tuple[int, ...]]:
     """All simple directed cycles, each once, in canonical rotation.
 
-    Backtracking search with blocked sets, rooted at each vertex in turn and
-    restricted to vertices at least as large as the root, so every cycle is
-    reported exactly once starting from its smallest vertex. Deterministic
-    output order. Raises CapacityError once more than `cap` cycles are found.
+    Johnson's backtracking search with blocked sets, rooted at each vertex in
+    turn and restricted to vertices at least as large as the root, so every
+    cycle is reported exactly once starting from its smallest vertex. The
+    search runs on an explicit stack of (vertex, next successor, found)
+    frames, so path length is not bounded by the recursion limit.
+    Deterministic output order. Raises CapacityError once more than `cap`
+    cycles are found.
     """
     cycles: list[tuple[int, ...]] = []
     for root in range(g.n):
@@ -257,45 +263,44 @@ def enumerate_simple_cycles(g: Digraph, cap: int = DEFAULT_CAPS.cycles) -> list[
         adj = {v: tuple(w for w in g.out_neighbors(v) if w in comp) for v in comp}
         blocked = {v: False for v in comp}
         blist: dict[int, set[int]] = {v: set() for v in comp}
-        path: list[int] = []
-
-        def unblock(v: int) -> None:
-            blocked[v] = False
-            while blist[v]:
-                w = blist[v].pop()
-                if blocked[w]:
-                    unblock(w)
-
-        def circuit(v: int) -> bool:
-            found = False
-            path.append(v)
-            blocked[v] = True
-            for w in adj[v]:
+        path = [root]
+        blocked[root] = True
+        stack = [[root, 0, False]]
+        while stack:
+            frame = stack[-1]
+            v, i, found = frame
+            succ = adj[v]
+            if i < len(succ):
+                frame[1] = i + 1
+                w = succ[i]
                 if w == root:
                     if len(cycles) >= cap:
-                        raise CapacityError(
-                            f"cycle enumeration exceeded cap of {cap} cycles"
-                        )
+                        raise CapacityError(f"cycle enumeration exceeded cap of {cap} cycles")
                     cycles.append(tuple(path))
-                    found = True
+                    frame[2] = True
                 elif not blocked[w]:
-                    if circuit(w):
-                        found = True
-            if found:
-                unblock(v)
-            else:
-                for w in adj[v]:
-                    blist[w].add(v)
+                    path.append(w)
+                    blocked[w] = True
+                    stack.append([w, 0, False])
+                continue
+            stack.pop()
             path.pop()
-            return found
-
-        try:
-            circuit(root)
-        finally:
-            # each closure refers to itself through its cell; deleting the
-            # names breaks that cycle, so `cycles` and the search state are
-            # freed on return or refusal instead of waiting for the collector
-            del circuit, unblock
+            if found:
+                # unblock v and, transitively, every blocked vertex waiting on it
+                blocked[v] = False
+                pending = [v]
+                while pending:
+                    u = pending.pop()
+                    for w in blist[u]:
+                        if blocked[w]:
+                            blocked[w] = False
+                            pending.append(w)
+                    blist[u].clear()
+                if stack:
+                    stack[-1][2] = True
+            else:
+                for w in succ:
+                    blist[w].add(v)
     return cycles
 
 

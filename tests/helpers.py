@@ -30,6 +30,7 @@ from gnskit import (
 )
 from gnskit.caps import DEFAULT_CAPS
 from gnskit.cyclepack import _simplex_max
+from gnskit.digraph import _scc_with_root
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -285,6 +286,56 @@ def reference_rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) ->
         (cyc, w) for cyc, w in zip(cycles, weights) if w > 0
     )
     return CyclePacking(assignments=assignments, value=value)
+
+
+def reference_enumerate_simple_cycles(g: Digraph, cap: int) -> list[tuple[int, ...]]:
+    """The recursive form of `gnskit.digraph.enumerate_simple_cycles`, the
+    reference its explicit-stack search is compared against: Johnson's
+    `circuit`/`unblock` as nested functions, so the path length is bounded
+    by the recursion limit. The cycle order is part of the contract, since
+    `rcp_exact` pivots over the cycles in this order."""
+    cycles: list[tuple[int, ...]] = []
+    for root in range(g.n):
+        comp = _scc_with_root(g, root)
+        if len(comp) < 2:
+            continue
+        adj = {v: tuple(w for w in g.out_neighbors(v) if w in comp) for v in comp}
+        blocked = {v: False for v in comp}
+        blist: dict[int, set[int]] = {v: set() for v in comp}
+        path: list[int] = []
+
+        def unblock(v: int) -> None:
+            blocked[v] = False
+            while blist[v]:
+                w = blist[v].pop()
+                if blocked[w]:
+                    unblock(w)
+
+        def circuit(v: int) -> bool:
+            found = False
+            path.append(v)
+            blocked[v] = True
+            for w in adj[v]:
+                if w == root:
+                    if len(cycles) >= cap:
+                        raise CapacityError(
+                            f"cycle enumeration exceeded cap of {cap} cycles"
+                        )
+                    cycles.append(tuple(path))
+                    found = True
+                elif not blocked[w]:
+                    if circuit(w):
+                        found = True
+            if found:
+                unblock(v)
+            else:
+                for w in adj[v]:
+                    blist[w].add(v)
+            path.pop()
+            return found
+
+        circuit(root)
+    return cycles
 
 
 def oracle_cycles(g: Digraph) -> set[tuple[int, ...]]:

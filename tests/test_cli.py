@@ -50,8 +50,10 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_bad_cap_override_is_two(self, parallel, capsys, monkeypatch):
-        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "bogus=1")
-        assert main(["bounds", parallel]) == 2
+        # no report path enumerates cycles, so `cycles` names no cap
+        for entry in ("bogus=1", "cycles=5"):
+            monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", entry)
+            assert main(["bounds", parallel]) == 2
         capsys.readouterr()
 
     def test_failed_verification_is_one(self, parallel, tmp_path, capsys):
@@ -182,6 +184,32 @@ class TestCyclepackCommand:
         assert main(["convert", parallel, "--output", str(tmp_path / "g.dg")]) == 0
         assert main(["cyclepack", str(tmp_path / "g.dg")]) == 3
         capsys.readouterr()
+
+
+class TestDeepInputs:
+    """Inputs deeper than the recursion limit exit 0 without a traceback."""
+
+    def test_long_path_network(self, tmp_path):
+        lines = ["network"] + [f"node n{i}" for i in range(1200)]
+        lines += [f"link n{i} n{i + 1}" for i in range(1199)] + ["pair n0 n1199"]
+        path = tmp_path / "path.mun"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["bounds", str(path), "--out", "machine"])
+        assert (code, "Traceback" in err) == (0, False), err
+        report = parse_report(out.decode())
+        assert (report.rcp_value, report.approx_weight) == (1, 1)
+        code, out, err = run_cli(["gnscut", str(path), "--approx"])
+        assert (code, "Traceback" in err) == (0, False), err
+        assert b"size: 1\n" in out
+
+    def test_long_directed_cycle(self, tmp_path):
+        path = tmp_path / "cycle.dg"
+        edges = "".join(f"e {i} {(i + 1) % 1100}\n" for i in range(1100))
+        path.write_text("digraph 1100\n" + edges)
+        for command in ("cyclepack", "code"):
+            code, out, err = run_cli([command, str(path)])
+            assert (code, "Traceback" in err) == (0, False), err
+        assert out.startswith(b"code p=2 t=1 n=1100 r=1099\n")
 
 
 class TestMinrankCommand:

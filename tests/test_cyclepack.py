@@ -28,6 +28,11 @@ from gnskit.cyclepack import (
     validate_packing,
     vertex_split_links,
 )
+from gnskit.instances import (
+    network_from_side_info_graph,
+    random_dag_network,
+    random_digraph,
+)
 from helpers import (
     PARALLEL_LINKS,
     SHARED_BOTTLENECK,
@@ -36,6 +41,7 @@ from helpers import (
     directed_cycle,
     reference_rcp_exact,
     reference_simplex_max,
+    symmetric_cycle,
 )
 from test_digraph import random_graphs
 
@@ -330,6 +336,37 @@ class TestSubsetFesApprox:
                 assert weight == 0
             else:
                 assert weight <= 8 * math.log(net.k + 1) ** 2 * rcp
+
+    @pytest.mark.parametrize("shape", [(7, 12, 3), (8, 14, 3)])
+    def test_zero_one_metric_cuts_exactly_its_length_one_links(self, shape):
+        # the terminal order only breaks ties: on a 0/1 metric every cut
+        # pair has length 1 and they cost the objective, so the cut is all
+        # of them whatever the order
+        for seed in range(1, 21):
+            try:
+                net = random_dag_network(*shape, seed=seed)
+            except ValueError:
+                continue
+            result = subset_fes_approx(net)
+            lengths = result.metric.as_dict()
+            assert set(lengths.values()) <= {0, 1}
+            assert result.fes == frozenset(i for i, x in lengths.items() if x == 1)
+
+    @pytest.mark.parametrize(
+        "g, objective, weight",
+        [
+            (symmetric_cycle(5), 3, 4),
+            (symmetric_cycle(7), 4, 5),
+            (symmetric_cycle(9), 5, 6),
+            (random_digraph(7, 0.4, 3), Fraction(5, 2), 3),
+        ],
+    )
+    def test_rounds_a_fractional_metric(self, g, objective, weight):
+        # wrapping networks with an integrality gap, where the balls are
+        # grown at fractional radii
+        result = subset_fes_approx(network_from_side_info_graph(g))
+        assert result.diagnostics.objective == objective
+        assert result.diagnostics.weight == weight
 
 
 class TestFesToFvs:

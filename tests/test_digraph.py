@@ -1,6 +1,7 @@
 """Digraph algebra: products, blowups, cycles, embeddings, file format."""
 
 import gc
+import sys
 
 import networkx as nx
 import pytest
@@ -21,6 +22,7 @@ from gnskit import (
 )
 from gnskit.bounds import alpha_exact, mais_exact
 from gnskit.digraph import _find_cycle
+from gnskit.instances import random_digraph
 
 from helpers import (
     complete_digraph,
@@ -28,6 +30,7 @@ from helpers import (
     oracle_alpha,
     oracle_cycles,
     oracle_mais,
+    reference_enumerate_simple_cycles,
     reference_find_cycle,
     symmetric_cycle,
     to_nx,
@@ -213,6 +216,30 @@ class TestCycleEnumeration:
         from helpers import oracle_cycles_bruteforce
 
         assert set(enumerate_simple_cycles(g)) == oracle_cycles_bruteforce(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_graphs(max_n=6))
+    def test_same_list_as_the_recursive_reference(self, g):
+        assert enumerate_simple_cycles(g) == reference_enumerate_simple_cycles(g, 10**6)
+
+    def test_same_list_and_refusal_point_on_seeded_digraphs(self):
+        # the order matters: rcp_exact pivots over the cycles in this order
+        for seed in range(1, 61):
+            g = random_digraph(3 + seed % 8, (0.25, 0.4)[seed % 2], seed)
+            try:
+                expected = reference_enumerate_simple_cycles(g, 500)
+            except CapacityError:
+                with pytest.raises(CapacityError, match="cap of 500 "):
+                    enumerate_simple_cycles(g, cap=500)
+                continue
+            assert enumerate_simple_cycles(g, cap=len(expected)) == expected
+            if expected:
+                with pytest.raises(CapacityError):
+                    enumerate_simple_cycles(g, cap=len(expected) - 1)
+
+    def test_long_cycle_meets_no_recursion_limit(self):
+        n = sys.getrecursionlimit() + 500
+        assert enumerate_simple_cycles(directed_cycle(n)) == [tuple(range(n))]
 
 
 def dict_graphs(node):
