@@ -23,7 +23,7 @@ from .cyclepack import (
     packing_from_metric,
     subset_fes_approx,
 )
-from .digraph import Digraph, _closes_cycle, tensor_power
+from .digraph import Digraph, _closes_cycle, _residual_cycle, tensor_power
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import (
     IndexCode,
@@ -51,22 +51,24 @@ def _max_acyclic(
     candidates: Sequence[int],
     required: Sequence[int] = (),
     target: int | None = None,
-) -> int:
+) -> tuple[int, int]:
     """Largest acyclic induced superset of `required` inside required plus
-    `candidates`, on out-neighbour bitmasks `out`; returns -1 if `required`
-    itself induces a cycle. With `target`, stops at any set of that size.
+    `candidates` (out-neighbour bitmasks `out`) as (size, members mask), size
+    -1 if `required` has a cycle. With `target` the bound starts at target - 1,
+    so the size is >= target exactly when such a set (the mask) exists.
     Branches on each candidate in order, including it first if it closes no
     cycle; a popped state runs down its include chain and stacks the
     exclude branches it passes."""
     members = 0
     for v in required:
         if _closes_cycle(out, members, v):
-            return -1
+            return -1, 0
         members |= 1 << v
-    best = members.bit_count()
+    count = members.bit_count()
     ncand = len(candidates)
-    stop = best + ncand if target is None else target  # a set this large ends the search
-    stack = [(0, members, best)]
+    best = count if target is None else max(count, target - 1)
+    stop = count + ncand if target is None else target  # a set this large ends the search
+    best_mask, stack = members, [(0, members, count)]
     while stack:
         i, members, count = stack.pop()
         while best < stop and count + (ncand - i) > best:
@@ -76,8 +78,9 @@ def _max_acyclic(
                 stack.append((i, members, count))
                 members |= 1 << v
                 count += 1
-                best = max(best, count)
-    return best
+                if count > best:
+                    best, best_mask = count, members
+    return best, best_mask
 
 
 def _search_order(g: Digraph) -> list[int]:
@@ -86,17 +89,22 @@ def _search_order(g: Digraph) -> list[int]:
 
 
 def _mais_size(g: Digraph) -> int:
-    return _max_acyclic(_masks(g._out), _search_order(g))
+    return _max_acyclic(_masks(g._out), _search_order(g))[0]
 
 
-def _lexmin(n: int, size: int, fits: Callable[[list[int]], bool]) -> list[int]:
-    """Lexicographically smallest `size`-subset of range(n) all of whose
-    prefixes `fits`: each vertex in order is kept if it still fits."""
+def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:
+    """Lexicographically smallest `size`-subset of range(n) inside a
+    solution: each vertex in order is kept if some solution holds it and the
+    vertices kept so far. `witness` masks one solution holding those, so a
+    vertex in it is kept unsearched; `fits(trial)` returns the mask of a
+    solution holding `trial`, or None."""
     chosen: list[int] = []
     for v in range(n):
         if len(chosen) == size:
             break
-        if fits(chosen + [v]):
+        found = witness if witness >> v & 1 else fits(chosen + [v])
+        if found is not None:
+            witness = found
             chosen.append(v)
     return chosen
 
@@ -109,43 +117,59 @@ def mais_exact(
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
     out, order = _masks(g._out), _search_order(g)
-    size = _max_acyclic(out, order)
+    size, acyclic = _max_acyclic(out, order)
 
-    def fits(trial: list[int]) -> bool:
+    def fits(trial: list[int]) -> int | None:
         skip = set(trial)
         cand = [v for v in order if v not in skip]
-        return _max_acyclic(out, cand, trial, target=size) >= size
+        found, members = _max_acyclic(out, cand, trial, target=size)
+        return members if found >= size else None
 
-    return size, frozenset(_lexmin(g.n, size, fits))
+    return size, frozenset(_lexmin(g.n, size, fits, acyclic))
 
 
 def min_fvs_exact(
-    g: Digraph, vertex_cap: int = DEFAULT_CAPS.mais_vertices
+    g: Digraph,
+    vertex_cap: int = DEFAULT_CAPS.mais_vertices,
+    minimum: frozenset[int] | None = None,
 ) -> frozenset[int]:
     """Lexicographically smallest minimum feedback vertex set (complementary
-    certificate of the maximum acyclic set)."""
+    certificate of the maximum acyclic set). A `minimum` proven minimum by
+    the caller replaces the size search; it must be a feedback vertex set."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
     out, order = _masks(g._out), _search_order(g)
-    size = _max_acyclic(out, order)
+    full = (1 << g.n) - 1
+    if minimum is None:
+        size, acyclic = _max_acyclic(out, order)
+        witness = full & ~acyclic
+    elif not minimum <= frozenset(range(g.n)) or _residual_cycle(g, minimum) is not None:
+        raise ContractViolation("the given minimum is not a feedback vertex set")
+    else:
+        size, witness = g.n - len(minimum), sum(1 << v for v in minimum)
 
-    def fits(trial: list[int]) -> bool:
+    def fits(trial: list[int]) -> int | None:
         skip = set(trial)
         cand = [v for v in order if v not in skip]
-        return _max_acyclic(out, cand, target=size) >= size
+        found, acyclic = _max_acyclic(out, cand, target=size)
+        return full & ~acyclic if found >= size else None
 
-    return frozenset(_lexmin(g.n, g.n - size, fits))
+    return frozenset(_lexmin(g.n, g.n - size, fits, witness))
 
 
-def _mis_size(masks: Sequence[int], allowed: int, target: int | None = None) -> int:
-    """Independence number inside `allowed`, by binary branch on the vertex
-    of largest remaining degree: include it first, then exclude it."""
-    best = 0
+def _mis_size(
+    masks: Sequence[int], allowed: int, target: int | None = None
+) -> tuple[int, int]:
+    """Independence number inside `allowed`, as (size, members mask), by
+    binary branch on the vertex of largest remaining degree: include it
+    first, then exclude it. A `target` is decided as in `_max_acyclic`."""
+    best, best_mask = 0 if target is None else target - 1, 0
     stop = allowed.bit_count() if target is None else target
-    stack = [(allowed, 0)]
+    stack = [(allowed, 0, 0)]
     while stack:
-        remaining, count = stack.pop()
-        best = max(best, count)
+        remaining, count, members = stack.pop()
+        if count > best:
+            best, best_mask = count, members
         if best >= stop or count + remaining.bit_count() <= best:
             continue
         # branch on the vertex of largest remaining degree, smallest index first
@@ -158,12 +182,12 @@ def _mis_size(masks: Sequence[int], allowed: int, target: int | None = None) -> 
             if d > pick_deg:
                 pick, pick_deg = v, d
         if pick_deg == 0:
-            best = count + remaining.bit_count()
+            best, best_mask = count + remaining.bit_count(), members | remaining
             continue
         bit = 1 << pick
-        stack.append((remaining & ~bit, count))
-        stack.append((remaining & ~(masks[pick] | bit), count + 1))
-    return best
+        stack.append((remaining & ~bit, count, members))
+        stack.append((remaining & ~(masks[pick] | bit), count + 1, members | bit))
+    return best, best_mask
 
 
 def alpha_exact(
@@ -175,19 +199,20 @@ def alpha_exact(
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
     masks = [o | i for o, i in zip(_masks(g._out), _masks(g._in))]
     full = (1 << g.n) - 1
-    size = _mis_size(masks, full)
+    size, independent = _mis_size(masks, full)
 
-    def fits(trial: list[int]) -> bool:
+    def fits(trial: list[int]) -> int | None:
         *chosen, v = trial
         if any(masks[v] >> u & 1 for u in chosen):
-            return False
+            return None
         rest = full
         for u in trial:
             rest &= ~(masks[u] | 1 << u)
         need = size - len(trial)
-        return _mis_size(masks, rest, target=need) >= need
+        found, members = _mis_size(masks, rest, target=need)
+        return members | sum(1 << u for u in trial) if found >= need else None
 
-    return size, frozenset(_lexmin(g.n, size, fits))
+    return size, frozenset(_lexmin(g.n, size, fits, independent))
 
 
 class TensorBound(NamedTuple):
@@ -290,18 +315,23 @@ def bound_report(
     m, k = net.m, net.k
     skipped: list[str] = []
 
-    mais_value: int | None = None
-    fvs: frozenset[int] | None = None
-    try:
-        fvs = min_fvs_exact(g, caps.mais_vertices)
-        mais_value = m - len(fvs)  # the index graph has one vertex per link
-    except CapacityError:
-        skipped.append("mais")
-
     approx = subset_fes_approx(net, caps.spreading_iterations)
     approx_fvs = fes_to_fvs(net, approx.fes)
     approx_weight = approx.diagnostics.weight
     rcp = packing_from_metric(closure_links(net), approx.metric)
+
+    mais_value: int | None = None
+    fvs: frozenset[int] | None = None
+    # rcp <= min FVS size <= |approx_fvs|: a packing above |approx_fvs| - 1
+    # proves the checked approx_fvs minimum, so the search skips its size
+    # search. build_cycle_code validates the packing before its code_lcm
+    # check, so a report that rested on a bad packing still raises.
+    minimum = approx_fvs if rcp.value > len(approx_fvs) - 1 else None
+    try:
+        fvs = min_fvs_exact(g, caps.mais_vertices, minimum)
+        mais_value = m - len(fvs)  # the index graph has one vertex per link
+    except CapacityError:
+        skipped.append("mais")
 
     gns: GnsCertificate | None = None
     if exact_gns:

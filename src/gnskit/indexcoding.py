@@ -9,6 +9,7 @@ field, never a sampling argument.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,9 +141,8 @@ class _GFBasis:
     def add(self, row) -> bool:
         reduced = self._reduce(row)
         if self.p == 2:
-            if reduced:
-                self.bit_basis.append(reduced)
-                self.bit_basis.sort(key=lambda b: b & -b)
+            if reduced:  # its lowest bit is no basis row's lowest bit
+                bisect.insort(self.bit_basis, reduced, key=lambda b: b & -b)
             return bool(reduced)
         for col, a in enumerate(reduced):
             if a:

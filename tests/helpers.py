@@ -187,6 +187,100 @@ def reference_max_acyclic(out_adj, candidates, required=(), target=None) -> int:
     return best
 
 
+def _reference_mis_size(masks, allowed: int, target: int | None = None) -> int:
+    """Independence number inside `allowed`, by binary branch on the vertex
+    of largest remaining degree: include it first, then exclude it."""
+    best = 0
+    stop = allowed.bit_count() if target is None else target
+    stack = [(allowed, 0)]
+    while stack:
+        remaining, count = stack.pop()
+        best = max(best, count)
+        if best >= stop or count + remaining.bit_count() <= best:
+            continue
+        # branch on the vertex of largest remaining degree, smallest index first
+        pick, pick_deg = -1, -1
+        scan = remaining
+        while scan:
+            v = (scan & -scan).bit_length() - 1
+            scan &= scan - 1
+            d = (masks[v] & remaining).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        if pick_deg == 0:
+            best = count + remaining.bit_count()
+            continue
+        bit = 1 << pick
+        stack.append((remaining & ~bit, count))
+        stack.append((remaining & ~(masks[pick] | bit), count + 1))
+    return best
+
+
+def _reference_lexmin(n: int, size: int, fits) -> list[int]:
+    """Lexicographically smallest `size`-subset of range(n) all of whose
+    prefixes `fits`: each vertex in order is kept if it still fits."""
+    chosen: list[int] = []
+    for v in range(n):
+        if len(chosen) == size:
+            break
+        if fits(chosen + [v]):
+            chosen.append(v)
+    return chosen
+
+
+def reference_alpha_exact(g: Digraph) -> tuple[int, frozenset[int]]:
+    """`gnskit.bounds.alpha_exact` before its probes decided a target from
+    target - 1 and handed their sets on as witnesses (no cap): the reference
+    it is compared against. Independence number (no edge in either
+    direction) with the lexicographically smallest maximum independent set."""
+    masks = [
+        sum(1 << w for w in o) | sum(1 << w for w in i) for o, i in zip(g._out, g._in)
+    ]
+    full = (1 << g.n) - 1
+    size = _reference_mis_size(masks, full)
+
+    def fits(trial: list[int]) -> bool:
+        *chosen, v = trial
+        if any(masks[v] >> u & 1 for u in chosen):
+            return False
+        rest = full
+        for u in trial:
+            rest &= ~(masks[u] | 1 << u)
+        need = size - len(trial)
+        return _reference_mis_size(masks, rest, target=need) >= need
+
+    return size, frozenset(_reference_lexmin(g.n, size, fits))
+
+
+class ReferenceGF2Basis:
+    """The p = 2 row space of `gnskit.indexcoding._GFBasis` as it re-sorted
+    its whole basis by lowest set bit after every insert, the reference its
+    sorted insert is compared against."""
+
+    def __init__(self) -> None:
+        self.bit_basis: list[int] = []
+
+    def _reduce(self, row: int) -> int:
+        for b in self.bit_basis:
+            if row & b & -b:
+                row ^= b
+        return row
+
+    def add(self, row: int) -> bool:
+        reduced = self._reduce(row)
+        if reduced:
+            self.bit_basis.append(reduced)
+            self.bit_basis.sort(key=lambda b: b & -b)
+        return bool(reduced)
+
+    def contains(self, row: int) -> bool:
+        return not self._reduce(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.bit_basis)
+
+
 def reference_simplex_max(
     num_vars: int,
     rows: Sequence[Sequence[Fraction]],

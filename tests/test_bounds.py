@@ -3,11 +3,13 @@
 import math
 import sys
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gnskit import (
     CapacityError,
+    ContractViolation,
     Digraph,
     blowup,
     bound_report,
@@ -21,6 +23,7 @@ from gnskit import (
     to_index_graph,
     verify_index_code,
 )
+import gnskit.bounds
 from gnskit.bounds import (
     _max_acyclic,
     _mis_size,
@@ -33,7 +36,11 @@ from gnskit.bounds import (
 )
 from gnskit.caps import Caps
 from gnskit.cyclepack import rcp_exact, validate_packing, vertex_split_links
-from gnskit.instances import random_dag_network
+from gnskit.instances import (
+    network_from_side_info_graph,
+    random_dag_network,
+    random_digraph,
+)
 
 from helpers import (
     PARALLEL_LINKS,
@@ -42,9 +49,11 @@ from helpers import (
     directed_cycle,
     oracle_alpha,
     oracle_mais,
+    reference_alpha_exact,
     reference_max_acyclic,
     reference_rcp_exact,
     symmetric_cycle,
+    to_nx,
 )
 from test_digraph import random_graphs
 
@@ -92,6 +101,24 @@ class TestAlphaExact:
         p = strong_product(symmetric_cycle(5), symmetric_cycle(5))
         assert alpha_exact(p)[0] == 5 == oracle_alpha(p)
 
+    def test_matches_the_search_without_witnesses(self):
+        c5, c6 = symmetric_cycle(5), symmetric_cycle(6)
+        graphs = [strong_product(c5, c5), strong_product(c5, c6)]
+        graphs += [random_digraph(30, (0.1, 0.15, 0.2)[s % 3], s) for s in range(1, 16)]
+        for g in graphs:
+            size, cert = alpha_exact(g)
+            assert (size, cert) == reference_alpha_exact(g)
+            # the probes' contract: a target is decided, and a set found is
+            # an independent set of at least that size
+            adj = [sum(1 << w for w in set(g._out[v]) | set(g._in[v])) for v in range(g.n)]
+            for t in (None, size - 1, size, size + 1):
+                found, members = _mis_size(adj, (1 << g.n) - 1, t)
+                need = size if t is None else t
+                assert found == size if t is None else (found >= t) == (size >= t)
+                if found >= need:
+                    assert members.bit_count() >= need
+                    assert not any(adj[v] & members for v in range(g.n) if members >> v & 1)
+
     @settings(max_examples=50, deadline=None)
     @given(random_graphs(max_n=6))
     def test_matches_clique_oracle(self, g):
@@ -114,6 +141,13 @@ class TestMinFvsExact:
         fvs = min_fvs_exact(g)
         assert len(fvs) == 2
         assert fvs == frozenset({0, 2})
+
+    def test_given_minimum_must_be_a_feedback_vertex_set(self):
+        g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        assert min_fvs_exact(g, minimum=frozenset({1, 3})) == frozenset({0, 2})
+        for bad in (frozenset({0}), frozenset({0, 2, 4})):  # a cycle left; no vertex 4
+            with pytest.raises(ContractViolation):
+                min_fvs_exact(g, minimum=bad)
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_n=6))
@@ -266,6 +300,43 @@ class TestBoundReport:
             parse_report(text)
 
 
+class TestReportFvsPaths:
+    """`bound_report` hands `min_fvs_exact` the checked approximate FVS when
+    the packing proves it minimum (rcp > |approx_fvs| - 1) and lets it search
+    for the size otherwise; both paths give the lexmin minimum FVS and the
+    q = 1 tensor radicand."""
+
+    @staticmethod
+    def check(net, monkeypatch) -> bool:
+        given_minimum = []
+
+        def spy(g, vertex_cap, minimum=None):
+            given_minimum.append(minimum)
+            return min_fvs_exact(g, vertex_cap, minimum)
+
+        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", spy)
+        report = bound_report(net, caps=Caps(mais_vertices=64))
+        monkeypatch.undo()
+        g, _ = to_index_graph(net)
+        sandwich = report.rcp_value > len(report.approx_fvs) - 1
+        assert given_minimum == [report.approx_fvs if sandwich else None]
+        assert report.fvs == min_fvs_exact(g, 64)
+        assert report.tensor_bounds[0].q == 1
+        assert report.tensor_bounds[0].radicand == report.mais_value == g.n - len(report.fvs)
+        return sandwich
+
+    def test_lp_tight_networks(self, monkeypatch):
+        for seed in range(1, 11):
+            assert self.check(random_dag_network(7, 12, 3, seed=seed), monkeypatch)
+
+    def test_gap_network(self, monkeypatch):
+        # objective 3, weight 4: the packing proves nothing, so the size is
+        # searched (the wrappings of bidirected C7, C9 and other gap graphs
+        # take seconds to minutes per report)
+        net = network_from_side_info_graph(symmetric_cycle(5))
+        assert not self.check(net, monkeypatch)
+
+
 class TestReportPackingMatchesReference:
     """The report's packing is the dual of the spreading metric, mapped to
     the index graph; the reference solves one LP over every enumerated
@@ -405,21 +476,48 @@ class TestSearchMatchesReference:
             assert mais_exact(g, 64) == (size, _reference_lexmin(g, size, True))
             assert min_fvs_exact(g, 64) == _reference_lexmin(g, g.n - size, False)
 
+    def test_a_given_minimum_gives_the_lexmin_certificate(self):
+        # F is the lexmin minimum FVS under reversed labels, so the search
+        # starts from a minimum set that is not the lexmin one
+        for g in self._graphs():
+            n = g.n
+            reversed_g = Digraph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])
+            other = frozenset(n - 1 - v for v in min_fvs_exact(reversed_g, 64))
+            lexmin = min_fvs_exact(g, 64)
+            assert other != lexmin and len(other) == len(lexmin)
+            assert min_fvs_exact(g, 64, minimum=other) == lexmin
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_n=7))
+    def test_small_graphs(self, g):
+        size = reference_max_acyclic(g._out, _search_order(g))
+        assert mais_exact(g) == (size, _reference_lexmin(g, size, True))
+        assert min_fvs_exact(g) == _reference_lexmin(g, g.n - size, False)
+
     def test_targets_and_required_sets(self):
+        # a target is a decision: the size says whether a set of that size
+        # exists, and the mask is one; without a target both are the maximum
         for g in self._graphs():
             out = [sum(1 << w for w in ws) for ws in g._out]
             order = _search_order(g)
-            size = _max_acyclic(out, order)
-            for target in (None, 1, size - 1, size, size + 1):
-                assert _max_acyclic(out, order, target=target) == reference_max_acyclic(
-                    g._out, order, target=target
-                )
+            size = _max_acyclic(out, order)[0]
+            cases = [(order, (), t) for t in (None, 1, size - 1, size, size + 1)]
             for required in ([0, 1], list(range(0, g.n, 3)), order[:6]):
                 cand = [v for v in order if v not in required]
-                for target in (None, size):
-                    assert _max_acyclic(out, cand, required, target) == reference_max_acyclic(
-                        g._out, cand, required, target
-                    )
+                cases += [(cand, required, t) for t in (None, size)]
+            for cand, required, t in cases:
+                found, mask = _max_acyclic(out, cand, required, t)
+                reference = reference_max_acyclic(g._out, cand, required, t)
+                if t is None:
+                    assert found == reference
+                else:
+                    assert (found >= t) == (reference >= t)
+                if found < (0 if t is None else t):
+                    continue  # no set, so no mask to check
+                members = {v for v in range(g.n) if mask >> v & 1}
+                assert len(members) == found if t is None else len(members) >= t
+                assert set(required) <= members <= set(required) | set(cand)
+                assert nx.is_directed_acyclic_graph(to_nx(g).subgraph(members))
 
 
 DEEP = sys.getrecursionlimit() + 100  # more vertices than the recursion limit
@@ -450,4 +548,5 @@ class TestDeepInputs:
         # every search node branches: the include side ends at once, the
         # exclude side goes one vertex deeper
         full = (1 << DEEP) - 1
-        assert _mis_size([full & ~(1 << v) for v in range(DEEP)], full) == 1
+        size, members = _mis_size([full & ~(1 << v) for v in range(DEEP)], full)
+        assert (size, members.bit_count()) == (1, 1)

@@ -27,6 +27,7 @@ from gnskit.cyclepack import CyclePacking
 from gnskit.indexcoding import _GFBasis, derive_decoders, minrank_edge_cap
 
 from helpers import (
+    ReferenceGF2Basis,
     complete_digraph,
     decode_simulation,
     directed_cycle,
@@ -272,6 +273,16 @@ class TestVerifyIndexCode:
         assert (basis.rank, twin.rank) == (1, 2)
         assert not basis.contains(second) and twin.contains(second)
         assert basis.add(second) and basis.rank == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**12 - 1), max_size=30), st.integers(0, 2**12 - 1))
+    def test_sorted_insert_matches_the_resorting_basis(self, rows, probe):
+        basis, reference = _GFBasis(12, 2), ReferenceGF2Basis()
+        for row in rows:
+            assert basis.add(row) == reference.add(row)
+            assert basis.bit_basis == reference.bit_basis
+            assert basis.rank == reference.rank
+            assert basis.contains(probe) == reference.contains(probe)
 
     def test_dimension_mismatch(self):
         from gnskit import IndexCode
