@@ -311,6 +311,9 @@ def bound_report(
     solves, mapped to the index graph by `packing_from_metric`, so rcp is
     never skipped and costs no cycle enumeration.
     """
+    # a nan or infinite constant would switch the regression check off
+    if not 0 < ratio_constant < math.inf:
+        raise ValueError(f"ratio constant must be finite and positive, not {ratio_constant!r}")
     g, _ = to_index_graph(net)
     m, k = net.m, net.k
     skipped: list[str] = []

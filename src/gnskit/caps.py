@@ -47,6 +47,8 @@ class Caps:
                 overrides[name] = int(value)
             except ValueError:
                 raise FormatError(f"{ENV_VAR}: non-integer value in {item!r}") from None
+            if overrides[name] < 0:
+                raise FormatError(f"{ENV_VAR}: negative value in {item!r}")
         return cls(**overrides)
 
 

@@ -235,20 +235,7 @@ def _cmd_verify(args, caps: Caps) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gnskit",
-        description="Sum-rate bound toolkit for multiple-unicasts network coding",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker budget; results never depend on it",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="full bound chain report for a network")
+def _add_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("network")
     p.add_argument("--q", type=int, nargs="+", default=[1])
     p.add_argument("--field", type=int, default=2)
@@ -259,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("gnscut", help="minimum or approximate GNS cut")
+
+def _add_gnscut(p: argparse.ArgumentParser) -> None:
     p.add_argument("network")
     p.add_argument("--tilde", action="store_true")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -268,30 +256,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_gnscut)
 
-    p = sub.add_parser("convert", help="network to index graph (.dg)")
+
+def _add_convert(p: argparse.ArgumentParser) -> None:
     p.add_argument("network")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("cyclepack", help="exact fractional cycle packing")
+
+def _add_cyclepack(p: argparse.ArgumentParser) -> None:
     p.add_argument("input")
     p.add_argument("--from-network", action="store_true", dest="from_network")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_cyclepack)
 
-    p = sub.add_parser("minrank", help="exhaustive minrank over a prime field")
+
+def _add_minrank(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--field", type=int, default=2)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_minrank)
 
-    p = sub.add_parser("code", help="cycle-saving index code from the packing")
+
+def _add_code(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--field", type=int, default=2)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_code)
 
-    p = sub.add_parser("gen", help="emit instance files")
+
+def _add_gen(p: argparse.ArgumentParser) -> None:
     gen_sub = p.add_subparsers(dest="kind", required=True)
     q = gen_sub.add_parser("lubetzky-stav")
     q.add_argument("--r", type=int, required=True)
@@ -319,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="re-verify an artifact")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     ver_sub = p.add_subparsers(dest="target", required=True)
     q = ver_sub.add_parser("code")
     q.add_argument("--graph", required=True)
@@ -333,11 +327,48 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_verify)
 
+
+# command name -> (help, function adding its arguments), in help-listing order
+_COMMANDS = {
+    "bounds": ("full bound chain report for a network", _add_bounds),
+    "gnscut": ("minimum or approximate GNS cut", _add_gnscut),
+    "convert": ("network to index graph (.dg)", _add_convert),
+    "cyclepack": ("exact fractional cycle packing", _add_cyclepack),
+    "minrank": ("exhaustive minrank over a prime field", _add_minrank),
+    "code": ("cycle-saving index code from the packing", _add_code),
+    "gen": ("emit instance files", _add_gen),
+    "verify": ("re-verify an artifact", _add_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The gnskit parser, or with a command name only that subcommand's. For
+    an argv that starts with the name both parse and print alike: argparse
+    hands the rest to the subparser, and the metavar keeps the usage line
+    (the full parser omits it, as it would rename the command in errors)."""
+    parser = argparse.ArgumentParser(
+        prog="gnskit",
+        description="Sum-rate bound toolkit for multiple-unicasts network coding",
+    )
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker budget; results never depend on it",
+    )
+    lazy = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **lazy)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # building all 15 parsers costs more than a small report
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")

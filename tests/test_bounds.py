@@ -276,6 +276,11 @@ class TestBoundReport:
             report = bound_report(parse_network(PARALLEL_LINKS), **kwargs)
             assert parse_report(serialize_report(report)) == report
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_ratio_constant_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="ratio constant"):
+            bound_report(parse_network(PARALLEL_LINKS), ratio_constant=value)
+
     def test_skips_oversized_components(self):
         from gnskit.caps import Caps
 

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, formats, determinism."""
 
+import sys
+
 import pytest
 
-from gnskit import parse_digraph, parse_network, parse_report
+from gnskit import cli, parse_digraph, parse_network, parse_report
 from gnskit.cli import main
 
 from helpers import (
@@ -56,6 +58,15 @@ class TestExitCodes:
             assert main(["bounds", parallel]) == 2
         capsys.readouterr()
 
+    def test_negative_cap_override_is_two(self, parallel, capsys, monkeypatch):
+        for entry in ("mais_vertices=-1", "spreading_iterations=-1"):
+            monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", entry)
+            assert main(["bounds", parallel]) == 2
+            assert "negative value" in capsys.readouterr().err
+        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "mais_vertices=0")
+        assert main(["bounds", parallel, "--out", "machine"]) == 0
+        assert "mais" in parse_report(capsys.readouterr().out).skipped
+
     def test_failed_verification_is_one(self, parallel, tmp_path, capsys):
         assert main(["verify", "gnscut", "--network", parallel, "--cut", ""]) == 1
         capsys.readouterr()
@@ -84,6 +95,11 @@ class TestBounds:
     def test_ratio_constant_flag_accepted(self, parallel, capsys):
         assert main(["bounds", parallel, "--ratio-constant", "16"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_ratio_constant_must_be_finite_and_positive(self, parallel, capsys, value):
+        assert main(["bounds", parallel, "--ratio-constant", value]) == 2
+        assert capsys.readouterr().err.startswith("input error: ratio constant")
 
     def test_shannon_powers(self, parallel, capsys):
         assert main([
@@ -253,3 +269,131 @@ class TestThreadsDeterminism:
         code2, out2, _ = run_cli(alt)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class _Built(Exception):
+    pass
+
+
+def _parser_main_builds(argv, monkeypatch):
+    """The parser `main(argv)` builds, caught before it parses."""
+    real, built = cli.build_parser, []
+
+    def spy(command=None):
+        built.append(real(command))
+        raise _Built
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", spy)
+        with pytest.raises(_Built):
+            main(argv)
+    return built[0]
+
+
+def _outcome(parser, argv, capsys):
+    """The namespace (func by name), or the exit code; with the output bytes."""
+    try:
+        result = vars(parser.parse_args(argv))
+        result["func"] = result["func"].__name__
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+_HELP = [[*cmd, "-h"] for cmd in (
+    ["gnscut"], ["convert"], ["cyclepack"], ["minrank"], ["code"], ["gen"],
+    ["verify"], ["gen", "lubetzky-stav"], ["gen", "digraph"], ["gen", "network"],
+    ["gen", "side-info-network"], ["verify", "code"],
+)]
+
+PARSER_ARGVS = [
+    ["bounds", "f"],
+    ["bounds", "f", "--q", "1", "2", "--field", "3", "--exact-gns",
+     "--shannon-powers", "1", "2", "--ratio-constant", "16", "--out", "machine",
+     "--output", "o"],
+    ["bounds", "f", "--shannon-powers", "--out", "human"],
+    ["gnscut", "f", "--exact"],
+    ["gnscut", "f", "--tilde", "--approx", "--output", "o"],
+    ["convert", "f"],
+    ["convert", "f", "--output", "o"],
+    ["cyclepack", "f"],
+    ["cyclepack", "f", "--from-network", "--output", "o"],
+    ["minrank", "g.dg"],
+    ["minrank", "g.dg", "--field", "3"],
+    ["code", "g.dg", "--field", "5", "--output", "o"],
+    ["gen", "lubetzky-stav", "--r", "4", "--s", "2", "--p", "2", "--b", "1",
+     "--complemented"],
+    ["gen", "digraph", "--n", "5", "--prob", "0.5", "--seed", "1"],
+    ["gen", "network", "--nodes", "6", "--links", "9", "--pairs", "2", "--seed", "1",
+     "--output", "o"],
+    ["gen", "side-info-network", "--graph", "g.dg"],
+    ["verify", "code", "--graph", "g.dg", "--code", "c.code"],
+    ["verify", "gnscut", "--network", "f", "--cut", "1,2", "--tilde"],
+    [],
+    ["-h"],
+    ["--he"],
+    ["--threads", "2"],
+    ["--threads=2", "bounds", "f"],
+    ["--threads", "code", "bounds", "f"],
+    ["bogus"],
+    ["bou", "f"],
+    ["-h", "bounds"],
+    ["--bogus", "bounds", "f"],
+    ["bounds", "f", "--bogus"],
+    ["bounds", "f", "--threads", "2"],
+    ["bounds", "f", "extra"],
+    ["bounds", "f", "--out", "x"],
+    ["bounds", "f", "--q"],
+    ["bounds"],
+    ["bounds", "-h"],
+    ["gnscut", "f"],
+    ["gnscut", "f", "--exact", "--approx"],
+    ["minrank", "g.dg", "--field", "x"],
+    ["gen"],
+    ["gen", "bogus"],
+    ["gen", "network"],
+    ["verify"],
+    ["verify", "gnscut", "--network", "f"],
+    ["verify", "gnscut", "-h"],
+    *_HELP,
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_main_parses_and_prints_as_the_full_parser(self, argv, capsys, monkeypatch):
+        for columns in ("30", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            built = _parser_main_builds(argv, monkeypatch)
+            assert _outcome(built, argv, capsys) == _outcome(
+                cli.build_parser(), argv, capsys
+            )
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: the following arguments are required: command\n"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from"),
+    ], ids=["empty", "bogus"])
+    def test_full_parser_errors_name_the_command(self, argv, message, capsys):
+        code, out, err = _outcome(cli.build_parser(), argv, capsys)
+        assert (code, out, message in err) == (2, "", True), err
+
+    def test_a_command_builds_only_its_own_arguments(self, parallel, capsys, monkeypatch):
+        built = []
+        for name, (help_text, add_arguments) in list(cli._COMMANDS.items()):
+            def spy(p, name=name, add_arguments=add_arguments):
+                built.append(name)
+                add_arguments(p)
+
+            monkeypatch.setitem(cli._COMMANDS, name, (help_text, spy))
+        assert main(["bounds", parallel, "--out", "machine"]) == 0
+        assert built == ["bounds"]
+        parse_report(capsys.readouterr().out)
+        assert main(["--threads", "1", "bounds", parallel, "--out", "machine"]) == 0
+        assert built == ["bounds", *cli._COMMANDS]
+        capsys.readouterr()
+
+    def test_no_argv_parses_sys_argv(self, parallel, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["gnskit", "bounds", parallel, "--out", "machine"])
+        assert main() == 0
+        assert parse_report(capsys.readouterr().out).m == 4
