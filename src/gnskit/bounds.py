@@ -23,7 +23,7 @@ from .cyclepack import (
     packing_from_metric,
     subset_fes_approx,
 )
-from .digraph import Digraph, _closes_cycle, _residual_cycle, tensor_power
+from .digraph import Digraph, _closes_cycle, _disjoint_cycles, _residual_cycle, tensor_power
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import (
     IndexCode,
@@ -43,38 +43,51 @@ from .network import (
 
 
 def _masks(adj: Sequence[Sequence[int]]) -> list[int]:
-    return [sum(1 << w for w in ws) for ws in adj]
+    return [sum(map((1).__lshift__, ws)) for ws in adj]  # 1 << w for each w
 
 
 def _max_acyclic(
     out: Sequence[int],
+    inn: Sequence[int],
     candidates: Sequence[int],
     required: Sequence[int] = (),
     target: int | None = None,
 ) -> tuple[int, int]:
     """Largest acyclic induced superset of `required` inside required plus
-    `candidates` (out-neighbour bitmasks `out`) as (size, members mask), size
-    -1 if `required` has a cycle. With `target` the bound starts at target - 1,
-    so the size is >= target exactly when such a set (the mask) exists.
-    Branches on each candidate in order, including it first if it closes no
-    cycle; a popped state runs down its include chain and stacks the
+    `candidates` (out- and in-neighbour bitmasks `out`, `inn`) as (size,
+    members mask), size -1 if `required` has a cycle. With `target` the bound
+    starts at target - 1, so the size is >= target exactly when such a set
+    (the mask) exists. Branches on each candidate in order, including it
+    first if it closes no cycle; a popped state is pruned unless its members
+    plus the candidates left, less one per disjoint cycle among them, beat
+    the best set, and otherwise runs down its include chain and stacks the
     exclude branches it passes."""
     members = 0
     for v in required:
-        if _closes_cycle(out, members, v):
+        if _closes_cycle(out, inn, members, v):
             return -1, 0
         members |= 1 << v
     count = members.bit_count()
     ncand = len(candidates)
+    suffix = [0] * (ncand + 1)  # suffix[i]: mask of candidates[i:]
+    for i in range(ncand - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | 1 << candidates[i]
     best = count if target is None else max(count, target - 1)
     stop = count + ncand if target is None else target  # a set this large ends the search
     best_mask, stack = members, [(0, members, count)]
     while stack:
         i, members, count = stack.pop()
+        bound = count + ncand - i
+        if bound > best:
+            bound -= _disjoint_cycles(out, inn, members, suffix[i], bound - best)
+        if bound <= best:
+            continue
+        if i == 0:  # only the root starts at the first candidate
+            stop = min(stop, bound)
         while best < stop and count + (ncand - i) > best:
             v = candidates[i]
             i += 1
-            if not _closes_cycle(out, members, v):
+            if not _closes_cycle(out, inn, members, v):
                 stack.append((i, members, count))
                 members |= 1 << v
                 count += 1
@@ -89,7 +102,7 @@ def _search_order(g: Digraph) -> list[int]:
 
 
 def _mais_size(g: Digraph) -> int:
-    return _max_acyclic(_masks(g._out), _search_order(g))[0]
+    return _max_acyclic(_masks(g._out), _masks(g._in), _search_order(g))[0]
 
 
 def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:
@@ -116,13 +129,13 @@ def mais_exact(
     smallest witnessing vertex set."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    out, order = _masks(g._out), _search_order(g)
-    size, acyclic = _max_acyclic(out, order)
+    out, inn, order = _masks(g._out), _masks(g._in), _search_order(g)
+    size, acyclic = _max_acyclic(out, inn, order)
 
     def fits(trial: list[int]) -> int | None:
         skip = set(trial)
         cand = [v for v in order if v not in skip]
-        found, members = _max_acyclic(out, cand, trial, target=size)
+        found, members = _max_acyclic(out, inn, cand, trial, target=size)
         return members if found >= size else None
 
     return size, frozenset(_lexmin(g.n, size, fits, acyclic))
@@ -131,30 +144,33 @@ def mais_exact(
 def min_fvs_exact(
     g: Digraph,
     vertex_cap: int = DEFAULT_CAPS.mais_vertices,
-    minimum: frozenset[int] | None = None,
+    upper: frozenset[int] | None = None,
 ) -> frozenset[int]:
     """Lexicographically smallest minimum feedback vertex set (complementary
-    certificate of the maximum acyclic set). A `minimum` proven minimum by
-    the caller replaces the size search; it must be a feedback vertex set."""
+    certificate of the maximum acyclic set). A feedback vertex set `upper`
+    (checked) replaces the size search by probes for one vertex fewer."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    out, order = _masks(g._out), _search_order(g)
+    out, inn, order = _masks(g._out), _masks(g._in), _search_order(g)
     full = (1 << g.n) - 1
-    if minimum is None:
-        size, acyclic = _max_acyclic(out, order)
-        witness = full & ~acyclic
-    elif not minimum <= frozenset(range(g.n)) or _residual_cycle(g, minimum) is not None:
-        raise ContractViolation("the given minimum is not a feedback vertex set")
-    else:
-        size, witness = g.n - len(minimum), sum(1 << v for v in minimum)
+    if upper is None:
+        size, acyclic = _max_acyclic(out, inn, order)
+    elif not upper <= frozenset(range(g.n)) or _residual_cycle(g, upper) is not None:
+        raise ContractViolation(f"{sorted(upper)} is not a feedback vertex set")
+    else:  # from the complement of upper, probe for one vertex more until refuted
+        size, acyclic = g.n - len(upper), full & ~sum(1 << v for v in upper)
+        found, larger = _max_acyclic(out, inn, order, target=size + 1)
+        while found > size:
+            size, acyclic = found, larger
+            found, larger = _max_acyclic(out, inn, order, target=size + 1)
 
     def fits(trial: list[int]) -> int | None:
         skip = set(trial)
         cand = [v for v in order if v not in skip]
-        found, acyclic = _max_acyclic(out, cand, target=size)
+        found, acyclic = _max_acyclic(out, inn, cand, target=size)
         return full & ~acyclic if found >= size else None
 
-    return frozenset(_lexmin(g.n, g.n - size, fits, witness))
+    return frozenset(_lexmin(g.n, g.n - size, fits, full & ~acyclic))
 
 
 def _mis_size(
@@ -325,13 +341,8 @@ def bound_report(
 
     mais_value: int | None = None
     fvs: frozenset[int] | None = None
-    # rcp <= min FVS size <= |approx_fvs|: a packing above |approx_fvs| - 1
-    # proves the checked approx_fvs minimum, so the search skips its size
-    # search. build_cycle_code validates the packing before its code_lcm
-    # check, so a report that rested on a bad packing still raises.
-    minimum = approx_fvs if rcp.value > len(approx_fvs) - 1 else None
     try:
-        fvs = min_fvs_exact(g, caps.mais_vertices, minimum)
+        fvs = min_fvs_exact(g, caps.mais_vertices, approx_fvs)
         mais_value = m - len(fvs)  # the index graph has one vertex per link
     except CapacityError:
         skipped.append("mais")

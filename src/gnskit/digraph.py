@@ -203,23 +203,70 @@ def _residual_cycle(
     return _find_cycle({v: g._out[v] for v in range(g.n) if v not in removed})
 
 
-def _closes_cycle(out: Sequence[int], members: int, v: int) -> bool:
+def _closes_cycle(out: Sequence[int], inn: Sequence[int], members: int, v: int) -> bool:
     """Does adding v to the acyclic induced set `members` close a cycle
-    (necessarily through v)? Sets are bitmasks, `out[u]` is u's out-neighbour
-    mask: a breadth-first search from v inside `members` that stops at v."""
-    goal = 1 << v
+    (necessarily through v)? Sets are bitmasks, `out[u]` and `inn[u]` are u's
+    out- and in-neighbour masks: a breadth-first search from v inside
+    `members` that stops at an in-neighbour of v."""
+    goal = inn[v] & members
+    if not goal:
+        return False
     seen = frontier = out[v] & members
     while frontier:
+        if frontier & goal:
+            return True
         reach = 0
         while frontier:
             low = frontier & -frontier
             reach |= out[low.bit_length() - 1]
             frontier ^= low
-        if reach & goal:
-            return True
         frontier = reach & members & ~seen
         seen |= frontier
     return False
+
+
+def _disjoint_cycles(
+    out: Sequence[int], inn: Sequence[int], fixed: int, free: int, limit: int
+) -> int:
+    """Greedy count, stopped at `limit`, of cycles of the graph induced on
+    `fixed | free` whose `free` parts are pairwise disjoint (masks as in
+    `_closes_cycle`). Each free vertex in turn: a shortest cycle through it
+    inside the live vertices is counted and its free part leaves the live
+    set; a vertex on no such cycle leaves it by itself. With `fixed` acyclic
+    every cycle meets `free`, so an acyclic set holding `fixed` inside
+    `fixed | free` misses at least one free vertex per counted cycle."""
+    live, count = fixed | free, 0
+    while free and count < limit:
+        bit = free & -free
+        free ^= bit
+        v = bit.bit_length() - 1
+        goal = inn[v] & live
+        frontier = out[v] & live if goal else 0
+        seen, layers = frontier | bit, []
+        while frontier and not frontier & goal:
+            layers.append(frontier)
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= out[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & live & ~seen
+            seen |= frontier
+        if not frontier:
+            live ^= bit
+            continue
+        # walk back from an in-neighbour of v, one BFS layer at a time
+        hit = frontier & goal
+        u = hit & -hit
+        cycle = bit | u
+        for layer in reversed(layers):
+            u = layer & inn[u.bit_length() - 1]
+            u &= -u
+            cycle |= u
+        live &= fixed | ~cycle
+        free &= ~cycle
+        count += 1
+    return count
 
 
 def _scc_with_root(g: Digraph, root: int) -> frozenset[int]:

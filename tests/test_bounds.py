@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -25,6 +26,7 @@ from gnskit import (
 )
 import gnskit.bounds
 from gnskit.bounds import (
+    _masks,
     _max_acyclic,
     _mis_size,
     _search_order,
@@ -36,6 +38,7 @@ from gnskit.bounds import (
 )
 from gnskit.caps import Caps
 from gnskit.cyclepack import rcp_exact, validate_packing, vertex_split_links
+from gnskit.digraph import _disjoint_cycles
 from gnskit.instances import (
     network_from_side_info_graph,
     random_dag_network,
@@ -144,10 +147,16 @@ class TestMinFvsExact:
 
     def test_given_minimum_must_be_a_feedback_vertex_set(self):
         g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        assert min_fvs_exact(g, minimum=frozenset({1, 3})) == frozenset({0, 2})
+        assert min_fvs_exact(g, upper=frozenset({1, 3})) == frozenset({0, 2})
         for bad in (frozenset({0}), frozenset({0, 2, 4})):  # a cycle left; no vertex 4
             with pytest.raises(ContractViolation):
-                min_fvs_exact(g, minimum=bad)
+                min_fvs_exact(g, upper=bad)
+
+    def test_upper_is_probed_down_to_the_minimum(self):
+        # a feedback vertex set that is not minimum gives no wrong certificate
+        g = directed_cycle(3)
+        for upper in (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2})):
+            assert min_fvs_exact(g, upper=upper) == frozenset({0})
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_n=6))
@@ -306,40 +315,55 @@ class TestBoundReport:
 
 
 class TestReportFvsPaths:
-    """`bound_report` hands `min_fvs_exact` the checked approximate FVS when
-    the packing proves it minimum (rcp > |approx_fvs| - 1) and lets it search
-    for the size otherwise; both paths give the lexmin minimum FVS and the
-    q = 1 tensor radicand."""
+    """`bound_report` hands the checked approximate FVS to `min_fvs_exact`
+    as its incumbent, so the search refutes one vertex fewer instead of
+    searching for the size. It gives the lexmin minimum FVS whether or not
+    the packing proves the incumbent minimum (rcp > |approx_fvs| - 1), and
+    the q = 1 tensor radicand, searched from scratch, agrees with it."""
 
     @staticmethod
-    def check(net, monkeypatch) -> bool:
-        given_minimum = []
+    def check(net, monkeypatch):
+        given = []
 
-        def spy(g, vertex_cap, minimum=None):
-            given_minimum.append(minimum)
-            return min_fvs_exact(g, vertex_cap, minimum)
+        def spy(g, vertex_cap, upper=None):
+            given.append(upper)
+            return min_fvs_exact(g, vertex_cap, upper)
 
         monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", spy)
         report = bound_report(net, caps=Caps(mais_vertices=64))
         monkeypatch.undo()
         g, _ = to_index_graph(net)
-        sandwich = report.rcp_value > len(report.approx_fvs) - 1
-        assert given_minimum == [report.approx_fvs if sandwich else None]
+        assert given == [report.approx_fvs]
         assert report.fvs == min_fvs_exact(g, 64)
         assert report.tensor_bounds[0].q == 1
         assert report.tensor_bounds[0].radicand == report.mais_value == g.n - len(report.fvs)
-        return sandwich
+        return report
 
     def test_lp_tight_networks(self, monkeypatch):
         for seed in range(1, 11):
-            assert self.check(random_dag_network(7, 12, 3, seed=seed), monkeypatch)
+            report = self.check(random_dag_network(7, 12, 3, seed=seed), monkeypatch)
+            assert len(report.fvs) == math.ceil(report.rcp_value)
 
     def test_gap_network(self, monkeypatch):
-        # objective 3, weight 4: the packing proves nothing, so the size is
-        # searched (the wrappings of bidirected C7, C9 and other gap graphs
-        # take seconds to minutes per report)
-        net = network_from_side_info_graph(symmetric_cycle(5))
-        assert not self.check(net, monkeypatch)
+        # objective 3, weight 4: the packing proves nothing, and the probe
+        # refutes a set of 23 acyclic links
+        report = self.check(network_from_side_info_graph(symmetric_cycle(5)), monkeypatch)
+        assert (report.rcp_value, report.approx_weight, len(report.fvs)) == (3, 4, 4)
+
+    @pytest.mark.parametrize(
+        "side_info, rcp, fvs_size",
+        [
+            (symmetric_cycle(7), 4, 5),
+            (symmetric_cycle(9), 5, 6),
+            (random_digraph(7, 0.4, 3), Fraction(5, 2), 3),
+        ],
+        ids=["bidirected-C7", "bidirected-C9", "random_digraph(7,0.4,3)"],
+    )
+    def test_gap_wrappings(self, side_info, rcp, fvs_size, monkeypatch):
+        # m = 36, 46 and 36, past the default mais cap; the packing leaves a
+        # gap below the minimum, so only the searches prove it
+        report = self.check(network_from_side_info_graph(side_info), monkeypatch)
+        assert (report.rcp_value, len(report.fvs)) == (rcp, fvs_size)
 
 
 class TestReportPackingMatchesReference:
@@ -483,14 +507,17 @@ class TestSearchMatchesReference:
 
     def test_a_given_minimum_gives_the_lexmin_certificate(self):
         # F is the lexmin minimum FVS under reversed labels, so the search
-        # starts from a minimum set that is not the lexmin one
+        # starts from a minimum set that is not the lexmin one; F plus a
+        # vertex and the whole vertex set are not minimum and are probed down
         for g in self._graphs():
             n = g.n
             reversed_g = Digraph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])
             other = frozenset(n - 1 - v for v in min_fvs_exact(reversed_g, 64))
             lexmin = min_fvs_exact(g, 64)
             assert other != lexmin and len(other) == len(lexmin)
-            assert min_fvs_exact(g, 64, minimum=other) == lexmin
+            larger = other | {min(frozenset(range(n)) - other)}
+            for upper in (other, larger, frozenset(range(n))):
+                assert min_fvs_exact(g, 64, upper=upper) == lexmin
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs(max_n=7))
@@ -503,26 +530,51 @@ class TestSearchMatchesReference:
         # a target is a decision: the size says whether a set of that size
         # exists, and the mask is one; without a target both are the maximum
         for g in self._graphs():
-            out = [sum(1 << w for w in ws) for ws in g._out]
+            out, inn = _masks(g._out), _masks(g._in)
             order = _search_order(g)
-            size = _max_acyclic(out, order)[0]
+            size = _max_acyclic(out, inn, order)[0]
             cases = [(order, (), t) for t in (None, 1, size - 1, size, size + 1)]
             for required in ([0, 1], list(range(0, g.n, 3)), order[:6]):
                 cand = [v for v in order if v not in required]
                 cases += [(cand, required, t) for t in (None, size)]
             for cand, required, t in cases:
-                found, mask = _max_acyclic(out, cand, required, t)
-                reference = reference_max_acyclic(g._out, cand, required, t)
-                if t is None:
-                    assert found == reference
-                else:
-                    assert (found >= t) == (reference >= t)
-                if found < (0 if t is None else t):
-                    continue  # no set, so no mask to check
-                members = {v for v in range(g.n) if mask >> v & 1}
-                assert len(members) == found if t is None else len(members) >= t
-                assert set(required) <= members <= set(required) | set(cand)
-                assert nx.is_directed_acyclic_graph(to_nx(g).subgraph(members))
+                self._check_probe(g, out, inn, cand, required, t)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_graphs(max_n=9, p=0.5), st.data())
+    def test_dense_graphs(self, g, data):
+        # the disjoint-cycle bound prunes most states here, and is sound
+        out, inn = _masks(g._out), _masks(g._in)
+        order = _search_order(g)
+        size = reference_max_acyclic(g._out, order)
+        assert _disjoint_cycles(out, inn, 0, (1 << g.n) - 1, g.n) <= g.n - size
+        required = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=4, unique=True))
+        cand = [v for v in order if v not in required]
+        for t in (None, size - 1, size, size + 1):
+            self._check_probe(g, out, inn, order, (), t)
+            self._check_probe(g, out, inn, cand, required, t)
+        # with an acyclic `fixed` part, every counted cycle costs the
+        # largest acyclic superset of it one free vertex
+        most = reference_max_acyclic(g._out, cand, required)
+        if most >= 0:
+            free = sum(1 << v for v in cand)
+            fixed = sum(1 << v for v in required)
+            assert _disjoint_cycles(out, inn, fixed, free, g.n) <= g.n - most
+
+    @staticmethod
+    def _check_probe(g, out, inn, cand, required, t):
+        found, mask = _max_acyclic(out, inn, cand, required, t)
+        reference = reference_max_acyclic(g._out, cand, required, t)
+        if t is None:
+            assert found == reference
+        else:
+            assert (found >= t) == (reference >= t)
+        if found < (0 if t is None else t):
+            return  # no set, so no mask to check
+        members = {v for v in range(g.n) if mask >> v & 1}
+        assert len(members) == found if t is None else len(members) >= t
+        assert set(required) <= members <= set(required) | set(cand)
+        assert nx.is_directed_acyclic_graph(to_nx(g).subgraph(members))
 
 
 DEEP = sys.getrecursionlimit() + 100  # more vertices than the recursion limit

@@ -21,7 +21,7 @@ from gnskit import (
     verify_product_blowup_embedding,
 )
 from gnskit.bounds import alpha_exact, mais_exact
-from gnskit.digraph import _find_cycle
+from gnskit.digraph import _disjoint_cycles, _find_cycle
 from gnskit.instances import random_digraph
 
 from helpers import (
@@ -263,6 +263,33 @@ class TestFindCycle:
     @given(random_graphs(max_n=6))
     def test_is_acyclic_matches_networkx(self, g):
         assert g.is_acyclic() == nx.is_directed_acyclic_graph(to_nx(g))
+
+
+class TestDisjointCycles:
+    """The greedy count behind the acyclic-set search's pruning bound."""
+
+    @staticmethod
+    def count(g, fixed=(), limit=None):
+        out = [sum(1 << w for w in ws) for ws in g._out]
+        inn = [sum(1 << w for w in ws) for ws in g._in]
+        fixed_mask = sum(1 << v for v in fixed)
+        free = ((1 << g.n) - 1) & ~fixed_mask
+        return _disjoint_cycles(out, inn, fixed_mask, free, g.n if limit is None else limit)
+
+    def test_counts(self):
+        two = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        assert self.count(two) == 2
+        assert self.count(two, limit=1) == 1
+        assert self.count(directed_cycle(5)) == 1
+        assert self.count(Digraph(3, [(0, 1), (1, 2)])) == 0
+        assert self.count(complete_digraph(4)) == 2
+
+    def test_cycles_may_share_fixed_vertices(self):
+        # two 2-cycles through vertex 0: one free-disjoint cycle, but two
+        # once 0 is fixed, since an acyclic set holding 0 loses 1 and 2
+        bowtie = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
+        assert self.count(bowtie) == 1
+        assert self.count(bowtie, fixed=(0,)) == 2
 
 
 class TestEmbedding:
