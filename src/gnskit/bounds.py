@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
     CyclePacking,
-    fes_to_fvs,
+    _fes_vertices,
     packing_from_metric,
     subset_fes_approx,
 )
@@ -330,22 +330,24 @@ def bound_report(
     # a nan or infinite constant would switch the regression check off
     if not 0 < ratio_constant < math.inf:
         raise ValueError(f"ratio constant must be finite and positive, not {ratio_constant!r}")
-    g, _ = to_index_graph(net)
+    g, lmap = to_index_graph(net)
     m, k = net.m, net.k
     skipped: list[str] = []
 
     approx = subset_fes_approx(net, caps.spreading_iterations)
-    approx_fvs = fes_to_fvs(net, approx.fes)
+    approx_fvs = _fes_vertices(net, lmap, approx.fes)
     approx_weight = approx.diagnostics.weight
     rcp = packing_from_metric(closure_links(net), approx.metric)
 
     mais_value: int | None = None
     fvs: frozenset[int] | None = None
     try:
-        fvs = min_fvs_exact(g, caps.mais_vertices, approx_fvs)
+        fvs = min_fvs_exact(g, caps.mais_vertices, approx_fvs)  # checks approx_fvs
         mais_value = m - len(fvs)  # the index graph has one vertex per link
     except CapacityError:
         skipped.append("mais")
+    if fvs is None and _residual_cycle(g, approx_fvs) is not None:  # refused before its check
+        raise ContractViolation("translated vertex set is not a feedback vertex set")
 
     gns: GnsCertificate | None = None
     if exact_gns:

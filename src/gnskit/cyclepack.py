@@ -3,10 +3,11 @@ sphere-growing subset feedback-edge-set approximation.
 
 All linear programming here is exact: one dense primal simplex with
 Bland's rule on an integer-preserving tableau (Python ints over one common
-denominator), whose results come back as Fractions, because the
-surrounding test suites assert exact equalities such as strong LP duality
-and the packing-versus-feedback inequalities that a floating-point solver
-would blur.
+denominator), because the surrounding test suites assert exact equalities
+such as strong LP duality and the packing-versus-feedback inequalities that
+a floating-point solver would blur. The cutting-plane pricing, the sphere
+growing and the packing map stay on ints over one common denominator too;
+Fractions are built only for the values they return.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .digraph import (
     enumerate_simple_cycles,
 )
 from .errors import CapacityError, ContractViolation
-from .network import Link, MUNetwork, closure_links, to_index_graph
+from .network import Link, LinkGraphMap, MUNetwork, closure_links, to_index_graph
 
 F0 = Fraction(0)
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,12 @@ class SpreadingMetric:
         return dict(self.lengths)
 
 
-def _simplex_max(
+def _simplex_core(
     num_vars: int,
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
     objective: Sequence[int],
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+) -> tuple[int, list[int], list[int], int]:
     """Maximize objective*x subject to rows*x <= rhs, x >= 0, on integer
     data with rhs >= 0.
 
@@ -78,8 +78,9 @@ def _simplex_max(
     row update (p*x - f*y) // d divides exactly and no Fraction is built
     until the result. Bland's rule for both the entering column and ratio
     ties, so the optimum (and the returned vertex) is deterministic and
-    cycling is impossible. Returns (value, primal x, dual y), the duals
-    being the reduced costs of the slack columns.
+    cycling is impossible. Returns (value, primal x, dual y) as ints over
+    the final d, then d > 0; the duals are the reduced costs of the slack
+    columns.
     """
     m = len(rows)
     width = num_vars + m
@@ -125,12 +126,22 @@ def _simplex_max(
         basis[leave] = enter
         d = p
 
-    x = [F0] * num_vars
+    x = [0] * num_vars
     for i, b in enumerate(basis):
         if b < num_vars:
-            x[b] = Fraction(tableau[i][-1], d)
-    duals = [Fraction(cost[num_vars + i], d) for i in range(m)]
-    return Fraction(cost[-1], d), x, duals
+            x[b] = tableau[i][-1]
+    return cost[-1], x, cost[num_vars:width], d
+
+
+def _simplex_max(
+    num_vars: int,
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    objective: Sequence[int],
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """`_simplex_core` with its (value, primal x, dual y) as Fractions."""
+    value, x, duals, d = _simplex_core(num_vars, rows, rhs, objective)
+    return Fraction(value, d), [Fraction(v, d) for v in x], [Fraction(y, d) for y in duals]
 
 
 def rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) -> CyclePacking:
@@ -196,14 +207,14 @@ def _group_pairs(links: Sequence[Link]) -> dict[tuple[str, str], list[int]]:
 def _distances_from(
     terminal: str,
     out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
-    lengths: dict[tuple[str, str], Fraction],
-) -> tuple[dict[str, Fraction], dict[str, tuple[str, tuple[str, str]]]]:
-    """Dijkstra from the exit side of `terminal`, never re-entering it.
-    Returns each reached node's distance and its (parent, pair) on one
-    shortest path."""
-    dist: dict[str, Fraction] = {}
+    lengths: dict[tuple[str, str], int],
+) -> tuple[dict[str, int], dict[str, tuple[str, tuple[str, str]]]]:
+    """Dijkstra from the exit side of `terminal`, never re-entering it, on
+    integer lengths (a metric over a common denominator). Returns each
+    reached node's distance and its (parent, pair) on one shortest path."""
+    dist: dict[str, int] = {}
     prev: dict[str, tuple[str, tuple[str, str]]] = {}
-    heap: list[tuple[Fraction, str, str, tuple[str, str]]] = []
+    heap: list[tuple[int, str, str, tuple[str, str]]] = []
     for head, key in out_pairs.get(terminal, ()):
         if head == terminal:
             continue
@@ -224,13 +235,13 @@ def _distances_from(
 def _shortest_cycle_through(
     terminal: str,
     out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
-    lengths: dict[tuple[str, str], Fraction],
-) -> tuple[Fraction, tuple[tuple[str, str], ...]] | None:
+    lengths: dict[tuple[str, str], int],
+) -> tuple[int, tuple[tuple[str, str], ...]] | None:
     """Shortest closed walk through `terminal` under the given lengths,
     treating the terminal as split into an exit side and an entry side.
     Returns its length and the pair sequence, or None if no cycle passes."""
     dist, prev = _distances_from(terminal, out_pairs, lengths)
-    best: tuple[Fraction, str, tuple[str, str]] | None = None
+    best: tuple[int, str, tuple[str, str]] | None = None
     for node, d in dist.items():
         for head, key in out_pairs.get(node, ()):
             if head == terminal:
@@ -272,39 +283,37 @@ def solve_spreading_metric(
     out_pairs: dict[str, list[tuple[str, tuple[str, str]]]] = {}
     for tail, head in pair_keys:
         out_pairs.setdefault(tail, []).append((head, (tail, head)))
+    order = sorted(set(terminals))
 
-    constraints: list[frozenset[int]] = []
-    cycles: list[tuple[tuple[str, str], ...]] = []  # pair sequence of each constraint
+    # the covering LP's packing dual: one row per pair, one column per cycle
+    rows: list[list[int]] = [[] for _ in pair_keys]
+    cycles: list[tuple[tuple[str, str], ...]] = []  # pair sequence of each column
     known: set[frozenset[int]] = set()
-    x = [F0] * len(pair_keys)
-    weights: list[Fraction] = []
+    x, d = [0] * len(pair_keys), 1  # pair lengths, over the common denominator d
+    weights: list[int] = []
     for _ in range(iteration_cap + 1):
-        lengths = {key: x[pair_index[key]] for key in pair_keys}
+        lengths = dict(zip(pair_keys, x))
         violated = 0
-        for t in sorted(set(terminals)):
+        for t in order:
             found = _shortest_cycle_through(t, out_pairs, lengths)
-            if found is not None and found[0] < 1:
+            if found is not None and found[0] < d:
                 row = frozenset(pair_index[key] for key in found[1])
                 if row not in known:
                     known.add(row)
-                    constraints.append(row)
                     cycles.append(found[1])
+                    for i, coefficients in enumerate(rows):
+                        coefficients.append(1 if i in row else 0)
                     violated += 1
         if not violated:
-            objective = sum((c * xi for c, xi in zip(costs, x)), start=F0)
+            objective = Fraction(sum(c * xi for c, xi in zip(costs, x)), d)
             metric = tuple(
-                (e.id, x[pair_index[(e.tail, e.head)]])
+                (e.id, Fraction(x[pair_index[(e.tail, e.head)]], d))
                 for e in sorted(links, key=lambda e: e.id)
                 if e.tail is not None
             )
-            packing = tuple((cyc, w) for cyc, w in zip(cycles, weights) if w > 0)
+            packing = tuple((cyc, Fraction(w, d)) for cyc, w in zip(cycles, weights) if w > 0)
             return SpreadingMetric(lengths=metric, objective=objective, packing=packing)
-        # packing dual of the covering LP: one variable per cycle constraint
-        rows = [
-            [1 if i in cyc_set else 0 for cyc_set in constraints]
-            for i in range(len(pair_keys))
-        ]
-        _, weights, x = _simplex_max(len(constraints), rows, costs, [1] * len(constraints))
+        _, weights, x, d = _simplex_core(len(cycles), rows, costs, [1] * len(cycles))
     raise CapacityError(
         f"spreading metric did not converge within {iteration_cap} generated constraints"
     )
@@ -318,27 +327,31 @@ def packing_from_metric(closed_links: Sequence[Link], metric: SpreadingMetric) -
     the metric's objective: with the metric proven feasible, a packing that
     passes `validate_packing` is then optimal."""
     grouped = _group_pairs(closed_links)
-    used = {key: F0 for key in grouped}
-    weights: dict[tuple[int, ...], Fraction] = {}
-    for pairs, w in metric.packing:
-        cuts = {F0, w}
-        for key in pairs:
+    scale = math.lcm(*(w.denominator for _, w in metric.packing))  # one link holds `scale`
+    used = {key: 0 for key in grouped}
+    weights: dict[tuple[int, ...], int] = {}
+    for pairs, weight in metric.packing:
+        w = weight.numerator * (scale // weight.denominator)
+        cuts = {0, w}
+        for key in pairs:  # where the cycle crosses to the pair's next link
             start = used[key]
-            cuts.update(j - start for j in range(math.floor(start) + 1, math.ceil(start + w)))
+            last = -(-(start + w) // scale)  # ceil
+            cuts.update(j * scale - start for j in range(start // scale + 1, last))
         points = sorted(cuts)
         for lo, hi in zip(points, points[1:]):
-            cyc = tuple(grouped[key][math.floor(used[key] + lo)] for key in pairs)
+            cyc = tuple(grouped[key][(used[key] + lo) // scale] for key in pairs)
             pivot = cyc.index(min(cyc))
             cyc = cyc[pivot:] + cyc[:pivot]
-            weights[cyc] = weights.get(cyc, F0) + hi - lo
+            weights[cyc] = weights.get(cyc, 0) + hi - lo
         for key in pairs:
             used[key] += w
-    value = sum(weights.values(), F0)
+    value = Fraction(sum(weights.values()), scale)
     if value != metric.objective:
         raise ContractViolation(
             f"packing value {value} differs from the metric objective {metric.objective}"
         )
-    return CyclePacking(assignments=tuple(sorted(weights.items())), value=value)
+    assignments = tuple((cyc, Fraction(w, scale)) for cyc, w in sorted(weights.items()))
+    return CyclePacking(assignments=assignments, value=value)
 
 
 @dataclass(frozen=True)
@@ -393,34 +406,38 @@ def subset_fes_approx(
     metric = solve_spreading_metric(closed, terminals, iteration_cap)
     grouped = _group_pairs(closed)
     by_id = metric.as_dict()
-    lengths = {key: by_id[ids[0]] for key, ids in grouped.items()}
+    # lengths, distances and radii over `scale`, volumes over 2k * scale: the
+    # objective/(2k) credit is then the integer objective * scale
+    scale = math.lcm(*(length.denominator for length in by_id.values()))
+    lengths = {key: int(by_id[ids[0]] * scale) for key, ids in grouped.items()}
+    credit, two_k = int(metric.objective * scale), 2 * max(net.k, 1)
 
     cut_pairs: set[tuple[str, str]] = set()
-    credit = metric.objective / (2 * max(net.k, 1))
     for s in terminals:
         adj = _pair_graph(grouped.keys() - cut_pairs)
         out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
         dist, _ = _distances_from(s, out_pairs, lengths)
         if not any(s in adj[v] for v in dist):
             continue  # no surviving cycle passes through s
-        radii = sorted({d for d in dist.values() if d < HALF} | {F0})
-        best: tuple[Fraction, Fraction, frozenset[tuple[str, str]]] | None = None
+        radii = sorted({d for d in dist.values() if 2 * d < scale} | {0})
+        best: tuple[int, int, frozenset[tuple[str, str]]] | None = None  # cost, volume, cut
         for rho in radii:
             ball = {v for v, d in dist.items() if d <= rho}
             boundary = set()
-            volume = credit
+            volume = 0
             for key, ids in grouped.items():
                 tail, head = key
                 if key in cut_pairs or (tail != s and tail not in ball):
                     continue  # cut, or its tail lies outside the ball
-                d_tail = F0 if tail == s else dist[tail]
-                volume += len(ids) * max(F0, min(rho, d_tail + lengths[key]) - d_tail)
+                d_tail = 0 if tail == s else dist[tail]
+                volume += len(ids) * max(0, min(rho, d_tail + lengths[key]) - d_tail)
                 if head == s or head not in ball:
                     boundary.add(key)
-            cost = Fraction(sum(len(grouped[key]) for key in boundary))
-            ratio = cost / volume
-            if best is None or ratio < best[0] or (ratio == best[0] and rho < best[1]):
-                best = (ratio, rho, frozenset(boundary))
+            volume = credit + two_k * volume
+            cost = sum(len(grouped[key]) for key in boundary)
+            # radii ascend, so on equal cost/volume the smaller radius stays
+            if best is None or cost * best[1] < best[0] * volume:
+                best = (cost, volume, frozenset(boundary))
         if best is not None:
             cut_pairs |= best[2]
 
@@ -449,6 +466,23 @@ def subset_fes_approx(
     )
 
 
+def _fes_vertices(net: MUNetwork, lmap: LinkGraphMap, fes: frozenset[int]) -> frozenset[int]:
+    """The index-graph vertices of a feedback edge set of the closure, after
+    checking that removing `fes` leaves the closure acyclic."""
+    live: dict[str, set[str]] = {}
+    for e in closure_links(net):
+        live.setdefault(e.tail, set())
+        live.setdefault(e.head, set())
+        if e.id not in fes:
+            live[e.tail].add(e.head)
+    cycle = _find_cycle(live)
+    if cycle is not None:
+        raise ContractViolation(
+            "input is not a feedback edge set of the closure", witness=cycle
+        )
+    return frozenset(v for v, eid in enumerate(lmap.vertex_to_id) if eid in fes)
+
+
 def fes_to_fvs(net: MUNetwork, fes: Iterable[int]) -> frozenset[int]:
     """Translate a feedback edge set of the closure into the corresponding
     feedback vertex set of the index graph (one vertex per link), verifying
@@ -458,20 +492,8 @@ def fes_to_fvs(net: MUNetwork, fes: Iterable[int]) -> frozenset[int]:
     unknown = fes_set - known
     if unknown:
         raise ValueError(f"unknown link ids: {sorted(unknown)}")
-    closed = closure_links(net)
-    live: dict[str, set[str]] = {}
-    for e in closed:
-        live.setdefault(e.tail, set())
-        live.setdefault(e.head, set())
-        if e.id not in fes_set:
-            live[e.tail].add(e.head)
-    cycle = _find_cycle(live)
-    if cycle is not None:
-        raise ContractViolation(
-            "input is not a feedback edge set of the closure", witness=cycle
-        )
     g, lmap = to_index_graph(net)
-    fvs = frozenset(v for v, eid in enumerate(lmap.vertex_to_id) if eid in fes_set)
+    fvs = _fes_vertices(net, lmap, fes_set)
     if _residual_cycle(g, fvs) is not None:
         raise ContractViolation("translated vertex set is not a feedback vertex set")
     return fvs

@@ -8,13 +8,15 @@ simulation. Expected values in tests were computed by these oracles.
 
 from __future__ import annotations
 
+import heapq
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -29,8 +31,16 @@ from gnskit import (
     enumerate_simple_cycles,
 )
 from gnskit.caps import DEFAULT_CAPS
-from gnskit.cyclepack import _simplex_max
-from gnskit.digraph import _scc_with_root
+from gnskit.cyclepack import (
+    ApproxDiagnostics,
+    ApproxFes,
+    SpreadingMetric,
+    _group_pairs,
+    _pair_graph,
+    _simplex_max,
+)
+from gnskit.digraph import _find_cycle, _scc_with_root
+from gnskit.network import Link, closure_links
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -380,6 +390,246 @@ def reference_rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) ->
         (cyc, w) for cyc, w in zip(cycles, weights) if w > 0
     )
     return CyclePacking(assignments=assignments, value=value)
+
+
+# The cutting-plane loop, the sphere growing and the packing map on Fractions,
+# as they were before they moved to ints over a common denominator: the
+# reference those paths are compared against, exactly.
+HALF = Fraction(1, 2)
+
+
+def reference_distances_from(
+    terminal: str,
+    out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
+    lengths: dict[tuple[str, str], Fraction],
+) -> tuple[dict[str, Fraction], dict[str, tuple[str, tuple[str, str]]]]:
+    """Dijkstra from the exit side of `terminal`, never re-entering it.
+    Returns each reached node's distance and its (parent, pair) on one
+    shortest path."""
+    dist: dict[str, Fraction] = {}
+    prev: dict[str, tuple[str, tuple[str, str]]] = {}
+    heap: list[tuple[Fraction, str, str, tuple[str, str]]] = []
+    for head, key in out_pairs.get(terminal, ()):
+        if head == terminal:
+            continue
+        heapq.heappush(heap, (lengths[key], head, terminal, key))
+    while heap:
+        d, node, parent, key = heapq.heappop(heap)
+        if node in dist:
+            continue
+        dist[node] = d
+        prev[node] = (parent, key)
+        for head, k2 in out_pairs.get(node, ()):
+            if head == terminal or head in dist:
+                continue
+            heapq.heappush(heap, (d + lengths[k2], head, node, k2))
+    return dist, prev
+
+
+def reference_shortest_cycle_through(
+    terminal: str,
+    out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
+    lengths: dict[tuple[str, str], Fraction],
+) -> tuple[Fraction, tuple[tuple[str, str], ...]] | None:
+    """Shortest closed walk through `terminal` under the given lengths,
+    treating the terminal as split into an exit side and an entry side.
+    Returns its length and the pair sequence, or None if no cycle passes."""
+    dist, prev = reference_distances_from(terminal, out_pairs, lengths)
+    best: tuple[Fraction, str, tuple[str, str]] | None = None
+    for node, d in dist.items():
+        for head, key in out_pairs.get(node, ()):
+            if head == terminal:
+                cand = d + lengths[key]
+                if best is None or cand < best[0] or (cand == best[0] and node < best[1]):
+                    best = (cand, node, key)
+    if best is None:
+        return None
+    total, node, closing = best
+    seq = [closing]
+    while node != terminal:
+        parent, key = prev[node]
+        seq.append(key)
+        node = parent
+    seq.reverse()
+    return total, tuple(seq)
+
+
+def reference_solve_spreading_metric(
+    links: Sequence[Link],
+    terminals: Iterable[str],
+    iteration_cap: int = DEFAULT_CAPS.spreading_iterations,
+) -> SpreadingMetric:
+    """Minimum-total fractional edge lengths making every cycle through a
+    terminal measure at least 1 (the relaxation of the subset feedback
+    edge set problem), by cutting-plane generation.
+
+    Parallel links are grouped into one capacitated variable. Each round
+    solves the current covering LP exactly through its packing dual, then a
+    shortest-closed-walk oracle per terminal either finds a violated cycle
+    or proves feasibility, which by LP duality makes the metric optimal and
+    the last packing an optimal packing over all cycles through a terminal
+    (column generation with a shortest-cycle pricing step).
+    """
+    grouped = _group_pairs(links)
+    pair_keys = sorted(grouped)
+    pair_index = {key: i for i, key in enumerate(pair_keys)}
+    costs = [len(grouped[key]) for key in pair_keys]
+    out_pairs: dict[str, list[tuple[str, tuple[str, str]]]] = {}
+    for tail, head in pair_keys:
+        out_pairs.setdefault(tail, []).append((head, (tail, head)))
+
+    constraints: list[frozenset[int]] = []
+    cycles: list[tuple[tuple[str, str], ...]] = []  # pair sequence of each constraint
+    known: set[frozenset[int]] = set()
+    x = [F0] * len(pair_keys)
+    weights: list[Fraction] = []
+    for _ in range(iteration_cap + 1):
+        lengths = {key: x[pair_index[key]] for key in pair_keys}
+        violated = 0
+        for t in sorted(set(terminals)):
+            found = reference_shortest_cycle_through(t, out_pairs, lengths)
+            if found is not None and found[0] < 1:
+                row = frozenset(pair_index[key] for key in found[1])
+                if row not in known:
+                    known.add(row)
+                    constraints.append(row)
+                    cycles.append(found[1])
+                    violated += 1
+        if not violated:
+            objective = sum((c * xi for c, xi in zip(costs, x)), start=F0)
+            metric = tuple(
+                (e.id, x[pair_index[(e.tail, e.head)]])
+                for e in sorted(links, key=lambda e: e.id)
+                if e.tail is not None
+            )
+            packing = tuple((cyc, w) for cyc, w in zip(cycles, weights) if w > 0)
+            return SpreadingMetric(lengths=metric, objective=objective, packing=packing)
+        # packing dual of the covering LP: one variable per cycle constraint
+        rows = [
+            [1 if i in cyc_set else 0 for cyc_set in constraints]
+            for i in range(len(pair_keys))
+        ]
+        _, weights, x = _simplex_max(len(constraints), rows, costs, [1] * len(constraints))
+    raise CapacityError(
+        f"spreading metric did not converge within {iteration_cap} generated constraints"
+    )
+
+
+def reference_packing_from_metric(closed_links: Sequence[Link], metric: SpreadingMetric) -> CyclePacking:
+    """The metric's packing as a vertex packing of the index graph, whose
+    vertex v is link v. Each pair's parallel links are filled in id order,
+    one unit per link, so a cycle's weight splits where one of its pairs
+    crosses to the next link. Raises ContractViolation unless the value is
+    the metric's objective: with the metric proven feasible, a packing that
+    passes `validate_packing` is then optimal."""
+    grouped = _group_pairs(closed_links)
+    used = {key: F0 for key in grouped}
+    weights: dict[tuple[int, ...], Fraction] = {}
+    for pairs, w in metric.packing:
+        cuts = {F0, w}
+        for key in pairs:
+            start = used[key]
+            cuts.update(j - start for j in range(math.floor(start) + 1, math.ceil(start + w)))
+        points = sorted(cuts)
+        for lo, hi in zip(points, points[1:]):
+            cyc = tuple(grouped[key][math.floor(used[key] + lo)] for key in pairs)
+            pivot = cyc.index(min(cyc))
+            cyc = cyc[pivot:] + cyc[:pivot]
+            weights[cyc] = weights.get(cyc, F0) + hi - lo
+        for key in pairs:
+            used[key] += w
+    value = sum(weights.values(), F0)
+    if value != metric.objective:
+        raise ContractViolation(
+            f"packing value {value} differs from the metric objective {metric.objective}"
+        )
+    return CyclePacking(assignments=tuple(sorted(weights.items())), value=value)
+
+
+def reference_subset_fes_approx(
+    net: MUNetwork,
+    iteration_cap: int = DEFAULT_CAPS.spreading_iterations,
+) -> ApproxFes:
+    """Feedback edge set of the network closure by region growing on the
+    spreading metric, always re-verified.
+
+    Every cycle of the closure passes through a source node (regular links
+    are acyclic and closure links end at sources), so terminals are
+    processed one by one, in name order: the terminal is split into
+    exit/entry sides, metric distances are swept over their breakpoints
+    below 1/2, and the outgoing boundary of the cheapest ball (cut cost
+    relative to ball volume plus an objective/(2k) credit) is cut. Parallel
+    links are cut all or none since the variables are capacitated. The ball
+    chosen for source s cuts every surviving cycle through s: the cycle
+    leaves the ball at the latest on its closing link, whose head s counts
+    as outside. So once every source is processed no cycle survives; a
+    final acyclicity check guards this argument.
+
+    The order only breaks ties. On a 0/1 metric it does not change the cut
+    at all: the only radius below 1/2 is 0, and a pair leaving a
+    distance-0 ball has length 1, so every cut pair has length 1. Those
+    pairs cost the LP objective in total, and any feedback edge set costs
+    at least that much, so the cut is all of them, in any order.
+    """
+    closed = closure_links(net)
+    terminals = sorted({s for s, _ in net.pairs})
+    metric = reference_solve_spreading_metric(closed, terminals, iteration_cap)
+    grouped = _group_pairs(closed)
+    by_id = metric.as_dict()
+    lengths = {key: by_id[ids[0]] for key, ids in grouped.items()}
+
+    cut_pairs: set[tuple[str, str]] = set()
+    credit = metric.objective / (2 * max(net.k, 1))
+    for s in terminals:
+        adj = _pair_graph(grouped.keys() - cut_pairs)
+        out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
+        dist, _ = reference_distances_from(s, out_pairs, lengths)
+        if not any(s in adj[v] for v in dist):
+            continue  # no surviving cycle passes through s
+        radii = sorted({d for d in dist.values() if d < HALF} | {F0})
+        best: tuple[Fraction, Fraction, frozenset[tuple[str, str]]] | None = None
+        for rho in radii:
+            ball = {v for v, d in dist.items() if d <= rho}
+            boundary = set()
+            volume = credit
+            for key, ids in grouped.items():
+                tail, head = key
+                if key in cut_pairs or (tail != s and tail not in ball):
+                    continue  # cut, or its tail lies outside the ball
+                d_tail = F0 if tail == s else dist[tail]
+                volume += len(ids) * max(F0, min(rho, d_tail + lengths[key]) - d_tail)
+                if head == s or head not in ball:
+                    boundary.add(key)
+            cost = Fraction(sum(len(grouped[key]) for key in boundary))
+            ratio = cost / volume
+            if best is None or ratio < best[0] or (ratio == best[0] and rho < best[1]):
+                best = (ratio, rho, frozenset(boundary))
+        if best is not None:
+            cut_pairs |= best[2]
+
+    # minimality normalization: drop any capacitated cut that is not needed
+    for key in sorted(cut_pairs):
+        if _find_cycle(_pair_graph(grouped.keys() - cut_pairs | {key})) is None:
+            cut_pairs.remove(key)
+
+    if _find_cycle(_pair_graph(grouped.keys() - cut_pairs)) is not None:
+        raise ContractViolation("feedback edge set verification failed")
+
+    fes = frozenset(eid for key in cut_pairs for eid in grouped[key])
+    weight = len(fes)
+    if metric.objective > 0:
+        ratio_val = float(Fraction(weight) / metric.objective)
+    else:
+        ratio_val = 1.0 if weight == 0 else math.inf
+    return ApproxFes(
+        fes=fes,
+        diagnostics=ApproxDiagnostics(
+            objective=metric.objective,
+            weight=weight,
+            ratio=ratio_val,
+        ),
+        metric=metric,
+    )
 
 
 def reference_enumerate_simple_cycles(g: Digraph, cap: int) -> list[tuple[int, ...]]:

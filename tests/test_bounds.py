@@ -25,6 +25,9 @@ from gnskit import (
     verify_index_code,
 )
 import gnskit.bounds
+import gnskit.cyclepack
+import gnskit.digraph
+import gnskit.network
 from gnskit.bounds import (
     _masks,
     _max_acyclic,
@@ -364,6 +367,31 @@ class TestReportFvsPaths:
         # gap below the minimum, so only the searches prove it
         report = self.check(network_from_side_info_graph(side_info), monkeypatch)
         assert (report.rcp_value, len(report.fvs)) == (rcp, fvs_size)
+
+    @pytest.mark.parametrize("mais_vertices", [64, 1])
+    def test_one_index_graph_and_one_fvs_check(self, mais_vertices, monkeypatch):
+        # the FES maps to the FVS through the report's own index graph, and
+        # the FVS is checked once: by min_fvs_exact, or by bound_report when
+        # the cap refuses min_fvs_exact before its check
+        calls = {"to_index_graph": 0, "_residual_cycle": 0}
+
+        def counted(name, real):
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return spy
+
+        for module in (gnskit.network, gnskit.digraph, gnskit.cyclepack, gnskit.bounds):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        nets = [random_dag_network(7, 12, 3, seed=1), network_from_side_info_graph(symmetric_cycle(5))]
+        for net in nets:
+            calls.update(dict.fromkeys(calls, 0))
+            report = bound_report(net, caps=Caps(mais_vertices=mais_vertices))
+            assert ("mais" in report.skipped) == (mais_vertices == 1)
+            assert calls == {"to_index_graph": 1, "_residual_cycle": 1}
 
 
 class TestReportPackingMatchesReference:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gnskit import (
     CapacityError,
@@ -23,6 +23,7 @@ from gnskit import cyclepack
 from gnskit.bounds import mais_exact, min_fvs_exact
 from gnskit.cyclepack import (
     CyclePacking,
+    _simplex_core,
     _simplex_max,
     packing_from_metric,
     validate_packing,
@@ -39,8 +40,11 @@ from helpers import (
     SINGLE_PATH,
     TWO_DISJOINT,
     directed_cycle,
+    reference_packing_from_metric,
     reference_rcp_exact,
     reference_simplex_max,
+    reference_solve_spreading_metric,
+    reference_subset_fes_approx,
     symmetric_cycle,
 )
 from test_digraph import random_graphs
@@ -54,6 +58,15 @@ def reference_on_ints(num_vars, rows, rhs, objective):
         [Fraction(b) for b in rhs],
         [Fraction(c) for c in objective],
     )
+
+
+def reference_core(num_vars, rows, rhs, objective):
+    """`reference_on_ints` in the form `_simplex_core` returns: ints over the
+    least common denominator of its results."""
+    value, x, duals = reference_on_ints(num_vars, rows, rhs, objective)
+    d = math.lcm(*(v.denominator for v in [value, *x, *duals]))
+    value, *rest = (v.numerator * (d // v.denominator) for v in [value, *x, *duals])
+    return value, rest[:num_vars], rest[num_vars:], d
 
 
 @st.composite
@@ -82,6 +95,15 @@ class TestSimplexMatchesReference:
         value, x, duals = _simplex_max(*lp)
         assert (value, x, duals) == expected
         assert all(type(v) is Fraction for v in [value, *x, *duals])
+        # the integer core, over its own denominator, gives the same
+        int_value, int_x, int_duals, d = _simplex_core(*lp)
+        assert type(d) is int and d > 0
+        assert all(type(v) is int for v in [int_value, *int_x, *int_duals])
+        assert (
+            Fraction(int_value, d),
+            [Fraction(v, d) for v in int_x],
+            [Fraction(y, d) for y in int_duals],
+        ) == expected
 
     def test_rcp_and_spreading_metric_on_networks(self, monkeypatch):
         from gnskit.instances import random_dag_network
@@ -100,6 +122,9 @@ class TestSimplexMatchesReference:
 
         fraction_free = solve_all()
         monkeypatch.setattr(cyclepack, "_simplex_max", reference_on_ints)
+        # the metric runs on the integer core; the reference's results over
+        # their least common denominator, not the tableau's, must not change it
+        monkeypatch.setattr(cyclepack, "_simplex_core", reference_core)
         assert solve_all() == fraction_free
 
 
@@ -367,6 +392,57 @@ class TestSubsetFesApprox:
         result = subset_fes_approx(network_from_side_info_graph(g))
         assert result.diagnostics.objective == objective
         assert result.diagnostics.weight == weight
+
+
+class TestIntegerPathsMatchReference:
+    """The cutting-plane loop, the sphere growing and the packing map run on
+    ints over one common denominator; `tests/helpers.py` keeps their
+    Fraction versions, and the results must be exactly equal."""
+
+    @staticmethod
+    def check_network(net):
+        closed = closure_links(net)
+        terminals = [s for s, _ in net.pairs]
+        metric = solve_spreading_metric(closed, terminals)
+        assert metric == reference_solve_spreading_metric(closed, terminals)
+        assert packing_from_metric(closed, metric) == reference_packing_from_metric(closed, metric)
+        assert subset_fes_approx(net) == reference_subset_fes_approx(net)
+        return metric
+
+    def test_random_dag_networks(self):
+        for seed in range(1, 11):
+            self.check_network(random_dag_network(7, 12, 3, seed=seed))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            symmetric_cycle(5),
+            symmetric_cycle(7),
+            symmetric_cycle(9),
+            random_digraph(7, 0.4, 3),
+            # a ball grows past radius 0, and the objective/(2k) credit
+            # decides which ball is cut
+            random_digraph(6, 0.4, 14),
+        ],
+    )
+    def test_wrappings_with_fractional_metrics(self, g):
+        # fractional metrics: the sphere growing rounds at fractional radii
+        # and the packing map splits fractional weights
+        metric = self.check_network(network_from_side_info_graph(g))
+        assert any(length.denominator > 1 for _, length in metric.lengths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs(max_n=7))
+    @example(random_digraph(7, 0.5, 9))  # a tight cycle outside the master at convergence
+    def test_vertex_splits(self, g):
+        links, terminals = vertex_split_links(g)
+        metric = solve_spreading_metric(links, terminals)
+        assert metric == reference_solve_spreading_metric(links, terminals)
+        packing = packing_from_metric(links, metric)
+        assert packing == reference_packing_from_metric(links, metric)
+        public = [metric.objective, packing.value]
+        public += [x for _, x in metric.lengths + metric.packing + packing.assignments]
+        assert all(type(x) is Fraction for x in public)
 
 
 class TestFesToFvs:
