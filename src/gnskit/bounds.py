@@ -20,8 +20,10 @@ from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
     CyclePacking,
     _fes_vertices,
+    _integer_weights,
     packing_from_metric,
     subset_fes_approx,
+    validate_packing,
 )
 from .digraph import Digraph, _closes_cycle, _disjoint_cycles, _residual_cycle, tensor_power
 from .errors import CapacityError, ContractViolation, FormatError
@@ -101,8 +103,24 @@ def _search_order(g: Digraph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-len(g._out[v]) - len(g._in[v]), v))
 
 
+def _largest_acyclic(
+    out: Sequence[int], inn: Sequence[int], order: Sequence[int]
+) -> tuple[int, int]:
+    """Largest acyclic induced set as (size, members mask), by decision
+    probes down from the disjoint-cycle bound: t = n minus the greedy count
+    of disjoint cycles, then t - 1, and so on; the first probe that finds a
+    set of t vertices proves t the maximum."""
+    n = len(out)
+    target = n - _disjoint_cycles(out, inn, 0, (1 << n) - 1, n)
+    while True:
+        found, acyclic = _max_acyclic(out, inn, order, target=target)
+        if found >= target:
+            return found, acyclic
+        target -= 1
+
+
 def _mais_size(g: Digraph) -> int:
-    return _max_acyclic(_masks(g._out), _masks(g._in), _search_order(g))[0]
+    return _largest_acyclic(_masks(g._out), _masks(g._in), _search_order(g))[0]
 
 
 def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:
@@ -130,7 +148,7 @@ def mais_exact(
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
     out, inn, order = _masks(g._out), _masks(g._in), _search_order(g)
-    size, acyclic = _max_acyclic(out, inn, order)
+    size, acyclic = _largest_acyclic(out, inn, order)
 
     def fits(trial: list[int]) -> int | None:
         skip = set(trial)
@@ -145,29 +163,75 @@ def min_fvs_exact(
     g: Digraph,
     vertex_cap: int = DEFAULT_CAPS.mais_vertices,
     upper: frozenset[int] | None = None,
+    packing: CyclePacking | None = None,
 ) -> frozenset[int]:
     """Lexicographically smallest minimum feedback vertex set (complementary
     certificate of the maximum acyclic set). A feedback vertex set `upper`
-    (checked) replaces the size search by probes for one vertex fewer."""
+    (checked) replaces the size search by probes for one vertex fewer.
+
+    A cycle packing `packing` (checked) bounds the minimum from below by
+    weak duality, and one worth more raises ContractViolation. Worth more
+    than |upper| - 1, it proves `upper` minimum, so no probe runs. It also
+    prunes the certificate search: every feedback vertex set F has
+    |F| - value = sum over v in F of (1 - load v) + sum over cycles c of
+    w_c * (|c & F| - 1), all terms >= 0, so for a minimum F that sum is the
+    slack |F| - value. A trial set whose terms exceed the slack is in no
+    minimum F, and a vertex whose terms would push them past it is in none
+    together with the trial, so it joins the acyclic side. The certificate
+    is the same with or without `upper` and `packing`."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
     out, inn, order = _masks(g._out), _masks(g._in), _search_order(g)
     full = (1 << g.n) - 1
+    if packing is not None:
+        validate_packing(g, packing)
     if upper is None:
-        size, acyclic = _max_acyclic(out, inn, order)
+        size, acyclic = _largest_acyclic(out, inn, order)
     elif not upper <= frozenset(range(g.n)) or _residual_cycle(g, upper) is not None:
         raise ContractViolation(f"{sorted(upper)} is not a feedback vertex set")
     else:  # from the complement of upper, probe for one vertex more until refuted
         size, acyclic = g.n - len(upper), full & ~sum(1 << v for v in upper)
-        found, larger = _max_acyclic(out, inn, order, target=size + 1)
-        while found > size:
-            size, acyclic = found, larger
+        if packing is None or packing.value <= len(upper) - 1:
             found, larger = _max_acyclic(out, inn, order, target=size + 1)
+            while found > size:
+                size, acyclic = found, larger
+                found, larger = _max_acyclic(out, inn, order, target=size + 1)
+    if packing is None:
+        slack, cost, cycles = 0, [0] * g.n, []  # nothing is fixed
+    else:
+        if packing.value > g.n - size:
+            raise ContractViolation(
+                f"packing value {packing.value} exceeds the minimum feedback "
+                f"vertex set size {g.n - size}"
+            )
+        # reduced costs on ints over the lcm of the weight denominators
+        scale, weights = _integer_weights(packing)
+        slack, cost = (g.n - size) * scale - sum(weights), [scale] * g.n
+        cycles = [
+            (cyc, sum(1 << v for v in cyc), w)
+            for (cyc, _), w in zip(packing.assignments, weights)
+        ]
+        for cyc, _, w in cycles:
+            for v in cyc:
+                cost[v] -= w
 
     def fits(trial: list[int]) -> int | None:
-        skip = set(trial)
-        cand = [v for v in order if v not in skip]
-        found, acyclic = _max_acyclic(out, inn, cand, target=size)
+        removed = sum(1 << v for v in trial)
+        terms, hit = sum(cost[v] for v in trial), []
+        for cyc, mask, w in cycles:
+            if mask & removed:
+                terms += ((mask & removed).bit_count() - 1) * w
+                hit.append((cyc, w))
+        if terms > slack:
+            return None
+        room, extra = slack - terms, cost[:]  # extra[v]: v's terms added to the trial's
+        for cyc, w in hit:
+            for v in cyc:
+                extra[v] += w
+        free = [v for v in order if not removed >> v & 1]
+        required = [v for v in free if extra[v] > room]
+        cand = [v for v in free if extra[v] <= room]
+        found, acyclic = _max_acyclic(out, inn, cand, required, target=size)
         return full & ~acyclic if found >= size else None
 
     return frozenset(_lexmin(g.n, g.n - size, fits, full & ~acyclic))
@@ -342,7 +406,9 @@ def bound_report(
     mais_value: int | None = None
     fvs: frozenset[int] | None = None
     try:
-        fvs = min_fvs_exact(g, caps.mais_vertices, approx_fvs)  # checks approx_fvs
+        # checks approx_fvs and the packing; a packing worth more than
+        # |approx_fvs| - 1 proves approx_fvs minimum
+        fvs = min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
         mais_value = m - len(fvs)  # the index graph has one vertex per link
     except CapacityError:
         skipped.append("mais")

@@ -170,12 +170,20 @@ def rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) -> CyclePack
     return CyclePacking(assignments=assignments, value=value)
 
 
+def _integer_weights(packing: CyclePacking) -> tuple[int, list[int]]:
+    """The packing's weights as ints over the lcm of their denominators,
+    then that lcm."""
+    scale = math.lcm(*(w.denominator for _, w in packing.assignments))
+    return scale, [w.numerator * (scale // w.denominator) for _, w in packing.assignments]
+
+
 def validate_packing(g: Digraph, packing: CyclePacking) -> None:
     """Raise ContractViolation unless every keyed cycle is a simple cycle of
-    g in canonical rotation and every per-vertex load is at most 1."""
-    load: dict[int, Fraction] = {}
-    total = F0
-    for cyc, w in packing.assignments:
+    g in canonical rotation and every per-vertex load is at most 1. Loads
+    are summed on ints over the lcm of the weight denominators."""
+    scale, weights = _integer_weights(packing)
+    load: dict[int, int] = {}
+    for (cyc, _), w in zip(packing.assignments, weights):
         if w < 0:
             raise ContractViolation(f"negative weight on cycle {cyc}")
         if len(set(cyc)) != len(cyc) or len(cyc) < 2:
@@ -183,16 +191,15 @@ def validate_packing(g: Digraph, packing: CyclePacking) -> None:
         if cyc[0] != min(cyc):
             raise ContractViolation(f"cycle not in canonical rotation: {cyc}")
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if not g.has_edge(a, b):
+            if (a, b) not in g.edges:
                 raise ContractViolation(f"cycle {cyc} uses missing edge ({a}, {b})")
         for v in cyc:
-            load[v] = load.get(v, F0) + w
-        total += w
-    if total != packing.value:
+            load[v] = load.get(v, 0) + w
+    if Fraction(sum(weights), scale) != packing.value:
         raise ContractViolation("packing value does not match its assignments")
     for v, amount in load.items():
-        if amount > 1:
-            raise ContractViolation(f"vertex {v} is overloaded: {amount}")
+        if amount > scale:
+            raise ContractViolation(f"vertex {v} is overloaded: {Fraction(amount, scale)}")
 
 
 def _group_pairs(links: Sequence[Link]) -> dict[tuple[str, str], list[int]]:
@@ -376,6 +383,42 @@ def _pair_graph(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
     return adj
 
 
+def _reaches(adj: dict[str, set[str]], start: str, goal: str) -> bool:
+    """Is there a path from `start` to `goal` in `adj`?"""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        if v == goal:
+            return True
+        for w in adj.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def _minimal_cut(
+    pairs: Iterable[tuple[str, str]], cut_pairs: set[tuple[str, str]]
+) -> set[tuple[str, str]]:
+    """`cut_pairs` without the cuts that are not needed: in sorted order, a
+    pair (tail, head) is dropped when its head does not reach its tail in
+    the acyclic rest of `pairs`, and then joins the rest. Raises
+    ContractViolation unless the rest is acyclic, before and after."""
+    rest = _pair_graph(set(pairs) - cut_pairs)
+    if _find_cycle(rest) is not None:
+        raise ContractViolation("feedback edge set verification failed")
+    kept = set(cut_pairs)
+    for key in sorted(cut_pairs):
+        tail, head = key
+        if not _reaches(rest, head, tail):
+            rest.setdefault(tail, set()).add(head)
+            rest.setdefault(head, set())
+            kept.remove(key)
+    if _find_cycle(rest) is not None:
+        raise ContractViolation("feedback edge set verification failed")
+    return kept
+
+
 def subset_fes_approx(
     net: MUNetwork,
     iteration_cap: int = DEFAULT_CAPS.spreading_iterations,
@@ -441,14 +484,7 @@ def subset_fes_approx(
         if best is not None:
             cut_pairs |= best[2]
 
-    # minimality normalization: drop any capacitated cut that is not needed
-    for key in sorted(cut_pairs):
-        if _find_cycle(_pair_graph(grouped.keys() - cut_pairs | {key})) is None:
-            cut_pairs.remove(key)
-
-    if _find_cycle(_pair_graph(grouped.keys() - cut_pairs)) is not None:
-        raise ContractViolation("feedback edge set verification failed")
-
+    cut_pairs = _minimal_cut(grouped.keys(), cut_pairs)
     fes = frozenset(eid for key in cut_pairs for eid in grouped[key])
     weight = len(fes)
     if metric.objective > 0:

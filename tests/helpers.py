@@ -30,6 +30,7 @@ from gnskit import (
     build_network,
     enumerate_simple_cycles,
 )
+from gnskit.bounds import _masks, _max_acyclic, _search_order
 from gnskit.caps import DEFAULT_CAPS
 from gnskit.cyclepack import (
     ApproxDiagnostics,
@@ -195,6 +196,14 @@ def reference_max_acyclic(out_adj, candidates, required=(), target=None) -> int:
     if target is None or best < target:
         rec(0, best)
     return best
+
+
+def reference_mais_size(g: Digraph) -> int:
+    """`gnskit.bounds._mais_size` before it probed down from the
+    disjoint-cycle bound: one branch and bound without a target, whose best
+    set grows from empty. The reference the probe-down search is compared
+    against."""
+    return _max_acyclic(_masks(g._out), _masks(g._in), _search_order(g))[0]
 
 
 def _reference_mis_size(masks, allowed: int, target: int | None = None) -> int:
@@ -546,6 +555,22 @@ def reference_packing_from_metric(closed_links: Sequence[Link], metric: Spreadin
     return CyclePacking(assignments=tuple(sorted(weights.items())), value=value)
 
 
+def reference_minimal_cut(pairs, cut_pairs: set) -> set:
+    """The minimality pass of `reference_subset_fes_approx`, the reference
+    `gnskit.cyclepack._minimal_cut` is compared against: each cut pair in
+    sorted order is dropped if the pair graph of the uncut pairs plus it is
+    acyclic, rebuilt and searched anew for every pair; a final search
+    verifies the rest."""
+    pairs, cut_pairs = set(pairs), set(cut_pairs)
+    for key in sorted(cut_pairs):
+        if _find_cycle(_pair_graph(pairs - cut_pairs | {key})) is None:
+            cut_pairs.remove(key)
+
+    if _find_cycle(_pair_graph(pairs - cut_pairs)) is not None:
+        raise ContractViolation("feedback edge set verification failed")
+    return cut_pairs
+
+
 def reference_subset_fes_approx(
     net: MUNetwork,
     iteration_cap: int = DEFAULT_CAPS.spreading_iterations,
@@ -607,14 +632,7 @@ def reference_subset_fes_approx(
         if best is not None:
             cut_pairs |= best[2]
 
-    # minimality normalization: drop any capacitated cut that is not needed
-    for key in sorted(cut_pairs):
-        if _find_cycle(_pair_graph(grouped.keys() - cut_pairs | {key})) is None:
-            cut_pairs.remove(key)
-
-    if _find_cycle(_pair_graph(grouped.keys() - cut_pairs)) is not None:
-        raise ContractViolation("feedback edge set verification failed")
-
+    cut_pairs = reference_minimal_cut(grouped.keys(), cut_pairs)
     fes = frozenset(eid for key in cut_pairs for eid in grouped[key])
     weight = len(fes)
     if metric.objective > 0:

@@ -21,6 +21,7 @@ from gnskit import (
     serialize_report,
     solve_spreading_metric,
     strong_product,
+    tensor_power,
     to_index_graph,
     verify_index_code,
 )
@@ -29,6 +30,7 @@ import gnskit.cyclepack
 import gnskit.digraph
 import gnskit.network
 from gnskit.bounds import (
+    _mais_size,
     _masks,
     _max_acyclic,
     _mis_size,
@@ -40,7 +42,15 @@ from gnskit.bounds import (
     tensor_bound,
 )
 from gnskit.caps import Caps
-from gnskit.cyclepack import rcp_exact, validate_packing, vertex_split_links
+from gnskit.cyclepack import (
+    CyclePacking,
+    _fes_vertices,
+    packing_from_metric,
+    rcp_exact,
+    subset_fes_approx,
+    validate_packing,
+    vertex_split_links,
+)
 from gnskit.digraph import _disjoint_cycles
 from gnskit.instances import (
     network_from_side_info_graph,
@@ -56,6 +66,7 @@ from helpers import (
     oracle_alpha,
     oracle_mais,
     reference_alpha_exact,
+    reference_mais_size,
     reference_max_acyclic,
     reference_rcp_exact,
     symmetric_cycle,
@@ -176,6 +187,117 @@ class TestMinFvsExact:
             ],
         )
         assert sub.is_acyclic()
+
+
+class TestPackingSteersFvs:
+    """`min_fvs_exact(g, cap, upper, packing)` gives the certificate of the
+    search without them: the packing only proves `upper` minimum or fixes
+    vertices by their reduced costs, and is checked first."""
+
+    @staticmethod
+    def report_packing(net):
+        g, _ = to_index_graph(net)
+        approx = subset_fes_approx(net)
+        return g, packing_from_metric(closure_links(net), approx.metric)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_n=7))
+    def test_matches_the_search_without_a_packing(self, g):
+        packing = rcp_exact(g)
+        lexmin = min_fvs_exact(g)
+        size = reference_max_acyclic(g._out, _search_order(g))
+        assert lexmin == _reference_lexmin(g, g.n - size, False)
+        empty = CyclePacking((), Fraction(0))
+        for upper in (None, lexmin, frozenset(range(g.n))):
+            assert min_fvs_exact(g, 64, upper, packing) == lexmin
+            assert min_fvs_exact(g, 64, upper, empty) == lexmin
+
+    def test_a_packing_that_proves_nothing(self):
+        # rcp(C3) = 1 does not prove {1, 2} minimum, so it is probed down
+        g = directed_cycle(3)
+        packing = rcp_exact(g)
+        assert packing.value == 1
+        assert min_fvs_exact(g, upper=frozenset({1, 2}), packing=packing) == frozenset({0})
+
+    @pytest.mark.parametrize(
+        "side_info",
+        [symmetric_cycle(5), symmetric_cycle(7), random_digraph(7, 0.4, 3)],
+        ids=["bidirected-C5", "bidirected-C7", "random_digraph(7,0.4,3)"],
+    )
+    def test_gap_wrappings(self, side_info):
+        # the slack |F| - rcp is positive, so fixing has room to be wrong
+        net = network_from_side_info_graph(side_info)
+        g, packing = self.report_packing(net)
+        lexmin = min_fvs_exact(g, 64)
+        assert len(lexmin) > packing.value
+        approx = _fes_vertices(net, to_index_graph(net)[1], subset_fes_approx(net).fes)
+        for upper in (None, approx, frozenset(range(g.n))):
+            assert min_fvs_exact(g, 64, upper=upper, packing=packing) == lexmin
+        if g.n <= 26:  # the recursive reference takes over 30 s at m = 36
+            size = reference_max_acyclic(g._out, _search_order(g))
+            assert lexmin == _reference_lexmin(g, g.n - size, False)
+
+    def test_networks_where_the_packing_proves_the_incumbent(self):
+        for seed in range(1, 11):
+            net = random_dag_network(7, 12, 3, seed=seed)
+            g, packing = self.report_packing(net)
+            lexmin = min_fvs_exact(g, 64)
+            assert len(lexmin) == math.ceil(packing.value)
+            assert min_fvs_exact(g, 64, upper=lexmin, packing=packing) == lexmin
+            size = reference_max_acyclic(g._out, _search_order(g))
+            assert lexmin == _reference_lexmin(g, g.n - size, False)
+
+    def test_invalid_packing_is_refused(self):
+        g = directed_cycle(3)
+        overloaded = CyclePacking((((0, 1, 2), Fraction(2)),), Fraction(2))
+        missing_edge = CyclePacking((((0, 2, 1), Fraction(1)),), Fraction(1))
+        wrong_value = CyclePacking((((0, 1, 2), Fraction(1)),), Fraction(1, 2))
+        for bad in (overloaded, missing_edge, wrong_value):
+            for upper in (None, frozenset({0})):
+                with pytest.raises(ContractViolation):
+                    min_fvs_exact(g, upper=upper, packing=bad)
+
+    def test_weak_duality_is_asserted(self, monkeypatch):
+        # a packing that passes its check is never worth more than a
+        # feedback vertex set, so the check is bypassed to reach the guard
+        monkeypatch.setattr(gnskit.bounds, "validate_packing", lambda g, packing: None)
+        g = directed_cycle(3)
+        worth_two = CyclePacking((((0, 1, 2), Fraction(2)),), Fraction(2))
+        for upper in (None, frozenset({0})):  # value > |upper| and > the minimum
+            with pytest.raises(ContractViolation, match="exceeds the minimum"):
+                min_fvs_exact(g, upper=upper, packing=worth_two)
+
+
+class TestProbeDown:
+    """The size search probes down from the disjoint-cycle bound; it agrees
+    with the search from scratch and with subset enumeration."""
+
+    @staticmethod
+    def check(g, oracle=True):
+        size = reference_mais_size(g)
+        if oracle:
+            assert size == oracle_mais(g)
+        assert _mais_size(g) == size
+        assert mais_exact(g, 64)[0] == size
+        assert len(min_fvs_exact(g, 64)) == g.n - size
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_n=8, p=0.4))
+    def test_small_graphs(self, g):
+        self.check(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_graphs(max_n=3, p=0.5))
+    def test_squares_of_small_graphs(self, g):
+        g2 = tensor_power(g, 2)
+        self.check(g2)
+        assert tensor_bound(g, 2, g.n).radicand == reference_mais_size(g2)
+
+    def test_squares(self):
+        graphs = [directed_cycle(4), symmetric_cycle(4), symmetric_cycle(5)]
+        graphs += [random_digraph(5, 0.4, seed) for seed in range(1, 6)]
+        for g in graphs:
+            self.check(tensor_power(g, 2), oracle=False)
 
 
 class TestTensorBound:
@@ -319,24 +441,27 @@ class TestBoundReport:
 
 class TestReportFvsPaths:
     """`bound_report` hands the checked approximate FVS to `min_fvs_exact`
-    as its incumbent, so the search refutes one vertex fewer instead of
-    searching for the size. It gives the lexmin minimum FVS whether or not
-    the packing proves the incumbent minimum (rcp > |approx_fvs| - 1), and
-    the q = 1 tensor radicand, searched from scratch, agrees with it."""
+    as its incumbent and its own packing as a lower bound, so the search
+    refutes one vertex fewer only when the packing does not prove the
+    incumbent minimum (rcp > |approx_fvs| - 1). It gives the lexmin minimum
+    FVS either way, and the q = 1 tensor radicand, searched without either,
+    agrees with it."""
 
     @staticmethod
     def check(net, monkeypatch):
         given = []
 
-        def spy(g, vertex_cap, upper=None):
-            given.append(upper)
-            return min_fvs_exact(g, vertex_cap, upper)
+        def spy(g, vertex_cap, upper=None, packing=None):
+            given.append((upper, packing))
+            return min_fvs_exact(g, vertex_cap, upper, packing)
 
         monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", spy)
         report = bound_report(net, caps=Caps(mais_vertices=64))
         monkeypatch.undo()
         g, _ = to_index_graph(net)
-        assert given == [report.approx_fvs]
+        assert len(given) == 1
+        assert given[0][0] == report.approx_fvs
+        assert given[0][1] is report.packing
         assert report.fvs == min_fvs_exact(g, 64)
         assert report.tensor_bounds[0].q == 1
         assert report.tensor_bounds[0].radicand == report.mais_value == g.n - len(report.fvs)
@@ -613,6 +738,7 @@ class TestDeepInputs:
     their own stacks, so no input depth raises RecursionError."""
 
     def _check_acyclic(self, g):
+        assert _mais_size(g) == reference_mais_size(g) == DEEP
         assert min_fvs_exact(g, DEEP) == frozenset()
         assert mais_exact(g, DEEP) == (DEEP, frozenset(range(DEEP)))
         assert tensor_bound(g, 1, DEEP, DEEP, DEEP).radicand == DEEP
@@ -626,6 +752,7 @@ class TestDeepInputs:
 
     def test_directed_cycle(self):
         g = directed_cycle(DEEP)
+        assert _mais_size(g) == reference_mais_size(g) == DEEP - 1
         assert min_fvs_exact(g, DEEP) == frozenset({0})
         assert mais_exact(g, DEEP) == (DEEP - 1, frozenset(range(DEEP - 1)))
 

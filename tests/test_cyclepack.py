@@ -23,6 +23,7 @@ from gnskit import cyclepack
 from gnskit.bounds import mais_exact, min_fvs_exact
 from gnskit.cyclepack import (
     CyclePacking,
+    _minimal_cut,
     _simplex_core,
     _simplex_max,
     packing_from_metric,
@@ -40,6 +41,7 @@ from helpers import (
     SINGLE_PATH,
     TWO_DISJOINT,
     directed_cycle,
+    reference_minimal_cut,
     reference_packing_from_metric,
     reference_rcp_exact,
     reference_simplex_max,
@@ -182,6 +184,26 @@ class TestValidatePacking:
         bad = CyclePacking(assignments=(((0, 2, 1), Fraction(1)),), value=Fraction(1))
         with pytest.raises(ContractViolation, match="missing edge"):
             validate_packing(g, bad)
+
+    @pytest.mark.parametrize(
+        "assignments, value, message",
+        [
+            ([((0, 1), Fraction(1, 2)), ((0, 1, 2), Fraction(2, 3))], Fraction(7, 6),
+             "vertex 0 is overloaded: 7/6"),
+            ([((0, 1), Fraction(1, 2)), ((1, 2), Fraction(1, 3))], Fraction(1, 2),
+             "packing value does not match its assignments"),
+            ([((0, 1), Fraction(-1, 2))], Fraction(-1, 2), "negative weight on cycle (0, 1)"),
+            ([((1, 0), Fraction(1, 2))], Fraction(1, 2), "cycle not in canonical rotation: (1, 0)"),
+            ([((0, 1, 0), Fraction(1, 2))], Fraction(1, 2), "not a simple cycle: (0, 1, 0)"),
+        ],
+    )
+    def test_messages(self, assignments, value, message):
+        # loads are summed on ints over the lcm of the denominators, and an
+        # overload is printed as a Fraction
+        g = Digraph(3, [(u, v) for u in range(3) for v in range(3) if u != v])
+        with pytest.raises(ContractViolation) as info:
+            validate_packing(g, CyclePacking(tuple(assignments), value))
+        assert str(info.value) == message
 
 
 class TestSpreadingMetric:
@@ -392,6 +414,35 @@ class TestSubsetFesApprox:
         result = subset_fes_approx(network_from_side_info_graph(g))
         assert result.diagnostics.objective == objective
         assert result.diagnostics.weight == weight
+
+
+class TestMinimalCut:
+    """The minimality pass tests each cut pair by reachability in the
+    acyclic rest, which a dropped pair joins; the reference rebuilds the
+    pair graph and searches it for a cycle once per pair."""
+
+    def test_a_dropped_pair_joins_the_rest(self):
+        # either cut alone breaks the triangle: (a, b) goes first, so
+        # (b, c) closes the triangle again and stays
+        pairs = {("a", "b"), ("b", "c"), ("c", "a")}
+        cut = {("a", "b"), ("b", "c")}
+        assert _minimal_cut(pairs, cut) == reference_minimal_cut(pairs, cut) == {("b", "c")}
+        assert cut == {("a", "b"), ("b", "c")}  # the argument is left as it was
+
+    def test_a_cyclic_rest_is_refused(self):
+        pairs = {("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
+        with pytest.raises(ContractViolation, match="verification failed"):
+            _minimal_cut(pairs, {("b", "c")})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations("abcdef"), st.data())
+    def test_matches_reference(self, order, data):
+        # every pair against `order` is cut, so the rest is acyclic
+        pairs = data.draw(st.sets(st.permutations(order).map(lambda p: (p[0], p[1]))))
+        cut = {(t, h) for t, h in pairs if order.index(t) > order.index(h)}
+        if pairs:
+            cut |= data.draw(st.sets(st.sampled_from(sorted(pairs))))
+        assert _minimal_cut(pairs, cut) == reference_minimal_cut(pairs, cut)
 
 
 class TestIntegerPathsMatchReference:
