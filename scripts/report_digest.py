@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One digest of `gnskit bounds --out machine` over a benchmark corpus.
+"""One digest of gnskit's exit codes and output over a fixed corpus.
 
     python3 scripts/report_digest.py --workload NAME --seed N
 
@@ -16,6 +16,12 @@ The workload `gap-wrappings` is not a benchmark corpus: it is the wrappings
 of `GRAPHS` in scripts/gap_wrappings.py, reported with
 `mais_vertices=64` and no other flag, where the packing leaves a gap below
 the minimum feedback vertex set. It takes no seed; `--seed` is ignored.
+
+The workload `codes` covers the index-coding commands instead of `bounds`:
+on `GRAPHS` and on the fixed `random_digraph` draws of `DRAWS`, it runs
+`gnskit minrank`, `gnskit code` and `gnskit verify code` (on the code just
+printed) at `--field` 2, 3 and 5, under the default caps. It takes no seed
+either.
 """
 
 from __future__ import annotations
@@ -34,9 +40,24 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from corpus import WORKLOADS, Instance, corpus  # noqa: E402
 from gap_wrappings import GRAPHS  # noqa: E402  (the script beside this one)
-from gnskit import cli, network_from_side_info_graph, serialize_network  # noqa: E402
+from gnskit import (  # noqa: E402
+    cli,
+    network_from_side_info_graph,
+    random_digraph,
+    serialize_digraph,
+    serialize_network,
+)
+from gnskit.indexcoding import minrank_edge_cap  # noqa: E402
 
 GAP_WRAPPINGS = "gap-wrappings"
+CODES = "codes"
+CODE_FIELDS = (2, 3, 5)
+# small draws, kept within the F2 minrank cap so the search runs on each
+DRAWS = [
+    g
+    for g in (random_digraph(3 + seed % 4, (0.3, 0.45)[seed % 2], seed) for seed in range(1, 25))
+    if len(g.edges) <= minrank_edge_cap(2)
+]
 
 
 def gap_wrappings() -> list[Instance]:
@@ -46,31 +67,58 @@ def gap_wrappings() -> list[Instance]:
     ]
 
 
+def run(digest, argv: list[str]) -> bytes:
+    """Run `gnskit ARGV` in-process, add its exit code and stdout to
+    `digest`, and return the stdout. Refusal messages on stderr are dropped:
+    the exit code records them."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    data = stdout.getvalue().encode("utf-8")
+    digest.update(f"{code} {len(data)}\n".encode("ascii") + data)
+    return data
+
+
+def codes(digest, tmp: Path) -> int:
+    graphs = [g for _, g in GRAPHS] + DRAWS
+    for i, g in enumerate(graphs):
+        graph = tmp / f"g{i}.dg"
+        graph.write_text(serialize_digraph(g), encoding="utf-8")
+        for p in CODE_FIELDS:
+            field = ["--field", str(p)]
+            run(digest, ["minrank", str(graph), *field])
+            code = tmp / f"g{i}-{p}.code"
+            code.write_bytes(run(digest, ["code", str(graph), *field]))
+            run(digest, ["verify", "code", "--graph", str(graph), "--code", str(code)])
+    return len(graphs)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workload", required=True, choices=sorted([*WORKLOADS, GAP_WRAPPINGS])
+        "--workload", required=True, choices=sorted([*WORKLOADS, GAP_WRAPPINGS, CODES])
     )
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
-    if args.workload == GAP_WRAPPINGS:
-        instances, flags, overrides = gap_wrappings(), (), "mais_vertices=64"
-    else:
-        workload = WORKLOADS[args.workload]
-        instances = corpus(workload, args.seed)
-        flags, overrides = workload.flags, workload.cap_overrides
-    os.environ["GNSKIT_CAP_OVERRIDES"] = overrides
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for inst in instances:
-            path = Path(tmp) / f"{inst.name}.mun"
-            path.write_text(inst.text, encoding="utf-8")
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main(["bounds", str(path), *flags, "--out", "machine"])
-            data = stdout.getvalue().encode("utf-8")
-            digest.update(f"{code} {len(data)}\n".encode("ascii") + data)
-    print(f"{args.workload} seed {args.seed}: {len(instances)} instances")
+        if args.workload == CODES:
+            os.environ["GNSKIT_CAP_OVERRIDES"] = ""
+            count, unit = codes(digest, Path(tmp)), "graphs"
+        else:
+            if args.workload == GAP_WRAPPINGS:
+                instances, flags, overrides = gap_wrappings(), (), "mais_vertices=64"
+            else:
+                workload = WORKLOADS[args.workload]
+                instances = corpus(workload, args.seed)
+                flags, overrides = workload.flags, workload.cap_overrides
+            os.environ["GNSKIT_CAP_OVERRIDES"] = overrides
+            for inst in instances:
+                path = Path(tmp) / f"{inst.name}.mun"
+                path.write_text(inst.text, encoding="utf-8")
+                run(digest, ["bounds", str(path), *flags, "--out", "machine"])
+            count, unit = len(instances), "instances"
+    print(f"{args.workload} seed {args.seed}: {count} {unit}")
     print(f"sha256 {digest.hexdigest()}")
 
 

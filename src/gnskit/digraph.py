@@ -9,6 +9,7 @@ through constructions but are ignored by equality and never serialized.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
@@ -269,26 +270,41 @@ def _disjoint_cycles(
     return count
 
 
-def _scc_with_root(g: Digraph, root: int) -> frozenset[int]:
-    """Strongly connected component of `root` in the subgraph induced on
-    vertices >= root."""
-    fwd = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in g.out_neighbors(v):
-            if w >= root and w not in fwd:
-                fwd.add(w)
-                stack.append(w)
-    bwd = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in g.in_neighbors(v):
-            if w >= root and w not in bwd and w in fwd:
-                bwd.add(w)
-                stack.append(w)
-    return frozenset(bwd)
+def _strong_components(g: Digraph, low: int) -> list[list[int]]:
+    """Strongly connected components of the subgraph induced on vertices
+    >= `low`, by Tarjan's algorithm on an explicit stack of (vertex,
+    successor iterator) frames. A vertex below `low`, or whose component is
+    out, has index n: it is never entered and lowers no lowlink."""
+    index = [g.n] * low + [-1] * (g.n - low)
+    lowlink = [0] * g.n
+    order = itertools.count()
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    for start in range(low, g.n):
+        frames = [(start, iter(g.out_neighbors(start)))] if index[start] < 0 else []
+        while frames:
+            v, succ = frames[-1]
+            if index[v] < 0:  # first visit
+                index[v] = lowlink[v] = next(order)
+                stack.append(v)
+            for w in succ:
+                if index[w] < 0:
+                    frames.append((w, iter(g.out_neighbors(w))))
+                    break
+                lowlink[v] = min(lowlink[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    lowlink[u] = min(lowlink[u], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = g.n
+                    comps.append(comp)
+    return comps
 
 
 def enumerate_simple_cycles(g: Digraph, cap: int = CYCLE_CAP) -> list[tuple[int, ...]]:
@@ -297,16 +313,19 @@ def enumerate_simple_cycles(g: Digraph, cap: int = CYCLE_CAP) -> list[tuple[int,
     Johnson's backtracking search with blocked sets, rooted at each vertex in
     turn and restricted to vertices at least as large as the root, so every
     cycle is reported exactly once starting from its smallest vertex. The
-    search runs on an explicit stack of (vertex, next successor, found)
-    frames, so path length is not bounded by the recursion limit.
-    Deterministic output order. Raises CapacityError once more than `cap`
-    cycles are found.
+    next root is the least vertex of a non-trivial strongly connected
+    component above the last root, as in Johnson's algorithm, so the
+    vertices on no cycle there are skipped without a search. The search
+    runs on an explicit stack of (vertex, next successor, found) frames, so
+    path length is not bounded by the recursion limit. Deterministic output
+    order. Raises CapacityError once more than `cap` cycles are found.
     """
     cycles: list[tuple[int, ...]] = []
-    for root in range(g.n):
-        comp = _scc_with_root(g, root)
-        if len(comp) < 2:
-            continue
+    low = 0
+    while comps := [c for c in _strong_components(g, low) if len(c) > 1]:
+        comp = set(min(comps, key=min))
+        root = min(comp)
+        low = root + 1
         adj = {v: tuple(w for w in g.out_neighbors(v) if w in comp) for v in comp}
         blocked = {v: False for v in comp}
         blist: dict[int, set[int]] = {v: set() for v in comp}

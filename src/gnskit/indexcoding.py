@@ -9,7 +9,6 @@ field, never a sampling argument.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from itertools import product
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS
-from .cyclepack import CyclePacking, validate_packing
+from .cyclepack import CyclePacking, _integer_weights, validate_packing
 from .digraph import Digraph, blowup, complement
 from .errors import CapacityError, ContractViolation, FormatError
 
@@ -65,86 +64,77 @@ class GFMatrix:
 
 def gf_rank(mat: GFMatrix) -> int:
     """Rank over the prime field by Gaussian elimination."""
-    return _rank_rows([list(row) for row in mat.entries], mat.cols, mat.p)
-
-
-def _rank_rows(rows: list[list[int]], cols: int, p: int) -> int:
-    rank = 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < cols:
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(a * inv) % p for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
-
-
-def _rank_gf2(rows: Sequence[int]) -> int:
-    """Rank of rows given as bitmask ints over the two-element field."""
-    basis: list[int] = []
-    rank = 0
-    for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-            rank += 1
-    return rank
+    basis = _GFBasis(mat.cols, mat.p)
+    for row in mat.entries:
+        basis.add(basis.row(row))
+    return basis.rank
 
 
 class _GFBasis:
-    """Incremental row space over a prime field with membership queries."""
+    """Incremental row space over a prime field with membership queries.
 
-    def __init__(self, width: int, p: int):
+    Rows are passed in the basis's own format, which `row` and `unit` build:
+    a bitmask int (bit c for column c) when p == 2, else a list of residues.
+    Pivots lie in the first `width` columns; the `tags` trailing columns only
+    ride along, so a row tagged with its unit vector there carries its
+    coefficients through the elimination."""
+
+    def __init__(self, width: int, p: int, tags: int = 0):
         self.width = width
         self.p = p
-        self.pivots: dict[int, list[int]] = {}  # pivot column -> normalized row
-        self.bit_basis: list[int] = []  # p == 2 fast path
+        self.tags = tags
+        self._head = (1 << width) - 1  # the pivot columns of a p == 2 row
+        # p == 2: pivot bit -> row; else pivot column -> row scaled to 1 there.
+        # Each row is reduced by the rows before it in insertion order, so it
+        # holds none of their pivots and one pass in that order reduces fully.
+        self.pivots: dict = {}
 
     def copy(self) -> _GFBasis:
-        twin = _GFBasis(self.width, self.p)
+        twin = _GFBasis(self.width, self.p, self.tags)
         twin.pivots = dict(self.pivots)  # rows are replaced, never mutated
-        twin.bit_basis = list(self.bit_basis)
         return twin
 
-    def _reduce(self, row):
-        """`row` minus its part in the span (a bitmask int when p == 2)."""
+    def row(self, entries: Sequence[int]):
+        """The residues `entries` (width + tags of them) in this format."""
+        if self.p != 2:
+            return list(entries)
+        bits = 0
+        for col, a in enumerate(entries):
+            if a:
+                bits |= 1 << col
+        return bits
+
+    def unit(self, col: int):
+        """The unit row of column `col` in this format."""
         if self.p == 2:
-            for b in self.bit_basis:
-                if row & b & -b:
-                    row ^= b
-            return row
-        vec = list(row)
-        for col, base in self.pivots.items():
-            f = vec[col]
-            if f:
-                vec = [(a - f * b) % self.p for a, b in zip(vec, base)]
+            return 1 << col
+        vec = [0] * (self.width + self.tags)
+        vec[col] = 1
         return vec
 
+    def _reduce(self, row):
+        """`row` minus its part in the span."""
+        if self.p == 2:
+            for bit, base in self.pivots.items():
+                if row & bit:
+                    row ^= base
+            return row
+        for col, base in self.pivots.items():
+            f = row[col]
+            if f:
+                row = [(a - f * b) % self.p for a, b in zip(row, base)]
+        return row
+
     def add(self, row) -> bool:
+        """Add `row`; False when its first `width` columns were in the span."""
         reduced = self._reduce(row)
         if self.p == 2:
-            if reduced:  # its lowest bit is no basis row's lowest bit
-                bisect.insort(self.bit_basis, reduced, key=lambda b: b & -b)
-            return bool(reduced)
-        for col, a in enumerate(reduced):
+            head = reduced & self._head
+            if head:
+                self.pivots[head & -head] = reduced
+            return bool(head)
+        for col in range(self.width):
+            a = reduced[col]
             if a:
                 inv = pow(a, self.p - 2, self.p)
                 self.pivots[col] = [(x * inv) % self.p for x in reduced]
@@ -152,12 +142,25 @@ class _GFBasis:
         return False
 
     def contains(self, row) -> bool:
+        """Whether the first `width` columns of `row` lie in the span."""
         reduced = self._reduce(row)
-        return not (reduced if self.p == 2 else any(reduced))
+        if self.p == 2:
+            return not reduced & self._head
+        return not any(reduced[: self.width])
+
+    def coefficients(self, row) -> list[int] | None:
+        """The tag columns of `row` reduced by the span, or None when its
+        first `width` columns do not lie in the span."""
+        reduced = self._reduce(row)
+        if self.p != 2:
+            return None if any(reduced[: self.width]) else reduced[self.width :]
+        if reduced & self._head:
+            return None
+        return [reduced >> col & 1 for col in range(self.width, self.width + self.tags)]
 
     @property
     def rank(self) -> int:
-        return len(self.bit_basis) if self.p == 2 else len(self.pivots)
+        return len(self.pivots)
 
 
 def minrank_edge_cap(p: int, base: int = DEFAULT_CAPS.minrank_base_edges) -> int:
@@ -183,44 +186,38 @@ def minrank(
     n = g.n
     if n == 0:
         return 0, GFMatrix(p, 0, 0, ())
-    best: int | None = None
-    best_assignment: tuple[int, ...] | None = None
-    if p == 2:
-        rank_cache: dict[tuple[int, ...], int] = {}
-        diag = [1 << i for i in range(n)]
-        for assignment in product(range(2), repeat=len(edges)):
-            rows = list(diag)
-            for val, (u, v) in zip(assignment, edges):
-                if val:
-                    rows[u] |= 1 << v
-            key = tuple(sorted(rows))
-            r = rank_cache.get(key)
-            if r is None:
-                r = _rank_gf2(rows)
-                rank_cache[key] = r
-            if best is None or r < best:
-                best, best_assignment = r, assignment
-                if best == 1:
-                    break
-    else:
-        for assignment in product(range(p), repeat=len(edges)):
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = 1
-            for val, (u, v) in zip(assignment, edges):
-                rows[u][v] = val
-            r = _rank_rows([row[:] for row in rows], n, p)
-            if best is None or r < best:
-                best, best_assignment = r, assignment
-                if best == 1:
-                    break
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = 1
-    for val, (u, v) in zip(best_assignment, edges):
-        entries[u][v] = val
-    witness = GFMatrix(p, n, n, tuple(tuple(row) for row in entries))
-    return best, witness
+    # Rows are chosen in order, each extending a copy of the basis of the
+    # rows before it. Sorted edges group by row, so this depth-first walk
+    # meets the assignments in lexicographic order.
+    free = [[v for u, v in edges if u == i] for i in range(n)]
+
+    def entries(i: int, vals: tuple[int, ...]) -> list[int]:
+        row = [int(j == i) for j in range(n)]
+        for v, val in zip(free[i], vals):
+            row[v] = val
+        return row
+
+    root = _GFBasis(n, p)
+    choices = [  # per row: (its free entries, the row in the basis format)
+        [(vals, root.row(entries(i, vals))) for vals in product(range(p), repeat=len(free[i]))]
+        for i in range(n)
+    ]
+    best, best_vals = n + 1, ()
+    walks = [(root, iter(choices[0]), ())]  # (prefix basis, row choices, prefix values)
+    while walks and best > 1:
+        prefix, picks, chosen = walks[-1]
+        pick = next(picks, None)
+        if pick is None:
+            walks.pop()
+            continue
+        basis = prefix.copy()
+        basis.add(pick[1])
+        if len(walks) < n:
+            walks.append((basis, iter(choices[len(walks)]), (*chosen, pick[0])))
+        elif basis.rank < best:
+            best, best_vals = basis.rank, (*chosen, pick[0])
+    rows = tuple(tuple(entries(i, vals)) for i, vals in enumerate(best_vals))
+    return best, GFMatrix(p, n, n, rows)
 
 
 def minrank_blowup_normalized(
@@ -291,9 +288,7 @@ def build_cycle_code(
     """
     _check_prime(p)
     validate_packing(g, packing)
-    t = 1
-    for _, w in packing.assignments:
-        t = t * w.denominator // math.gcd(t, w.denominator)
+    t, copies = _integer_weights(packing)
     if t > lcm_cap:
         raise CapacityError(
             f"packing denominators need {t} subsymbols, cap is {lcm_cap}"
@@ -303,10 +298,8 @@ def build_cycle_code(
     next_slot = [0] * n
     rows: list[tuple[int, ...]] = []
     minus_one = (p - 1) % p
-    for cyc, w in packing.assignments:
-        copies = w * t
-        assert copies.denominator == 1
-        for _ in range(int(copies)):
+    for (cyc, _), count in zip(packing.assignments, copies):
+        for _ in range(count):
             slots = []
             for v in cyc:
                 slots.append((v, next_slot[v]))
@@ -328,34 +321,6 @@ def build_cycle_code(
     return code
 
 
-def _side_info_rows(g: Digraph, code: IndexCode, user: int) -> list:
-    width = code.blowup_t * code.n
-    rows = []
-    for j in g.out_neighbors(user):
-        for s in range(code.blowup_t):
-            col = j * code.blowup_t + s
-            if code.p == 2:
-                rows.append(1 << col)
-            else:
-                vec = [0] * width
-                vec[col] = 1
-                rows.append(vec)
-    return rows
-
-
-def _code_rows(code: IndexCode) -> list:
-    if code.p == 2:
-        out = []
-        for row in code.rows:
-            acc = 0
-            for col, a in enumerate(row):
-                if a:
-                    acc |= 1 << col
-            out.append(acc)
-        return out
-    return [list(row) for row in code.rows]
-
-
 def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     """Exact decodability: for every user, all t subsymbols of the wanted
     message must lie in the span of the received rows plus the user's
@@ -363,18 +328,17 @@ def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     failing user)."""
     if code.n != g.n:
         raise ValueError("code message count does not match the graph")
-    width = code.blowup_t * code.n
-    code_basis = _GFBasis(width, code.p)
-    for row in _code_rows(code):
-        code_basis.add(row)
+    t = code.blowup_t
+    code_basis = _GFBasis(t * code.n, code.p)
+    for row in code.rows:
+        code_basis.add(code_basis.row(row))
     for user in range(g.n):
         basis = code_basis.copy()
-        for row in _side_info_rows(g, code, user):
-            basis.add(row)
-        for s in range(code.blowup_t):
-            col = user * code.blowup_t + s
-            target = 1 << col if code.p == 2 else [int(c == col) for c in range(width)]
-            if not basis.contains(target):
+        for j in g.out_neighbors(user):
+            for s in range(t):
+                basis.add(basis.unit(j * t + s))
+        for s in range(t):
+            if not basis.contains(basis.unit(user * t + s)):
                 return False, user
     return True, None
 
@@ -385,45 +349,23 @@ def derive_decoders(g: Digraph, code: IndexCode) -> tuple:
     For user i, returns a matrix with one row per wanted subsymbol whose
     entries weight the code's r rows followed by the user's side-information
     subsymbols (in out-neighbor, then slot order)."""
-    width = code.blowup_t * code.n
-    p = code.p
+    t, p = code.blowup_t, code.p
+    width = t * code.n
     decoders = []
     for user in range(g.n):
-        avail = [list(row) for row in code.rows]
-        for j in g.out_neighbors(user):
-            for s in range(code.blowup_t):
-                vec = [0] * width
-                vec[j * code.blowup_t + s] = 1
-                avail.append(vec)
-        # row-reduce [avail | I] so reconstructions come with coefficients
-        aug = [row[:] + [0] * len(avail) for row in avail]
-        for i in range(len(avail)):
-            aug[i][width + i] = 1
-        pivots: dict[int, list[int]] = {}
-        for vec in aug:
-            cur = vec[:]
-            for col, base in pivots.items():
-                f = cur[col]
-                if f:
-                    cur = [(a - f * b) % p for a, b in zip(cur, base)]
-            lead = next((c for c in range(width) if cur[c]), None)
-            if lead is not None:
-                inv = pow(cur[lead], p - 2, p)
-                pivots[lead] = [(a * inv) % p for a in cur]
+        side = [j * t + s for j in g.out_neighbors(user) for s in range(t)]
+        avail = [*code.rows, *([int(c == col) for c in range(width)] for col in side)]
+        # tag each available row with its unit vector, so reducing a wanted
+        # subsymbol leaves its reconstruction coefficients in the tags
+        basis = _GFBasis(width, p, tags=len(avail))
+        for i, row in enumerate(avail):
+            basis.add(basis.row([*row, *(int(c == i) for c in range(len(avail)))]))
         user_rows = []
-        for s in range(code.blowup_t):
-            col = user * code.blowup_t + s
-            target = [0] * width
-            target[col] = 1
-            coeffs = [0] * len(avail)
-            cur = target + coeffs
-            for c, base in pivots.items():
-                f = cur[c]
-                if f:
-                    cur = [(a - f * b) % p for a, b in zip(cur, base)]
-            if any(cur[:width]):
+        for s in range(t):
+            coeffs = basis.coefficients(basis.unit(user * t + s))
+            if coeffs is None:
                 raise ContractViolation(f"user {user} cannot decode subsymbol {s}")
-            user_rows.append(tuple((-a) % p for a in cur[width:]))
+            user_rows.append(tuple((-a) % p for a in coeffs))
         decoders.append(tuple(user_rows))
     return tuple(decoders)
 

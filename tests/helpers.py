@@ -40,7 +40,8 @@ from gnskit.cyclepack import (
     _pair_graph,
     _simplex_max,
 )
-from gnskit.digraph import _find_cycle, _scc_with_root
+from gnskit.digraph import _find_cycle
+from gnskit.indexcoding import GFMatrix, _check_prime, minrank_edge_cap
 from gnskit.network import Link, closure_links
 
 F0 = Fraction(0)
@@ -298,6 +299,166 @@ class ReferenceGF2Basis:
     @property
     def rank(self) -> int:
         return len(self.bit_basis)
+
+
+def reference_rank_rows(rows: list[list[int]], cols: int, p: int) -> int:
+    """The list-row Gaussian elimination that `gnskit.indexcoding.gf_rank`
+    and the p > 2 `minrank` used before `_GFBasis` did every rank, the
+    reference they are compared against. Reduces `rows` in place."""
+    rank = 0
+    col = 0
+    r = 0
+    while r < len(rows) and col < cols:
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][col] % p:
+                pivot = i
+                break
+        if pivot is None:
+            col += 1
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [(a * inv) % p for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        rank += 1
+        r += 1
+        col += 1
+    return rank
+
+
+def reference_rank_gf2(rows: Sequence[int]) -> int:
+    """Rank of rows given as bitmask ints over the two-element field: the
+    p = 2 rank of `gnskit.indexcoding.minrank` before `_GFBasis` did every
+    rank, the reference it is compared against."""
+    basis: list[int] = []
+    rank = 0
+    for row in rows:
+        for b in basis:
+            low = b & -b
+            if row & low:
+                row ^= b
+        if row:
+            basis.append(row)
+            rank += 1
+    return rank
+
+
+def reference_minrank(
+    g: Digraph, p: int, edge_cap: int | None = None
+) -> tuple[int, GFMatrix]:
+    """Minimum rank over matrices fitting g: unit diagonal (row scaling is
+    rank- and fit-preserving, so this loses no generality), free entries on
+    edges, zero elsewhere. Exhaustive over all edge assignments, returning
+    the first witness in lexicographic assignment order.
+
+    The exhaustive loops that `gnskit.indexcoding.minrank` replaced by one
+    walk over the rows, the reference its value and witness are compared
+    against."""
+    _check_prime(p)
+    cap = edge_cap if edge_cap is not None else minrank_edge_cap(p)
+    edges = sorted(g.edges)
+    if len(edges) > cap:
+        raise CapacityError(
+            f"{len(edges)} free entries exceed the minrank search cap of {cap}"
+        )
+    n = g.n
+    if n == 0:
+        return 0, GFMatrix(p, 0, 0, ())
+    best: int | None = None
+    best_assignment: tuple[int, ...] | None = None
+    if p == 2:
+        rank_cache: dict[tuple[int, ...], int] = {}
+        diag = [1 << i for i in range(n)]
+        for assignment in product(range(2), repeat=len(edges)):
+            rows = list(diag)
+            for val, (u, v) in zip(assignment, edges):
+                if val:
+                    rows[u] |= 1 << v
+            key = tuple(sorted(rows))
+            r = rank_cache.get(key)
+            if r is None:
+                r = reference_rank_gf2(rows)
+                rank_cache[key] = r
+            if best is None or r < best:
+                best, best_assignment = r, assignment
+                if best == 1:
+                    break
+    else:
+        for assignment in product(range(p), repeat=len(edges)):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = 1
+            for val, (u, v) in zip(assignment, edges):
+                rows[u][v] = val
+            r = reference_rank_rows([row[:] for row in rows], n, p)
+            if best is None or r < best:
+                best, best_assignment = r, assignment
+                if best == 1:
+                    break
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = 1
+    for val, (u, v) in zip(best_assignment, edges):
+        entries[u][v] = val
+    witness = GFMatrix(p, n, n, tuple(tuple(row) for row in entries))
+    return best, witness
+
+
+def reference_derive_decoders(g: Digraph, code: IndexCode) -> tuple:
+    """Per-user reconstruction coefficients over (code rows + side rows).
+
+    For user i, returns a matrix with one row per wanted subsymbol whose
+    entries weight the code's r rows followed by the user's side-information
+    subsymbols (in out-neighbor, then slot order).
+
+    The augmented elimination that `gnskit.indexcoding.derive_decoders`
+    replaced by a tagged `_GFBasis`, the reference its tuples are compared
+    against."""
+    width = code.blowup_t * code.n
+    p = code.p
+    decoders = []
+    for user in range(g.n):
+        avail = [list(row) for row in code.rows]
+        for j in g.out_neighbors(user):
+            for s in range(code.blowup_t):
+                vec = [0] * width
+                vec[j * code.blowup_t + s] = 1
+                avail.append(vec)
+        # row-reduce [avail | I] so reconstructions come with coefficients
+        aug = [row[:] + [0] * len(avail) for row in avail]
+        for i in range(len(avail)):
+            aug[i][width + i] = 1
+        pivots: dict[int, list[int]] = {}
+        for vec in aug:
+            cur = vec[:]
+            for col, base in pivots.items():
+                f = cur[col]
+                if f:
+                    cur = [(a - f * b) % p for a, b in zip(cur, base)]
+            lead = next((c for c in range(width) if cur[c]), None)
+            if lead is not None:
+                inv = pow(cur[lead], p - 2, p)
+                pivots[lead] = [(a * inv) % p for a in cur]
+        user_rows = []
+        for s in range(code.blowup_t):
+            col = user * code.blowup_t + s
+            target = [0] * width
+            target[col] = 1
+            coeffs = [0] * len(avail)
+            cur = target + coeffs
+            for c, base in pivots.items():
+                f = cur[c]
+                if f:
+                    cur = [(a - f * b) % p for a, b in zip(cur, base)]
+            if any(cur[:width]):
+                raise ContractViolation(f"user {user} cannot decode subsymbol {s}")
+            user_rows.append(tuple((-a) % p for a in cur[width:]))
+        decoders.append(tuple(user_rows))
+    return tuple(decoders)
 
 
 def reference_simplex_max(
@@ -650,6 +811,29 @@ def reference_subset_fes_approx(
     )
 
 
+def _reference_scc_with_root(g: Digraph, root: int) -> frozenset[int]:
+    """Strongly connected component of `root` in the subgraph induced on
+    vertices >= root: the per-root split that `gnskit.digraph.
+    enumerate_simple_cycles` made before it split each subgraph once."""
+    fwd = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in g.out_neighbors(v):
+            if w >= root and w not in fwd:
+                fwd.add(w)
+                stack.append(w)
+    bwd = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in g.in_neighbors(v):
+            if w >= root and w not in bwd and w in fwd:
+                bwd.add(w)
+                stack.append(w)
+    return frozenset(bwd)
+
+
 def reference_enumerate_simple_cycles(g: Digraph, cap: int) -> list[tuple[int, ...]]:
     """The recursive form of `gnskit.digraph.enumerate_simple_cycles`, the
     reference its explicit-stack search is compared against: Johnson's
@@ -658,7 +842,7 @@ def reference_enumerate_simple_cycles(g: Digraph, cap: int) -> list[tuple[int, .
     `rcp_exact` pivots over the cycles in this order."""
     cycles: list[tuple[int, ...]] = []
     for root in range(g.n):
-        comp = _scc_with_root(g, root)
+        comp = _reference_scc_with_root(g, root)
         if len(comp) < 2:
             continue
         adj = {v: tuple(w for w in g.out_neighbors(v) if w in comp) for v in comp}

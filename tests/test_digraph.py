@@ -20,6 +20,7 @@ from gnskit import (
     tensor_power,
     verify_product_blowup_embedding,
 )
+import gnskit.digraph as digraph_mod
 from gnskit.bounds import alpha_exact, mais_exact
 from gnskit.digraph import _disjoint_cycles, _find_cycle
 from gnskit.instances import random_digraph
@@ -240,6 +241,31 @@ class TestCycleEnumeration:
     def test_long_cycle_meets_no_recursion_limit(self):
         n = sys.getrecursionlimit() + 500
         assert enumerate_simple_cycles(directed_cycle(n)) == [tuple(range(n))]
+
+    @pytest.mark.parametrize(
+        "g, roots",
+        [
+            (directed_cycle(3000), [0]),  # past the recursive reference's depth
+            # a tail, a triangle, a vertex between, a triangle
+            (Digraph(10, [(0, 1), (1, 3), (2, 4), (3, 4), (4, 5), (5, 3),
+                          (5, 6), (6, 7), (7, 8), (8, 9), (9, 7)]), [3, 7]),
+        ],
+    )
+    def test_one_component_split_per_root(self, g, roots, monkeypatch):
+        # vertices on no cycle above the last root are skipped, not split
+        # into components one by one
+        splits = []
+        split = digraph_mod._strong_components
+
+        def counting(graph, low):
+            splits.append(low)
+            return split(graph, low)
+
+        monkeypatch.setattr(digraph_mod, "_strong_components", counting)
+        cycles = enumerate_simple_cycles(g)
+        assert [c[0] for c in cycles] == roots
+        assert set(cycles) == oracle_cycles(g)
+        assert splits == [0] + [r + 1 for r in roots]
 
 
 def dict_graphs(node):

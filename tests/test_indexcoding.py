@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gnskit import (
     CapacityError,
+    ContractViolation,
     Digraph,
     GFMatrix,
+    IndexCode,
     blowup,
     build_cycle_code,
     co_rate_from_beta,
@@ -33,6 +35,10 @@ from helpers import (
     directed_cycle,
     gf_rank_oracle,
     oracle_minrank,
+    reference_derive_decoders,
+    reference_minrank,
+    reference_rank_gf2,
+    reference_rank_rows,
     symmetric_cycle,
 )
 from test_digraph import random_graphs
@@ -68,6 +74,24 @@ class TestGfRank:
         )
         mat = GFMatrix(p, rows, cols, entries)
         assert gf_rank(mat) == gf_rank_oracle([list(r) for r in entries], p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from([2, 3, 5, 7]),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_the_reference_elimination(self, rows, cols, p, rng):
+        entries = tuple(
+            tuple(rng.choice((0, 0, rng.randrange(p))) for _ in range(cols))
+            for _ in range(rows)
+        )
+        rank = gf_rank(GFMatrix(p, rows, cols, entries))
+        assert rank == reference_rank_rows([list(r) for r in entries], cols, p)
+        if p == 2:
+            bits = [sum(a << c for c, a in enumerate(r)) for r in entries]
+            assert rank == reference_rank_gf2(bits)
 
 
 class TestMinrank:
@@ -107,6 +131,19 @@ class TestMinrank:
     def test_matches_oracle(self, g, p):
         assume(len(g.edges) <= minrank_edge_cap(p))  # minrank refuses above its cap
         assert minrank(g, p)[0] == oracle_minrank(g, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(random_graphs(max_n=4), random_graphs(max_n=6, p=0.3)),
+        st.sampled_from([2, 3, 5]),
+    )
+    def test_value_and_witness_match_the_exhaustive_reference(self, g, p):
+        assume(len(g.edges) <= minrank_edge_cap(p))  # minrank refuses above its cap
+        assert minrank(g, p) == reference_minrank(g, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_c5_matches_the_exhaustive_reference(self, p):
+        assert minrank(symmetric_cycle(5), p) == reference_minrank(symmetric_cycle(5), p)
 
     @settings(max_examples=25, deadline=None)
     @given(random_graphs(max_n=4))
@@ -277,12 +314,17 @@ class TestVerifyIndexCode:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 2**12 - 1), max_size=30), st.integers(0, 2**12 - 1))
     def test_sorted_insert_matches_the_resorting_basis(self, rows, probe):
+        # rows are kept in insertion order, not sorted, so only the row
+        # space is compared: with the re-sorting basis and with the span
+        # closed under sums by brute force
         basis, reference = _GFBasis(12, 2), ReferenceGF2Basis()
+        span = {0}
         for row in rows:
-            assert basis.add(row) == reference.add(row)
-            assert basis.bit_basis == reference.bit_basis
+            assert basis.add(row) == reference.add(row) == (row not in span)
+            span |= {s ^ row for s in span}
             assert basis.rank == reference.rank
-            assert basis.contains(probe) == reference.contains(probe)
+            assert 2**basis.rank == len(span)
+            assert basis.contains(probe) == reference.contains(probe) == (probe in span)
 
     def test_dimension_mismatch(self):
         from gnskit import IndexCode
@@ -328,6 +370,33 @@ class TestDecoders:
                             for c in range(width)
                         ]
                         assert got == [int(c == user * t + s) for c in range(width)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_graphs(max_n=5), st.sampled_from([2, 3, 5]))
+    def test_dependent_rows_match_the_reference(self, g, p):
+        # a duplicated row and the sum of two rows make the rows dependent,
+        # so the coefficients depend on the elimination order; the code
+        # without its first row may leave a user unable to decode
+        try:
+            code = build_cycle_code(g, rcp_exact(g), p)
+        except CapacityError:
+            return
+        rows = code.rows
+        if len(rows) >= 2:
+            summed = tuple((a + b) % p for a, b in zip(rows[0], rows[1]))
+            rows = rows + (rows[1], summed)
+        for variant in (rows, code.rows[1:]):
+            dependent = IndexCode(p, code.blowup_t, code.n, variant)
+            assert decoders_or_error(derive_decoders, g, dependent) == decoders_or_error(
+                reference_derive_decoders, g, dependent
+            )
+
+
+def decoders_or_error(derive, g, code):
+    try:
+        return derive(g, code)
+    except ContractViolation as exc:
+        return str(exc)
 
 
 class TestCoRate:
