@@ -9,7 +9,9 @@ benchmark measures on) to a temporary directory and runs
 in-process through `gnskit.cli.main`, with the workload's
 GNSKIT_CAP_OVERRIDES. Prints the instance count and one SHA-256 over every
 exit code and standard output, in corpus order. Equal digests at two commits
-mean byte-identical reports on that corpus. gnskit is imported from the
+mean byte-identical reports on that corpus. Every report must also read back
+through `parse_report` and `serialize_report` to the same text; otherwise
+the script exits non-zero naming the instance. gnskit is imported from the
 `src/` beside this directory.
 
 The workload `gap-wrappings` is not a benchmark corpus: it is the wrappings
@@ -41,11 +43,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from corpus import WORKLOADS, Instance, corpus  # noqa: E402
 from gap_wrappings import GRAPHS  # noqa: E402  (the script beside this one)
 from gnskit import (  # noqa: E402
+    FormatError,
     cli,
     network_from_side_info_graph,
+    parse_report,
     random_digraph,
     serialize_digraph,
     serialize_network,
+    serialize_report,
 )
 from gnskit.indexcoding import minrank_edge_cap  # noqa: E402
 
@@ -77,6 +82,17 @@ def run(digest, argv: list[str]) -> bytes:
     data = stdout.getvalue().encode("utf-8")
     digest.update(f"{code} {len(data)}\n".encode("ascii") + data)
     return data
+
+
+def check_round_trip(name: str, report: str) -> None:
+    """Exit non-zero naming the instance unless `report` (empty when the
+    command failed) reads back through parse_report to the same text."""
+    try:
+        same = not report or serialize_report(parse_report(report)) == report
+    except FormatError:
+        same = False
+    if not same:
+        sys.exit(f"{name}: the machine report does not round-trip through parse_report")
 
 
 def codes(digest, tmp: Path) -> int:
@@ -116,7 +132,8 @@ def main() -> None:
             for inst in instances:
                 path = Path(tmp) / f"{inst.name}.mun"
                 path.write_text(inst.text, encoding="utf-8")
-                run(digest, ["bounds", str(path), *flags, "--out", "machine"])
+                report = run(digest, ["bounds", str(path), *flags, "--out", "machine"])
+                check_round_trip(inst.name, report.decode("utf-8"))
             count, unit = len(instances), "instances"
     print(f"{args.workload} seed {args.seed}: {count} {unit}")
     print(f"sha256 {digest.hexdigest()}")

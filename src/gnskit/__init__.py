@@ -59,7 +59,6 @@ from .instances import (
     is_vertex_transitive_under_ground_permutations,
     random_dag_network,
     random_digraph,
-    random_instance,
 )
 from .network import (
     GnsCertificate,

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar, get_type_hints
 
 from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
     CyclePacking,
-    _fes_vertices,
     _integer_weights,
     packing_from_metric,
     subset_fes_approx,
@@ -42,6 +41,9 @@ from .network import (
     tilde_transform,
     to_index_graph,
 )
+
+
+_T = TypeVar("_T")
 
 
 def _masks(adj: Sequence[Sequence[int]]) -> list[int]:
@@ -270,6 +272,10 @@ def _mis_size(
     return best, best_mask
 
 
+def _neighbour_masks(g: Digraph) -> list[int]:
+    return [o | i for o, i in zip(_masks(g._out), _masks(g._in))]
+
+
 def alpha_exact(
     g: Digraph, vertex_cap: int = DEFAULT_CAPS.alpha_vertices
 ) -> tuple[int, frozenset[int]]:
@@ -277,8 +283,7 @@ def alpha_exact(
     lexicographically smallest maximum independent set."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    masks = [o | i for o, i in zip(_masks(g._out), _masks(g._in))]
-    full = (1 << g.n) - 1
+    masks, full = _neighbour_masks(g), (1 << g.n) - 1
     size, independent = _mis_size(masks, full)
 
     def fits(trial: list[int]) -> int | None:
@@ -339,7 +344,7 @@ def shannon_capacity_lb(
         raise CapacityError(
             f"power graph has {gq.n} vertices, exact-search cap is {vertex_cap}"
         )
-    size, _ = alpha_exact(gq, vertex_cap)
+    size, _ = _mis_size(_neighbour_masks(gq), (1 << gq.n) - 1)
     return ShannonBound(power=power, radicand=size, value=size ** (1.0 / power))
 
 
@@ -394,58 +399,51 @@ def bound_report(
     # a nan or infinite constant would switch the regression check off
     if not 0 < ratio_constant < math.inf:
         raise ValueError(f"ratio constant must be finite and positive, not {ratio_constant!r}")
-    g, lmap = to_index_graph(net)
+    g, _ = to_index_graph(net)
     m, k = net.m, net.k
     skipped: list[str] = []
 
+    def attempt(name: str, compute: Callable[[], _T]) -> _T | None:
+        """compute(), or None with `name` skipped when a cap refuses it."""
+        try:
+            return compute()
+        except CapacityError:
+            skipped.append(name)
+            return None
+
     approx = subset_fes_approx(net, caps.spreading_iterations)
-    approx_fvs = _fes_vertices(net, lmap, approx.fes)
+    approx_fvs = approx.fes  # index-graph vertex v is link v
     approx_weight = approx.diagnostics.weight
     rcp = packing_from_metric(closure_links(net), approx.metric)
 
-    mais_value: int | None = None
-    fvs: frozenset[int] | None = None
-    try:
-        # checks approx_fvs and the packing; a packing worth more than
-        # |approx_fvs| - 1 proves approx_fvs minimum
-        fvs = min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
-        mais_value = m - len(fvs)  # the index graph has one vertex per link
-    except CapacityError:
-        skipped.append("mais")
+    # checks approx_fvs and the packing; a packing worth more than
+    # |approx_fvs| - 1 proves approx_fvs minimum
+    fvs = attempt(
+        "mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
+    )
+    mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
     if fvs is None and _residual_cycle(g, approx_fvs) is not None:  # refused before its check
         raise ContractViolation("translated vertex set is not a feedback vertex set")
-
-    gns: GnsCertificate | None = None
+    gns = None
     if exact_gns:
-        try:
-            gns = min_gns_cut_exact(tilde_transform(net), caps.gns_cuttable)
-        except CapacityError:
-            skipped.append("gns")
-
-    tensors: list[TensorBound] = []
-    for q in qs:
-        try:
-            tensors.append(tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices))
-        except CapacityError:
-            skipped.append(f"tensor:q={q}")
-    shannon: list[ShannonBound] = []
-    for power in shannon_powers:
-        try:
-            shannon.append(
-                shannon_capacity_lb(g, power, caps.tensor_vertices, caps.alpha_vertices)
-            )
-        except CapacityError:
-            skipped.append(f"shannon:power={power}")
-
-    code: IndexCode | None = None
-    code_rate: Fraction | None = None
-    co_rate: Fraction | None = None
-    try:
-        code = build_cycle_code(g, rcp, field, caps.code_lcm)
-        code_rate = code.rate
-        co_rate = co_rate_from_beta(m, code_rate)
-    except CapacityError:
-        skipped.append("code")
+        gns = attempt("gns", lambda: min_gns_cut_exact(tilde_transform(net), caps.gns_cuttable))
+    tensors = [
+        attempt(
+            f"tensor:q={q}",
+            lambda: tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices),
+        )
+        for q in qs
+    ]
+    shannon = [
+        attempt(
+            f"shannon:power={power}",
+            lambda: shannon_capacity_lb(g, power, caps.tensor_vertices, caps.alpha_vertices),
+        )
+        for power in shannon_powers
+    ]
+    code = attempt("code", lambda: build_cycle_code(g, rcp, field, caps.code_lcm))
+    code_rate = None if code is None else code.rate
+    co_rate = None if code_rate is None else co_rate_from_beta(m, code_rate)
 
     # exact chain assertions over whatever was computed
     if mais_value is not None and rcp.value > m - mais_value:
@@ -466,7 +464,7 @@ def bound_report(
         raise ContractViolation("dual correlated rate must equal the packing value")
     if mais_value is not None:
         for tb in tensors:
-            if tb.q == 1 and tb.radicand != mais_value:
+            if tb is not None and tb.q == 1 and tb.radicand != mais_value:
                 raise ContractViolation("first tensor bound disagrees with mais")
     if rcp.value == 0:
         if approx_weight != 0:
@@ -489,8 +487,8 @@ def bound_report(
         approx_weight=approx_weight,
         approx_fvs=approx_fvs,
         gns_exact=gns,
-        tensor_bounds=tuple(tensors),
-        shannon_lb=tuple(shannon),
+        tensor_bounds=tuple(tb for tb in tensors if tb is not None),
+        shannon_lb=tuple(sb for sb in shannon if sb is not None),
         code_rate=code_rate,
         code=code,
         co_rate_lb=co_rate,
@@ -498,52 +496,62 @@ def bound_report(
     )
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)  # "a" or "a/b", both parse back exactly
-
-
 def _ints(values) -> str:
     return " ".join(str(v) for v in sorted(values))
+
+
+def _int_set(text: str) -> frozenset[int]:
+    return frozenset(int(x) for x in text.split())
+
+
+# The report's `key: value` lines in output order, as (key, BoundReport
+# field, parser of the value). A None field or an empty `skipped` has no line.
+_SCALARS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
+    ("m", "m", int),
+    ("k", "k", int),
+    ("skipped", "skipped", lambda text: tuple(text.split())),
+    ("mais", "mais_value", int),
+    ("fvs", "fvs", _int_set),
+    ("rcp", "rcp_value", Fraction),
+    ("approx_weight", "approx_weight", int),
+    ("approx_fvs", "approx_fvs", _int_set),
+    ("code_rate", "code_rate", Fraction),
+    ("co_rate_lb", "co_rate_lb", Fraction),
+)
+# Then one `key: name=value ...` line per record, as (key, BoundReport field,
+# record type); the names are the record's fields, read by their annotations.
+_RECORDS = (
+    ("tensor_bound", "tensor_bounds", TensorBound),
+    ("shannon_lb", "shannon_lb", ShannonBound),
+)
 
 
 def serialize_report(report: BoundReport) -> str:
     """Line-oriented machine form: `key: value` lines, nested sections
     indented by two spaces, stable order, loss-free round trip."""
-    lines = ["boundreport", f"m: {report.m}", f"k: {report.k}"]
-    if report.skipped:
-        lines.append("skipped: " + " ".join(report.skipped))
-    if report.mais_value is not None:
-        lines.append(f"mais: {report.mais_value}")
-    if report.fvs is not None:
-        lines.append(f"fvs: {_ints(report.fvs)}".rstrip())
-    if report.rcp_value is not None:
-        lines.append(f"rcp: {_frac(report.rcp_value)}")
-    if report.approx_weight is not None:
-        lines.append(f"approx_weight: {report.approx_weight}")
-    if report.approx_fvs is not None:
-        lines.append(f"approx_fvs: {_ints(report.approx_fvs)}".rstrip())
-    if report.code_rate is not None:
-        lines.append(f"code_rate: {_frac(report.code_rate)}")
-    if report.co_rate_lb is not None:
-        lines.append(f"co_rate_lb: {_frac(report.co_rate_lb)}")
-    for tb in report.tensor_bounds:
-        lines.append(f"tensor_bound: q={tb.q} radicand={tb.radicand} value={tb.value!r}")
-    for sb in report.shannon_lb:
-        lines.append(
-            f"shannon_lb: power={sb.power} radicand={sb.radicand} value={sb.value!r}"
-        )
+    lines = ["boundreport"]
+    for key, field, _ in _SCALARS:
+        value = getattr(report, field)
+        if value is None or value == ():
+            continue
+        if isinstance(value, frozenset):
+            value = _ints(value)
+        elif isinstance(value, tuple):
+            value = " ".join(value)
+        lines.append(f"{key}: {value}".rstrip())  # ints and Fractions print exactly
+    for key, field, _ in _RECORDS:
+        for record in getattr(report, field):
+            pairs = (f"{name}={value!r}" for name, value in zip(record._fields, record))
+            lines.append(f"{key}: " + " ".join(pairs))
     if report.gns_exact is not None:
-        lines.append("gns:")
-        lines.append(f"  size: {len(report.gns_exact.cut)}")
-        lines.append(f"  cut: {_ints(report.gns_exact.cut)}".rstrip())
-        lines.append(
-            "  permutation: " + " ".join(str(x) for x in report.gns_exact.permutation)
-        )
+        cut, permutation = report.gns_exact.cut, report.gns_exact.permutation
+        lines += ["gns:", f"  size: {len(cut)}", f"  cut: {_ints(cut)}".rstrip()]
+        lines.append("  permutation: " + " ".join(str(x) for x in permutation))
     if report.packing is not None:
         lines.append("packing:")
-        lines.append(f"  value: {_frac(report.packing.value)}")
+        lines.append(f"  value: {report.packing.value}")
         for cyc, w in report.packing.assignments:
-            lines.append(f"  assign: {_frac(w)} " + " ".join(str(v) for v in cyc))
+            lines.append(f"  assign: {w} " + " ".join(str(v) for v in cyc))
     if report.code is not None:
         lines.append("code:")
         for code_line in serialize_index_code(report.code).strip().splitlines():
@@ -551,102 +559,62 @@ def serialize_report(report: BoundReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _key_value(line: str) -> tuple[str, str, str]:
+    key, sep, value = line.partition(":")
+    return key.strip(), sep, value.strip()
+
+
 def parse_report(text: str) -> BoundReport:
+    """The report `serialize_report` wrote. Blank lines and unknown keys are
+    ignored, and a repeated key keeps its last line; other malformed text
+    raises FormatError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "boundreport":
         raise FormatError("missing 'boundreport' header")
-    scalars: dict[str, str] = {}
-    tensors: list[TensorBound] = []
-    shannon: list[ShannonBound] = []
-    gns_fields: dict[str, str] = {}
-    packing_value: Fraction | None = None
-    assigns: list[tuple[tuple[int, ...], Fraction]] = []
-    code_lines: list[str] = []
-    section: str | None = None
+    top: dict[str, list[str]] = {}  # key -> its values, in order
+    sections: dict[str, list[str]] = {"gns": [], "packing": [], "code": []}
+    section: list[str] | None = None  # the open section's indented lines
     for raw in lines[1:]:
         if raw.startswith("  ") and section is not None:
-            line = raw.strip()
-            if section == "gns":
-                key, _, value = line.partition(":")
-                gns_fields[key.strip()] = value.strip()
-            elif section == "packing":
-                key, _, value = line.partition(":")
-                key = key.strip()
-                if key == "value":
-                    packing_value = Fraction(value.strip())
-                elif key == "assign":
-                    parts = value.split()
-                    assigns.append(
-                        (tuple(int(x) for x in parts[1:]), Fraction(parts[0]))
-                    )
-                else:
-                    raise FormatError(f"unknown packing line {line!r}")
-            elif section == "code":
-                code_lines.append(line)
-            else:
-                raise FormatError(f"unexpected indented line {line!r}")
+            section.append(raw.strip())
             continue
-        section = None
-        key, sep, value = raw.partition(":")
+        key, sep, value = _key_value(raw)
         if not sep:
             raise FormatError(f"malformed line {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if key in ("gns", "packing", "code") and not value:
-            section = key
-            continue
-        if key == "tensor_bound":
-            kv = dict(item.split("=", 1) for item in value.split())
-            tensors.append(
-                TensorBound(int(kv["q"]), int(kv["radicand"]), float(kv["value"]))
-            )
-        elif key == "shannon_lb":
-            kv = dict(item.split("=", 1) for item in value.split())
-            shannon.append(
-                ShannonBound(int(kv["power"]), int(kv["radicand"]), float(kv["value"]))
-            )
-        else:
-            scalars[key] = value
-
-    def _opt_int(key: str) -> int | None:
-        return int(scalars[key]) if key in scalars else None
-
-    def _opt_frac(key: str) -> Fraction | None:
-        return Fraction(scalars[key]) if key in scalars else None
-
-    def _opt_set(key: str) -> frozenset[int] | None:
-        if key not in scalars:
-            return None
-        raw = scalars[key]
-        return frozenset(int(x) for x in raw.split()) if raw else frozenset()
-
-    gns = None
-    if gns_fields:
-        cut_raw = gns_fields.get("cut", "")
-        gns = GnsCertificate(
-            cut=frozenset(int(x) for x in cut_raw.split()) if cut_raw else frozenset(),
-            permutation=tuple(int(x) for x in gns_fields["permutation"].split()),
-        )
-    packing = None
-    if packing_value is not None:
-        packing = CyclePacking(assignments=tuple(assigns), value=packing_value)
-    code = None
-    if code_lines:
-        code = parse_index_code("\n".join(code_lines) + "\n")
-    return BoundReport(
-        m=int(scalars["m"]),
-        k=int(scalars["k"]),
-        mais_value=_opt_int("mais"),
-        fvs=_opt_set("fvs"),
-        rcp_value=_opt_frac("rcp"),
-        packing=packing,
-        approx_weight=_opt_int("approx_weight"),
-        approx_fvs=_opt_set("approx_fvs"),
-        gns_exact=gns,
-        tensor_bounds=tuple(tensors),
-        shannon_lb=tuple(shannon),
-        code_rate=_opt_frac("code_rate"),
-        code=code,
-        co_rate_lb=_opt_frac("co_rate_lb"),
-        skipped=tuple(scalars.get("skipped", "").split()),
-    )
+        section = None if value else sections.get(key)
+        if section is None:
+            top.setdefault(key, []).append(value)
+    try:
+        fields: dict[str, object] = {field: None for _, field, _ in _SCALARS} | {"skipped": ()}
+        fields.update((field, parse(top[key][-1])) for key, field, parse in _SCALARS if key in top)
+        for key, field, kind in _RECORDS:
+            parsers = get_type_hints(kind)  # the record's field types
+            records = []
+            for line in top.get(key, ()):
+                items = dict(item.split("=", 1) for item in line.split())
+                records.append(kind(*(parsers[name](items[name]) for name in kind._fields)))
+            fields[field] = tuple(records)
+        gns = {key: value for key, _, value in map(_key_value, sections["gns"])}
+        fields["gns_exact"] = None
+        if gns:
+            cut, permutation = _int_set(gns.get("cut", "")), gns["permutation"].split()
+            fields["gns_exact"] = GnsCertificate(cut, tuple(int(x) for x in permutation))
+        total, assigns = None, []
+        for line in sections["packing"]:
+            key, _, rest = _key_value(line)
+            if key == "value":
+                total = Fraction(rest)
+            elif key == "assign":
+                weight, *cycle = rest.split()
+                assigns.append((tuple(int(v) for v in cycle), Fraction(weight)))
+            else:
+                raise FormatError(f"unknown packing line {line!r}")
+        # assignments without a value line are dropped
+        fields["packing"] = None if total is None else CyclePacking(tuple(assigns), total)
+        code = sections["code"]
+        fields["code"] = parse_index_code("\n".join(code) + "\n") if code else None
+    except (ArithmeticError, LookupError, ValueError) as exc:
+        raise FormatError(f"malformed report: {type(exc).__name__}: {exc}") from None
+    if fields["m"] is None or fields["k"] is None:
+        raise FormatError("missing m or k line")
+    return BoundReport(**fields)

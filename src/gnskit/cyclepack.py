@@ -26,7 +26,7 @@ from .digraph import (
     enumerate_simple_cycles,
 )
 from .errors import CapacityError, ContractViolation
-from .network import Link, LinkGraphMap, MUNetwork, closure_links, to_index_graph
+from .network import Link, MUNetwork, closure_links, to_index_graph
 
 F0 = Fraction(0)
 
@@ -502,23 +502,6 @@ def subset_fes_approx(
     )
 
 
-def _fes_vertices(net: MUNetwork, lmap: LinkGraphMap, fes: frozenset[int]) -> frozenset[int]:
-    """The index-graph vertices of a feedback edge set of the closure, after
-    checking that removing `fes` leaves the closure acyclic."""
-    live: dict[str, set[str]] = {}
-    for e in closure_links(net):
-        live.setdefault(e.tail, set())
-        live.setdefault(e.head, set())
-        if e.id not in fes:
-            live[e.tail].add(e.head)
-    cycle = _find_cycle(live)
-    if cycle is not None:
-        raise ContractViolation(
-            "input is not a feedback edge set of the closure", witness=cycle
-        )
-    return frozenset(v for v, eid in enumerate(lmap.vertex_to_id) if eid in fes)
-
-
 def fes_to_fvs(net: MUNetwork, fes: Iterable[int]) -> frozenset[int]:
     """Translate a feedback edge set of the closure into the corresponding
     feedback vertex set of the index graph (one vertex per link), verifying
@@ -528,11 +511,16 @@ def fes_to_fvs(net: MUNetwork, fes: Iterable[int]) -> frozenset[int]:
     unknown = fes_set - known
     if unknown:
         raise ValueError(f"unknown link ids: {sorted(unknown)}")
-    g, lmap = to_index_graph(net)
-    fvs = _fes_vertices(net, lmap, fes_set)
-    if _residual_cycle(g, fvs) is not None:
+    live = _pair_graph((e.tail, e.head) for e in closure_links(net) if e.id not in fes_set)
+    cycle = _find_cycle(live)
+    if cycle is not None:
+        raise ContractViolation(
+            "input is not a feedback edge set of the closure", witness=cycle
+        )
+    g, _ = to_index_graph(net)  # index-graph vertex v is link v
+    if _residual_cycle(g, fes_set) is not None:
         raise ContractViolation("translated vertex set is not a feedback vertex set")
-    return fvs
+    return fes_set
 
 
 def vertex_split_links(g: Digraph) -> tuple[tuple[Link, ...], tuple[str, ...]]:

@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 from .caps import DEFAULT_CAPS
 from .errors import CapacityError, FormatError
 
-VertexSet = frozenset  # vertex subsets are plain frozensets of ints
-
 CYCLE_CAP = 10**6
 """Default refusal point of `enumerate_simple_cycles`."""
 
@@ -66,14 +64,8 @@ class Digraph:
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         return self._in[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def is_acyclic(self) -> bool:
         return _residual_cycle(self) is None

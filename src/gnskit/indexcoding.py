@@ -210,12 +210,14 @@ def minrank(
         if pick is None:
             walks.pop()
             continue
-        basis = prefix.copy()
-        basis.add(pick[1])
         if len(walks) < n:
+            basis = prefix.copy()
+            basis.add(pick[1])
             walks.append((basis, iter(choices[len(walks)]), (*chosen, pick[0])))
-        elif basis.rank < best:
-            best, best_vals = basis.rank, (*chosen, pick[0])
+        else:  # the last row: its rank needs no basis of its own
+            rank = prefix.rank + (not prefix.contains(pick[1]))
+            if rank < best:
+                best, best_vals = rank, (*chosen, pick[0])
     rows = tuple(tuple(entries(i, vals)) for i, vals in enumerate(best_vals))
     return best, GFMatrix(p, n, n, rows)
 

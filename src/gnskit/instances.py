@@ -198,14 +198,3 @@ def random_dag_network(
         return build_network(nodes, links, pairs, require_reachable=True)
     raise ValueError(f"no reachable pair assignment found in {max_retries} retries")
 
-
-def random_instance(kind: str, seed: int, **params):
-    """Dispatch by name: kind is "digraph" or "dag-network"; params are
-    forwarded to the matching generator."""
-    if kind == "digraph":
-        return random_digraph(params["n"], params["prob"], seed)
-    if kind == "dag-network":
-        return random_dag_network(
-            params["nodes"], params["links"], params["pairs"], seed
-        )
-    raise ValueError(f"unknown instance kind {kind!r}")

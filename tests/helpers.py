@@ -30,7 +30,14 @@ from gnskit import (
     build_network,
     enumerate_simple_cycles,
 )
-from gnskit.bounds import _masks, _max_acyclic, _search_order
+from gnskit.bounds import (
+    BoundReport,
+    ShannonBound,
+    TensorBound,
+    _masks,
+    _max_acyclic,
+    _search_order,
+)
 from gnskit.caps import DEFAULT_CAPS
 from gnskit.cyclepack import (
     ApproxDiagnostics,
@@ -41,8 +48,9 @@ from gnskit.cyclepack import (
     _simplex_max,
 )
 from gnskit.digraph import _find_cycle
-from gnskit.indexcoding import GFMatrix, _check_prime, minrank_edge_cap
-from gnskit.network import Link, closure_links
+from gnskit.errors import FormatError
+from gnskit.indexcoding import GFMatrix, _check_prime, minrank_edge_cap, parse_index_code
+from gnskit.network import GnsCertificate, Link, closure_links
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -1093,4 +1101,108 @@ def crossed_unicasts() -> MUNetwork:
         ["s1", "t1", "s2", "t2"],
         [("s1", "t2"), ("s2", "t1")],
         [("s1", "t1"), ("s2", "t2")],
+    )
+
+
+def reference_parse_report(text: str) -> BoundReport:
+    """`gnskit.bounds.parse_report` before the report's lines were declared
+    in one table, kept verbatim: on malformed text it may raise KeyError,
+    ValueError, IndexError or ZeroDivisionError as well as FormatError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != "boundreport":
+        raise FormatError("missing 'boundreport' header")
+    scalars: dict[str, str] = {}
+    tensors: list[TensorBound] = []
+    shannon: list[ShannonBound] = []
+    gns_fields: dict[str, str] = {}
+    packing_value: Fraction | None = None
+    assigns: list[tuple[tuple[int, ...], Fraction]] = []
+    code_lines: list[str] = []
+    section: str | None = None
+    for raw in lines[1:]:
+        if raw.startswith("  ") and section is not None:
+            line = raw.strip()
+            if section == "gns":
+                key, _, value = line.partition(":")
+                gns_fields[key.strip()] = value.strip()
+            elif section == "packing":
+                key, _, value = line.partition(":")
+                key = key.strip()
+                if key == "value":
+                    packing_value = Fraction(value.strip())
+                elif key == "assign":
+                    parts = value.split()
+                    assigns.append(
+                        (tuple(int(x) for x in parts[1:]), Fraction(parts[0]))
+                    )
+                else:
+                    raise FormatError(f"unknown packing line {line!r}")
+            elif section == "code":
+                code_lines.append(line)
+            else:
+                raise FormatError(f"unexpected indented line {line!r}")
+            continue
+        section = None
+        key, sep, value = raw.partition(":")
+        if not sep:
+            raise FormatError(f"malformed line {raw!r}")
+        key = key.strip()
+        value = value.strip()
+        if key in ("gns", "packing", "code") and not value:
+            section = key
+            continue
+        if key == "tensor_bound":
+            kv = dict(item.split("=", 1) for item in value.split())
+            tensors.append(
+                TensorBound(int(kv["q"]), int(kv["radicand"]), float(kv["value"]))
+            )
+        elif key == "shannon_lb":
+            kv = dict(item.split("=", 1) for item in value.split())
+            shannon.append(
+                ShannonBound(int(kv["power"]), int(kv["radicand"]), float(kv["value"]))
+            )
+        else:
+            scalars[key] = value
+
+    def _opt_int(key: str) -> int | None:
+        return int(scalars[key]) if key in scalars else None
+
+    def _opt_frac(key: str) -> Fraction | None:
+        return Fraction(scalars[key]) if key in scalars else None
+
+    def _opt_set(key: str) -> frozenset[int] | None:
+        if key not in scalars:
+            return None
+        raw = scalars[key]
+        return frozenset(int(x) for x in raw.split()) if raw else frozenset()
+
+    gns = None
+    if gns_fields:
+        cut_raw = gns_fields.get("cut", "")
+        gns = GnsCertificate(
+            cut=frozenset(int(x) for x in cut_raw.split()) if cut_raw else frozenset(),
+            permutation=tuple(int(x) for x in gns_fields["permutation"].split()),
+        )
+    packing = None
+    if packing_value is not None:
+        packing = CyclePacking(assignments=tuple(assigns), value=packing_value)
+    code = None
+    if code_lines:
+        code = parse_index_code("\n".join(code_lines) + "\n")
+    return BoundReport(
+        m=int(scalars["m"]),
+        k=int(scalars["k"]),
+        mais_value=_opt_int("mais"),
+        fvs=_opt_set("fvs"),
+        rcp_value=_opt_frac("rcp"),
+        packing=packing,
+        approx_weight=_opt_int("approx_weight"),
+        approx_fvs=_opt_set("approx_fvs"),
+        gns_exact=gns,
+        tensor_bounds=tuple(tensors),
+        shannon_lb=tuple(shannon),
+        code_rate=_opt_frac("code_rate"),
+        code=code,
+        co_rate_lb=_opt_frac("co_rate_lb"),
+        skipped=tuple(scalars.get("skipped", "").split()),
     )

@@ -12,6 +12,7 @@ from gnskit import (
     CapacityError,
     ContractViolation,
     Digraph,
+    FormatError,
     blowup,
     bound_report,
     closure_links,
@@ -44,7 +45,6 @@ from gnskit.bounds import (
 from gnskit.caps import Caps
 from gnskit.cyclepack import (
     CyclePacking,
-    _fes_vertices,
     packing_from_metric,
     rcp_exact,
     subset_fes_approx,
@@ -62,12 +62,14 @@ from helpers import (
     PARALLEL_LINKS,
     SINGLE_PATH,
     TWO_DISJOINT,
+    crossed_unicasts,
     directed_cycle,
     oracle_alpha,
     oracle_mais,
     reference_alpha_exact,
     reference_mais_size,
     reference_max_acyclic,
+    reference_parse_report,
     reference_rcp_exact,
     symmetric_cycle,
     to_nx,
@@ -230,7 +232,7 @@ class TestPackingSteersFvs:
         g, packing = self.report_packing(net)
         lexmin = min_fvs_exact(g, 64)
         assert len(lexmin) > packing.value
-        approx = _fes_vertices(net, to_index_graph(net)[1], subset_fes_approx(net).fes)
+        approx = subset_fes_approx(net).fes
         for upper in (None, approx, frozenset(range(g.n))):
             assert min_fvs_exact(g, 64, upper=upper, packing=packing) == lexmin
         if g.n <= 26:  # the recursive reference takes over 30 s at m = 36
@@ -365,6 +367,65 @@ class TestProductBlowupIdentities:
         assert alpha_exact(p)[0] >= g.n
 
 
+# reports with every section, skipped components, empty sets and fractions
+REPORT_TEXTS = [
+    serialize_report(bound_report(net, **kwargs))
+    for net, kwargs in [
+        (parse_network(PARALLEL_LINKS), dict(exact_gns=True, qs=(1, 2), shannon_powers=(1, 2))),
+        (parse_network(PARALLEL_LINKS), dict(caps=Caps(mais_vertices=2))),
+        (crossed_unicasts(), dict(exact_gns=True)),
+        (network_from_side_info_graph(symmetric_cycle(3)), dict(field=3)),
+        (random_dag_network(8, 14, 3, seed=5), dict(exact_gns=True)),
+    ]
+]
+HOSTILE_TOKENS = ["", "x", "0", "-1", "1/0", "1/2", "1.5", "nan", "1e999", ":", "=", "q=", "p=4", "gns:"]
+
+
+@st.composite
+def mutated_reports(draw):
+    """A real report with one to three lines dropped, duplicated, swapped,
+    truncated, or with one space-separated token replaced. A duplicate may
+    have a token replaced, so that the original, after it, has the last
+    word."""
+
+    def replace_token(line: str) -> str:
+        tokens = line.split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = draw(st.sampled_from(HOSTILE_TOKENS) | st.text(max_size=3))
+        return " ".join(tokens)
+
+    lines = draw(st.sampled_from(REPORT_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "truncate", "replace"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, draw(st.sampled_from([lines[i], replace_token(lines[i])])))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            lines[i] = replace_token(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+def assert_parses_like_the_reference(text: str) -> None:
+    """parse_report returns the reference's report where it has one, and
+    raises FormatError where the reference raises anything."""
+    try:
+        expected = reference_parse_report(text)
+    except (FormatError, ArithmeticError, LookupError, ValueError):
+        with pytest.raises(FormatError):
+            parse_report(text)
+    else:
+        assert parse_report(text) == expected
+
+
 class TestBoundReport:
     def test_parallel_links_chain(self):
         report = bound_report(parse_network(PARALLEL_LINKS), exact_gns=True)
@@ -430,13 +491,44 @@ class TestBoundReport:
             "m: 4\nk: 1\n",  # missing header
             "boundreport\nmais 2\n",  # missing separator
             "boundreport\nm: 4\nk: 1\npacking:\n  weightless: 1\n",
+            "boundreport\n",  # no m or k
+            "boundreport\nm: x\nk: 1\n",
+            "boundreport\nm: 4\nk: 1\ntensor_bound: q\n",
+            "boundreport\nm: 4\nk: 1\nfvs: a\n",
+            "boundreport\nm: 4\nk: 1\ngns:\n  cut: 1\n",  # no permutation
+            "boundreport\nm: 4\nk: 1\npacking:\n  assign: 1/0 1\n",
         ],
     )
     def test_parse_report_rejects_malformed(self, text):
-        from gnskit import FormatError
-
         with pytest.raises(FormatError):
             parse_report(text)
+
+    @pytest.mark.parametrize("index", range(len(REPORT_TEXTS)))
+    def test_real_reports_round_trip(self, index):
+        text = REPORT_TEXTS[index]
+        assert parse_report(text) == reference_parse_report(text)
+        assert serialize_report(parse_report(text)) == text
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_reports())
+    def test_parse_report_matches_the_reference(self, text):
+        assert_parses_like_the_reference(text)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "mais: x\nmais: 2\n",  # the last line wins unread
+            "packing:\n  value: x\n  value: 1\n",  # every value line is read
+            "packing:\n  assign: 1 0 1\n",  # dropped without a value line
+            "gns: 3\n  cut: 1\nunknown: x\nskipped: a b\n",  # unknown keys are ignored
+            "gns:\n  size: x\n  cut: y\n  cut: 1\n  permutation: 1\n",
+            "tensor_bound: q=1 q=2 radicand=3 value=1.0 extra=x\n",
+            "  mais: 2\n\n   \nfvs:\napprox_fvs:\ncode:\n",
+            "packing:\n  value: 1\n gns:\n  cut: 1\n",
+        ],
+    )
+    def test_parse_report_keeps_the_reference_quirks(self, lines):
+        assert_parses_like_the_reference("boundreport\nm: 4\nk: 1\n" + lines)
 
 
 class TestReportFvsPaths:

@@ -18,7 +18,6 @@ from gnskit import (
     parse_network,
     random_dag_network,
     random_digraph,
-    random_instance,
     serialize_network,
     to_index_graph,
 )
@@ -163,11 +162,3 @@ class TestRandomInstances:
     def test_unreachable_raises(self):
         with pytest.raises(ValueError, match="retries"):
             random_dag_network(4, 0, 2, seed=1, max_retries=5)
-
-    def test_dispatcher(self):
-        g = random_instance("digraph", seed=5, n=6, prob=0.4)
-        assert isinstance(g, Digraph)
-        net = random_instance("dag-network", seed=5, nodes=6, links=6, pairs=2)
-        assert net.k == 2
-        with pytest.raises(ValueError, match="unknown instance kind"):
-            random_instance("mesh", seed=1)
