@@ -12,6 +12,7 @@ compares exact integers or rationals.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence, TypeVar, get_type_hints
@@ -504,6 +505,13 @@ def _int_set(text: str) -> frozenset[int]:
     return frozenset(int(x) for x in text.split())
 
 
+def _rational(text: str) -> Fraction:
+    # only the forms a Fraction prints: Fraction(str) also expands 1e10000000
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"{text!r} is not a rational a or a/b")
+    return Fraction(text)
+
+
 # The report's `key: value` lines in output order, as (key, BoundReport
 # field, parser of the value). A None field or an empty `skipped` has no line.
 _SCALARS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
@@ -512,11 +520,11 @@ _SCALARS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("skipped", "skipped", lambda text: tuple(text.split())),
     ("mais", "mais_value", int),
     ("fvs", "fvs", _int_set),
-    ("rcp", "rcp_value", Fraction),
+    ("rcp", "rcp_value", _rational),
     ("approx_weight", "approx_weight", int),
     ("approx_fvs", "approx_fvs", _int_set),
-    ("code_rate", "code_rate", Fraction),
-    ("co_rate_lb", "co_rate_lb", Fraction),
+    ("code_rate", "code_rate", _rational),
+    ("co_rate_lb", "co_rate_lb", _rational),
 )
 # Then one `key: name=value ...` line per record, as (key, BoundReport field,
 # record type); the names are the record's fields, read by their annotations.
@@ -603,17 +611,18 @@ def parse_report(text: str) -> BoundReport:
         for line in sections["packing"]:
             key, _, rest = _key_value(line)
             if key == "value":
-                total = Fraction(rest)
+                total = _rational(rest)
             elif key == "assign":
                 weight, *cycle = rest.split()
-                assigns.append((tuple(int(v) for v in cycle), Fraction(weight)))
+                assigns.append((tuple(int(v) for v in cycle), _rational(weight)))
             else:
                 raise FormatError(f"unknown packing line {line!r}")
         # assignments without a value line are dropped
         fields["packing"] = None if total is None else CyclePacking(tuple(assigns), total)
         code = sections["code"]
         fields["code"] = parse_index_code("\n".join(code) + "\n") if code else None
-    except (ArithmeticError, LookupError, ValueError) as exc:
+    except (ArithmeticError, LookupError, ValueError, CapacityError) as exc:
+        # a code's field past the primality limit: no report carries one
         raise FormatError(f"malformed report: {type(exc).__name__}: {exc}") from None
     if fields["m"] is None or fields["k"] is None:
         raise FormatError("missing m or k line")

@@ -9,6 +9,7 @@ declarations, and never changes results (computations run single-threaded).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -237,10 +238,10 @@ def _cmd_verify(args, caps: Caps) -> int:
 
 def _add_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("network")
-    p.add_argument("--q", type=int, nargs="+", default=[1])
+    p.add_argument("--q", type=int, nargs="+", default=(1,))
     p.add_argument("--field", type=int, default=2)
     p.add_argument("--exact-gns", action="store_true", dest="exact_gns")
-    p.add_argument("--shannon-powers", type=int, nargs="*", default=[])
+    p.add_argument("--shannon-powers", type=int, nargs="*", default=())
     p.add_argument("--ratio-constant", type=float, default=8.0)
     p.add_argument("--out", choices=["human", "machine"], default="human")
     p.add_argument("--output", default=None)
@@ -341,11 +342,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The gnskit parser, or with a command name only that subcommand's. For
     an argv that starts with the name both parse and print alike: argparse
     hands the rest to the subparser, and the metavar keeps the usage line
-    (the full parser omits it, as it would rename the command in errors)."""
+    (the full parser omits it, as it would rename the command in errors).
+    Built once per process: parsing keeps its state in the namespace it
+    returns, help reads COLUMNS when it prints, and defaults are immutable."""
     parser = argparse.ArgumentParser(
         prog="gnskit",
         description="Sum-rate bound toolkit for multiple-unicasts network coding",

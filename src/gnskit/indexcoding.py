@@ -21,18 +21,31 @@ from .digraph import Digraph, blowup, complement
 from .errors import CapacityError, ContractViolation, FormatError
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981  # exact below it (Sorenson and Webster, 2015)
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test over `_PRIME_BASES`, up to `_PRIME_LIMIT`."""
+    if p >= _PRIME_LIMIT:
+        raise CapacityError(f"primality of {p} is decided only below {_PRIME_LIMIT}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

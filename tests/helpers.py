@@ -50,7 +50,7 @@ from gnskit.cyclepack import (
 from gnskit.digraph import _find_cycle
 from gnskit.errors import FormatError
 from gnskit.indexcoding import GFMatrix, _check_prime, minrank_edge_cap, parse_index_code
-from gnskit.network import GnsCertificate, Link, closure_links
+from gnskit.network import GnsCertificate, Link, _adjacency, _gns_verdict, closure_links
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -955,6 +955,21 @@ def oracle_min_gns_size(net: MUNetwork) -> int:
     raise AssertionError("no GNS cut at all")
 
 
+def reference_min_gns_cut_exact(net: MUNetwork) -> GnsCertificate:
+    """`gnskit.network.min_gns_cut_exact` before it tested each pair's own
+    reachability first, kept verbatim without its cap: every candidate gets
+    the full verdict."""
+    cuttable = sorted(e.id for e in net.links if e.tail is not None)
+    index, out = _adjacency(net)
+    pair_idx = [(index[s], index[t]) for s, t in net.pairs]
+    for size in range(len(cuttable) + 1):
+        for combo in combinations(cuttable, size):
+            perm, _ = _gns_verdict(out, pair_idx, frozenset(combo))
+            if perm is not None:
+                return GnsCertificate(cut=frozenset(combo), permutation=perm)
+    raise AssertionError("no GNS cut found even after cutting every link")
+
+
 def oracle_mincut(net: MUNetwork, s: str, t: str) -> int:
     """Smallest regular-link set whose removal disconnects s from t."""
     regular = sorted(e.id for e in net.links if e.tail is not None)
@@ -990,6 +1005,22 @@ def decode_simulation(g: Digraph, code) -> tuple[bool, int | None]:
                 return False, user
             seen[key] = message
     return True, None
+
+
+def reference_is_prime(p: int) -> bool:
+    """`gnskit.indexcoding.is_prime` before Miller-Rabin: trial division."""
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def gf_rank_oracle(rows: list[list[int]], p: int) -> int:
@@ -1104,10 +1135,11 @@ def crossed_unicasts() -> MUNetwork:
     )
 
 
-def reference_parse_report(text: str) -> BoundReport:
+def reference_parse_report(text: str, fraction=Fraction) -> BoundReport:
     """`gnskit.bounds.parse_report` before the report's lines were declared
-    in one table, kept verbatim: on malformed text it may raise KeyError,
-    ValueError, IndexError or ZeroDivisionError as well as FormatError."""
+    in one table, kept verbatim but for `fraction`, which reads every
+    rational: on malformed text it may raise KeyError, ValueError,
+    IndexError or ZeroDivisionError as well as FormatError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "boundreport":
         raise FormatError("missing 'boundreport' header")
@@ -1129,11 +1161,11 @@ def reference_parse_report(text: str) -> BoundReport:
                 key, _, value = line.partition(":")
                 key = key.strip()
                 if key == "value":
-                    packing_value = Fraction(value.strip())
+                    packing_value = fraction(value.strip())
                 elif key == "assign":
                     parts = value.split()
                     assigns.append(
-                        (tuple(int(x) for x in parts[1:]), Fraction(parts[0]))
+                        (tuple(int(x) for x in parts[1:]), fraction(parts[0]))
                     )
                 else:
                     raise FormatError(f"unknown packing line {line!r}")
@@ -1168,7 +1200,7 @@ def reference_parse_report(text: str) -> BoundReport:
         return int(scalars[key]) if key in scalars else None
 
     def _opt_frac(key: str) -> Fraction | None:
-        return Fraction(scalars[key]) if key in scalars else None
+        return fraction(scalars[key]) if key in scalars else None
 
     def _opt_set(key: str) -> frozenset[int] | None:
         if key not in scalars:

@@ -378,7 +378,9 @@ REPORT_TEXTS = [
         (random_dag_network(8, 14, 3, seed=5), dict(exact_gns=True)),
     ]
 ]
-HOSTILE_TOKENS = ["", "x", "0", "-1", "1/0", "1/2", "1.5", "nan", "1e999", ":", "=", "q=", "p=4", "gns:"]
+HOSTILE_TOKENS = [
+    "", "x", "0", "-1", "1/0", "1/2", "1.5", "1_0", "nan", "1e999", ":", "=", "q=", "p=4", "gns:",
+]
 
 
 @st.composite
@@ -414,11 +416,21 @@ def mutated_reports(draw):
     return "\n".join(lines) + "\n"
 
 
+def printed_fraction(text: str) -> Fraction:
+    """A rational in the forms a Fraction prints, `a` and `a/b`; ValueError
+    for the decimals, exponents and underscores Fraction(str) also reads."""
+    parts = text.removeprefix("-").split("/")
+    if len(parts) > 2 or not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"{text!r} is not a printed Fraction")
+    return Fraction(text)
+
+
 def assert_parses_like_the_reference(text: str) -> None:
     """parse_report returns the reference's report where it has one, and
-    raises FormatError where the reference raises anything."""
+    raises FormatError where the reference raises anything. The reference
+    reads rationals only as `a` or `a/b`, the forms the serializer writes."""
     try:
-        expected = reference_parse_report(text)
+        expected = reference_parse_report(text, fraction=printed_fraction)
     except (FormatError, ArithmeticError, LookupError, ValueError):
         with pytest.raises(FormatError):
             parse_report(text)
@@ -497,6 +509,15 @@ class TestBoundReport:
             "boundreport\nm: 4\nk: 1\nfvs: a\n",
             "boundreport\nm: 4\nk: 1\ngns:\n  cut: 1\n",  # no permutation
             "boundreport\nm: 4\nk: 1\npacking:\n  assign: 1/0 1\n",
+            # rationals other than `a` or `a/b`; the exponent took 10 s to expand
+            "boundreport\nm: 4\nk: 1\nrcp: 1e10000000\n",
+            "boundreport\nm: 4\nk: 1\ncode_rate: 1.5\n",
+            "boundreport\nm: 4\nk: 1\nco_rate_lb: 1_0\n",
+            "boundreport\nm: 4\nk: 1\npacking:\n  value: 1e3\n",
+            "boundreport\nm: 4\nk: 1\npacking:\n  value: 1\n  assign: 0.5 1\n",
+            # bound_report skips a code whose field primality cannot decide
+            "boundreport\nm: 4\nk: 1\ncode:\n"
+            "  code p=3317044064679887385961981 t=1 n=2 r=1\n  row 1 1\n",
         ],
     )
     def test_parse_report_rejects_malformed(self, text):

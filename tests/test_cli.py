@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, formats, determinism."""
 
+import functools
 import sys
 
 import pytest
@@ -22,6 +23,12 @@ def parallel(tmp_path):
     path = tmp_path / "parallel.mun"
     path.write_text(PARALLEL_LINKS)
     return str(path)
+
+
+@pytest.fixture()
+def empty_parser_cache(monkeypatch):
+    """`cli.build_parser` with a cache of its own for one test."""
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
 
 
 @pytest.fixture()
@@ -66,6 +73,28 @@ class TestExitCodes:
         monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "mais_vertices=0")
         assert main(["bounds", parallel, "--out", "machine"]) == 0
         assert "mais" in parse_report(capsys.readouterr().out).skipped
+
+    def test_large_prime_fields_are_decided_at_once(self, parallel, tmp_path, capsys):
+        p = str(10**18 + 3)  # trial division to its square root would not finish
+        graph = tmp_path / "c3.dg"
+        graph.write_text("digraph 3\ne 0 1\ne 1 2\ne 2 0\n")
+        code = tmp_path / "c3.code"
+        assert main(["bounds", parallel, "--field", p, "--out", "machine"]) == 0
+        assert parse_report(capsys.readouterr().out).code.p == int(p)
+        assert main(["code", str(graph), "--field", p, "--output", str(code)]) == 0
+        assert main(["verify", "code", "--graph", str(graph), "--code", str(code)]) == 0
+        assert "ok: true" in capsys.readouterr().out
+
+    def test_fields_past_the_primality_limit_are_three(self, tmp_path, capsys):
+        p = str(3317044064679887385961981)
+        graph = tmp_path / "c3.dg"
+        graph.write_text("digraph 3\ne 0 1\ne 1 2\ne 2 0\n")
+        code = tmp_path / "c3.code"
+        code.write_text(f"code p={p} t=1 n=3 r=2\nrow 1 1 0\nrow 0 1 1\n")
+        assert main(["minrank", str(graph), "--field", p]) == 3
+        assert main(["verify", "code", "--graph", str(graph), "--code", str(code)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("capacity refusal: primality of") == 2
 
     def test_failed_verification_is_one(self, parallel, tmp_path, capsys):
         assert main(["verify", "gnscut", "--network", parallel, "--cut", ""]) == 1
@@ -365,9 +394,9 @@ class TestParser:
     def test_main_parses_and_prints_as_the_full_parser(self, argv, capsys, monkeypatch):
         for columns in ("30", "80", "200"):
             monkeypatch.setenv("COLUMNS", columns)
-            built = _parser_main_builds(argv, monkeypatch)
+            built = _parser_main_builds(argv, monkeypatch)  # cached
             assert _outcome(built, argv, capsys) == _outcome(
-                cli.build_parser(), argv, capsys
+                cli.build_parser.__wrapped__(), argv, capsys
             )
 
     @pytest.mark.parametrize("argv, message", [
@@ -378,7 +407,9 @@ class TestParser:
         code, out, err = _outcome(cli.build_parser(), argv, capsys)
         assert (code, out, message in err) == (2, "", True), err
 
-    def test_a_command_builds_only_its_own_arguments(self, parallel, capsys, monkeypatch):
+    def test_a_command_builds_only_its_own_arguments(
+        self, parallel, capsys, monkeypatch, empty_parser_cache
+    ):
         built = []
         for name, (help_text, add_arguments) in list(cli._COMMANDS.items()):
             def spy(p, name=name, add_arguments=add_arguments):
@@ -389,9 +420,35 @@ class TestParser:
         assert main(["bounds", parallel, "--out", "machine"]) == 0
         assert built == ["bounds"]
         parse_report(capsys.readouterr().out)
-        assert main(["--threads", "1", "bounds", parallel, "--out", "machine"]) == 0
+        assert main(["bounds", parallel, "--out", "machine"]) == 0
+        assert built == ["bounds"]
+        for _ in range(2):
+            assert main(["--threads", "1", "bounds", parallel, "--out", "machine"]) == 0
         assert built == ["bounds", *cli._COMMANDS]
         capsys.readouterr()
+
+    def test_cached_parsers_print_as_fresh_ones(self, parallel, capsys):
+        # the list defaults of --q and --shannon-powers would be shared
+        argvs = [
+            ["bounds", parallel, "--q", "1", "2", "--shannon-powers", "1", "--out", "machine"],
+            ["bounds", parallel, "--out", "machine"],
+            ["gnscut", parallel, "--exact"],
+        ]
+        warm = [(main(argv), capsys.readouterr()) for argv in argvs]
+        for argv, result in zip(argvs, warm):
+            cli.build_parser.cache_clear()
+            assert (main(argv), capsys.readouterr()) == result
+
+    def test_help_reads_columns_when_it_prints(self, capsys, monkeypatch, empty_parser_cache):
+        helps = []
+        for columns in ("200", "30"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["bounds", "-h"])
+            helps.append(capsys.readouterr().out)
+        fresh = cli.build_parser.__wrapped__("bounds")
+        assert _outcome(fresh, ["bounds", "-h"], capsys) == (0, helps[1], "")
+        assert helps[0] != helps[1]
 
     def test_no_argv_parses_sys_argv(self, parallel, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["gnskit", "bounds", parallel, "--out", "machine"])

@@ -1,5 +1,6 @@
 """Finite-field ranks, minrank, cycle codes, and rate bookkeeping."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from gnskit import (
 )
 from gnskit.bounds import mais_exact
 from gnskit.cyclepack import CyclePacking
-from gnskit.indexcoding import _GFBasis, derive_decoders, minrank_edge_cap
+from gnskit.indexcoding import _GFBasis, derive_decoders, is_prime, minrank_edge_cap
 
 from helpers import (
     ReferenceGF2Basis,
@@ -36,12 +37,31 @@ from helpers import (
     gf_rank_oracle,
     oracle_minrank,
     reference_derive_decoders,
+    reference_is_prime,
     reference_minrank,
     reference_rank_gf2,
     reference_rank_rows,
     symmetric_cycle,
 )
 from test_digraph import random_graphs
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        for p in range(-2, 10**5):
+            assert is_prime(p) == reference_is_prime(p), p
+
+    def test_nineteen_digit_prime_is_quick(self):
+        start = time.perf_counter()
+        assert is_prime(10**18 + 3)
+        assert time.perf_counter() - start < 1
+
+    def test_refuses_past_the_limit(self):
+        # a strong pseudoprime to the first 12 prime bases, and the smallest
+        # to all 13 (the limit itself)
+        assert not is_prime(318665857834031151167461)
+        with pytest.raises(CapacityError, match="primality"):
+            is_prime(3317044064679887385961981)
 
 
 class TestGfRank:

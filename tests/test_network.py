@@ -1,6 +1,7 @@
 """Network model, transforms, and GNS cut machinery."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gnskit import (
     ContractViolation,
@@ -29,6 +30,7 @@ from helpers import (
     oracle_is_gns,
     oracle_min_gns_size,
     oracle_mincut,
+    reference_min_gns_cut_exact,
 )
 
 
@@ -44,6 +46,22 @@ def corpus(count=25, max_pairs=3):
         if net.m <= 10:
             nets.append(net)
     return nets
+
+
+@st.composite
+def small_networks(draw):
+    """A random DAG network, staged or not, with at most 12 cuttable links."""
+    nodes = draw(st.integers(2, 7))
+    links = draw(st.integers(nodes - 1, nodes + 4))
+    pairs = draw(st.integers(1, nodes // 2))
+    try:
+        net = random_dag_network(nodes, links, pairs, seed=draw(st.integers(0, 2**16)))
+    except ValueError:  # no pair of distinct endpoints is connected
+        assume(False)
+    if draw(st.booleans()):
+        net = tilde_transform(net)
+    assume(len(net.regular_links()) <= 12)
+    return net
 
 
 class TestParsing:
@@ -277,6 +295,11 @@ class TestMinGnsCutExact:
     def test_matches_brute_force_on_corpus(self):
         for net in corpus(6):
             assert len(min_gns_cut_exact(net).cut) == oracle_min_gns_size(net)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_networks())
+    def test_matches_the_reference_search(self, net):
+        assert min_gns_cut_exact(net) == reference_min_gns_cut_exact(net)
 
 
 class TestCutBoundChain:
