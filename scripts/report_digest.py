@@ -24,6 +24,15 @@ on `GRAPHS` and on the fixed `random_digraph` draws of `DRAWS`, it runs
 `gnskit minrank`, `gnskit code` and `gnskit verify code` (on the code just
 printed) at `--field` 2, 3 and 5, under the default caps. It takes no seed
 either.
+
+The workload `networks` covers the other network commands, under the
+default caps: on the first 200 sweep-small networks of the seed and on the
+gap wrappings, it runs `gnskit gnscut --exact` with and without `--tilde`,
+`gnscut --approx` and `convert`. Then, with and without `--tilde`, it runs
+`gnskit verify gnscut` on the cut `gnscut --exact` printed (the approximate
+cut where the exact search was refused) and on that cut without its
+smallest link, which is refused whenever the cut is minimum. It also runs
+`gnskit gen network` on the parameter sets of `GEN_NETWORKS`.
 """
 
 from __future__ import annotations
@@ -56,6 +65,9 @@ from gnskit.indexcoding import minrank_edge_cap  # noqa: E402
 
 GAP_WRAPPINGS = "gap-wrappings"
 CODES = "codes"
+NETWORKS = "networks"
+# (nodes, links, pairs, seed); the last draws no reachable pair, so it is refused
+GEN_NETWORKS = ((4, 6, 1, 1), (6, 10, 2, 3), (8, 14, 3, 5), (10, 20, 4, 7), (4, 0, 2, 1))
 CODE_FIELDS = (2, 3, 5)
 # small draws, kept within the F2 minrank cap so the search runs on each
 DRAWS = [
@@ -109,10 +121,36 @@ def codes(digest, tmp: Path) -> int:
     return len(graphs)
 
 
+def printed_cut(report: bytes) -> list[str]:
+    """The link ids of a `gnscut` report's `cut:` line, none if it failed."""
+    for line in report.decode("utf-8").splitlines():
+        if line.startswith("cut:"):
+            return line.split()[1:]
+    return []
+
+
+def networks(digest, seed: int, tmp: Path) -> int:
+    instances = corpus(WORKLOADS["sweep-small"], seed, 200) + gap_wrappings()
+    for inst in instances:
+        path = tmp / f"{inst.name}.mun"
+        path.write_text(inst.text, encoding="utf-8")
+        approx = printed_cut(run(digest, ["gnscut", str(path), "--approx"]))
+        run(digest, ["convert", str(path)])
+        for tilde in ([], ["--tilde"]):
+            cut = printed_cut(run(digest, ["gnscut", str(path), "--exact", *tilde])) or approx
+            for ids in (cut, cut[1:]):
+                verify = ["verify", "gnscut", "--network", str(path), "--cut", ",".join(ids)]
+                run(digest, [*verify, *tilde])
+    for nodes, links, pairs, s in GEN_NETWORKS:
+        run(digest, ["gen", "network", "--nodes", str(nodes), "--links", str(links),
+                     "--pairs", str(pairs), "--seed", str(s)])
+    return len(instances)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workload", required=True, choices=sorted([*WORKLOADS, GAP_WRAPPINGS, CODES])
+        "--workload", required=True, choices=sorted([*WORKLOADS, GAP_WRAPPINGS, CODES, NETWORKS])
     )
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
@@ -121,6 +159,9 @@ def main() -> None:
         if args.workload == CODES:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
             count, unit = codes(digest, Path(tmp)), "graphs"
+        elif args.workload == NETWORKS:
+            os.environ["GNSKIT_CAP_OVERRIDES"] = ""
+            count, unit = networks(digest, args.seed, Path(tmp)), "networks"
         else:
             if args.workload == GAP_WRAPPINGS:
                 instances, flags, overrides = gap_wrappings(), (), "mais_vertices=64"

@@ -97,8 +97,7 @@ def _cmd_gnscut(args, caps: Caps) -> int:
     lines = ["gnscut"]
     if args.approx:
         approx = cyclepack_mod.subset_fes_approx(net, caps.spreading_iterations)
-        fvs = cyclepack_mod.fes_to_fvs(net, approx.fes)
-        cert = network_mod.fvs_to_gns_cut(net, fvs)
+        cert = network_mod.fvs_to_gns_cut(net, approx.fes)  # index-graph vertex v is link v
         lines.append("mode: approx")
         lines.append("tilde: true")
         lines.append(f"size: {len(cert.cut)}")

@@ -13,7 +13,7 @@ from .caps import DEFAULT_CAPS
 from .digraph import Digraph, complement
 from .errors import CapacityError
 from .indexcoding import is_prime
-from .network import MUNetwork, build_network
+from .network import Link, MUNetwork, _link_graph, _reachable, build_network
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,7 @@ def random_dag_network(
             i = rng.randrange(n_nodes - 1)
             j = rng.randrange(i + 1, n_nodes)
             links.append((nodes[i], nodes[j]))
-        idx = {x: i for i, x in enumerate(nodes)}
-        reach: dict[int, set[int]] = {i: {i} for i in range(n_nodes)}
-        for i in reversed(range(n_nodes)):
-            for tail, head in links:
-                if idx[tail] == i:
-                    reach[i] |= reach[idx[head]]
+        _, out, _ = _link_graph(nodes, (Link(i, *ends) for i, ends in enumerate(links)))
         endpoints = rng.sample(range(n_nodes), 2 * k)
         pairs = []
         ok = True
@@ -187,7 +182,7 @@ def random_dag_network(
             s, t = endpoints[2 * x], endpoints[2 * x + 1]
             if s > t:
                 s, t = t, s
-            if t not in reach[s] or s == t:
+            if t not in _reachable(out, s, frozenset(), t):
                 ok = False
                 break
             pairs.append((nodes[s], nodes[t]))

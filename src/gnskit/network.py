@@ -15,6 +15,7 @@ graph translate to cut link ids without any renumbering.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -91,52 +92,45 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _unit_maxflow(links: Sequence[Link], nodes: Sequence[str], s: str, t: str) -> int:
-    """Max-flow value with unit capacity per link, BFS augmenting paths in
-    link-id order."""
+_Arcs = list[list[tuple[int, int]]]  # per node, its (link id, other node) pairs
+
+
+def _link_graph(nodes: Sequence[str], links: Iterable[Link]) -> tuple[dict[str, int], _Arcs, _Arcs]:
+    """The node index, and for each node the (link id, other node) pairs of
+    the regular links leaving it and entering it, in link-id order."""
     index = {x: i for i, x in enumerate(nodes)}
-    out: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    inn: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    out: _Arcs = [[] for _ in nodes]
+    inn: _Arcs = [[] for _ in nodes]
     for e in links:
-        if e.tail is None:
-            continue
-        out[index[e.tail]].append((e.id, index[e.head]))
-        inn[index[e.head]].append((e.id, index[e.tail]))
-    si, ti = index[s], index[t]
-    flow: dict[int, bool] = {e.id: False for e in links if e.tail is not None}
+        if e.tail is not None:
+            tail, head = index[e.tail], index[e.head]
+            out[tail].append((e.id, head))
+            inn[head].append((e.id, tail))
+    return index, out, inn
+
+
+def _unit_maxflow(out: _Arcs, inn: _Arcs, s: int, t: int) -> int:
+    """Max-flow value from node s to node t with unit capacity per link, by
+    breadth-first augmenting paths over the residual arcs: forward along the
+    unused links, backward along the used ones."""
+    used: set[int] = set()
     value = 0
     while True:
-        parent: dict[int, tuple[int, int, bool]] = {}  # node -> (prev, link, forward)
-        queue = [si]
-        seen = {si}
-        found = False
-        while queue and not found:
-            u = queue.pop(0)
-            for eid, v in out[u]:
-                if not flow[eid] and v not in seen:
-                    seen.add(v)
-                    parent[v] = (u, eid, True)
-                    if v == ti:
-                        found = True
-                        break
-                    queue.append(v)
-            if found:
-                break
-            for eid, v in inn[u]:
-                if flow[eid] and v not in seen:
-                    seen.add(v)
-                    parent[v] = (u, eid, False)
-                    if v == ti:
-                        found = True
-                        break
-                    queue.append(v)
-        if not found:
+        parent: dict[int, tuple[int, int]] = {s: (s, -1)}  # node -> (prev, link)
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for arcs, forward in ((out[u], True), (inn[u], False)):
+                for eid, v in arcs:
+                    if (eid not in used) == forward and v not in parent:
+                        parent[v] = (u, eid)
+                        queue.append(v)
+        if t not in parent:
             return value
-        v = ti
-        while v != si:
-            u, eid, forward = parent[v]
-            flow[eid] = forward
-            v = u
+        v = t
+        while v != s:
+            v, eid = parent[v]
+            used ^= {eid}
         value += 1
 
 
@@ -157,10 +151,9 @@ def build_network(
             raise FormatError(f"link references unknown node: {tail} -> {head}")
         if tail == head:
             raise FormatError(f"link from {tail} to itself")
-    out_nodes: dict[str, list[str]] = {x: [] for x in node_list}
-    for tail, head in regular_links:
-        out_nodes[tail].append(head)
-    if _find_cycle(out_nodes) is not None:
+    links = [Link(i, tail, head) for i, (tail, head) in enumerate(regular_links)]
+    index, out, inn = _link_graph(node_list, links)
+    if _find_cycle({u: [v for _, v in arcs] for u, arcs in enumerate(out)}) is not None:
         raise FormatError("regular links form a directed cycle")
 
     sources_seen: set[str] = set()
@@ -177,10 +170,9 @@ def build_network(
         sources_seen.add(s)
         dests_seen.add(t)
 
-    links = [Link(i, tail, head) for i, (tail, head) in enumerate(regular_links)]
     cuts = []
     for s, t in pairs:
-        c = _unit_maxflow(links, node_list, s, t)
+        c = _unit_maxflow(out, inn, index[s], index[t])
         if c == 0 and require_reachable:
             raise FormatError(f"pair {s} -> {t} is unreachable (mincut 0)")
         cuts.append(c)
@@ -250,7 +242,8 @@ def mincut(net: MUNetwork, s: str, t: str) -> int:
         raise ValueError(f"unknown node in mincut query: {s}, {t}")
     if s == t:
         raise ValueError("mincut endpoints must differ")
-    return _unit_maxflow(net.links, net.nodes, s, t)
+    index, out, inn = _link_graph(net.nodes, net.links)
+    return _unit_maxflow(out, inn, index[s], index[t])
 
 
 def closure_links(net: MUNetwork) -> tuple[Link, ...]:
@@ -271,17 +264,10 @@ def to_index_graph(net: MUNetwork) -> tuple[Digraph, LinkGraphMap]:
     edge v -> w whenever link v's head is link w's closure tail. This is the
     side-information graph of the dual index-coding instance."""
     closed = closure_links(net)
-    by_tail: dict[str, list[int]] = {}
-    for w, e in enumerate(closed):
-        by_tail.setdefault(e.tail, []).append(w)
-    edges = []
-    for v, e in enumerate(closed):
-        for w in by_tail.get(e.head, ()):
-            edges.append((v, w))
-    labels = tuple(f"{e.id}:{e.tail}->{e.head}" for e in closed)
-    g = Digraph(len(closed), edges, labels)
+    index, out, _ = _link_graph(net.nodes, closed)
+    edges = [(v, w) for v, e in enumerate(closed) for w, _ in out[index[e.head]]]
     ids = tuple(e.id for e in closed)
-    return g, LinkGraphMap(id_to_vertex=ids, vertex_to_id=ids)
+    return Digraph(len(closed), edges), LinkGraphMap(id_to_vertex=ids, vertex_to_id=ids)
 
 
 def tilde_transform(net: MUNetwork) -> MUNetwork:
@@ -318,24 +304,14 @@ def tilde_transform(net: MUNetwork) -> MUNetwork:
     result = MUNetwork(
         net.nodes + tuple(stage_names), tuple(links), pairs, tuple(groups)
     )
+    index, out, inn = _link_graph(result.nodes, result.links)
     for i, (s, t) in enumerate(result.pairs):
-        if len(result.source_links[i]) != _unit_maxflow(result.links, result.nodes, s, t):
+        if len(result.source_links[i]) != _unit_maxflow(out, inn, index[s], index[t]):
             raise ContractViolation("staging transform changed a pair's mincut")
     return result
 
 
-def _adjacency(net: MUNetwork) -> tuple[dict[str, int], list[list[tuple[int, int]]]]:
-    index = {x: i for i, x in enumerate(net.nodes)}
-    out: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
-    for e in net.links:
-        if e.tail is not None:
-            out[index[e.tail]].append((e.id, index[e.head]))
-    return index, out
-
-
-def _reachable(
-    out: list[list[tuple[int, int]]], start: int, cut: frozenset[int] | set[int], goal=None
-) -> set[int]:
+def _reachable(out: _Arcs, start: int, cut: frozenset[int] | set[int], goal=None) -> set[int]:
     """Nodes reachable from `start` avoiding `cut`, or fewer once `goal` is."""
     seen = {start}
     stack = [start]
@@ -349,7 +325,7 @@ def _reachable(
 
 
 def _gns_verdict(
-    out: list[list[tuple[int, int]]],
+    out: _Arcs,
     pair_idx: list[tuple[int, int]],
     cut: frozenset[int] | set[int],
 ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
@@ -406,7 +382,7 @@ def is_gns_cut(net: MUNetwork, cut: Iterable[int]) -> GnsCertificate | GnsRefusa
     for eid in sorted(cutset):
         if net.links[eid].tail is None:
             raise ValueError(f"link {eid} is a source link and cannot be cut")
-    index, out = _adjacency(net)
+    index, out, _ = _link_graph(net.nodes, net.links)
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     perm, witness = _gns_verdict(out, pair_idx, cutset)
     if perm is not None:
@@ -428,7 +404,7 @@ def min_gns_cut_exact(
             f"{len(cuttable)} cuttable links exceed the exact-search cap of "
             f"{cuttable_cap}; use the subset feedback-edge-set approximation"
         )
-    index, out = _adjacency(net)
+    index, out, _ = _link_graph(net.nodes, net.links)
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     order = list(range(len(pair_idx)))  # the last refuting pair first
     for size in range(len(cuttable) + 1):
@@ -451,12 +427,12 @@ def fvs_to_gns_cut(net: MUNetwork, fvs: Iterable[int]) -> GnsCertificate:
     """Map a feedback vertex set of the index graph to a verified GNS cut of
     the staging-transformed network, of equal cardinality.
 
-    Line-graph vertices are links; feedback links that were source links
+    Line-graph vertex v is link v; feedback links that were source links
     correspond to the staged links carrying the same id, so the cut is the
     id set itself. The input is re-verified to be a feedback vertex set
     first; the mapped cut is re-verified by the GNS checker.
     """
-    g, lmap = to_index_graph(net)
+    g, _ = to_index_graph(net)
     fvs_set = frozenset(fvs)
     bad = [v for v in fvs_set if not (0 <= v < g.n)]
     if bad:
@@ -466,9 +442,7 @@ def fvs_to_gns_cut(net: MUNetwork, fvs: Iterable[int]) -> GnsCertificate:
         raise ContractViolation(
             "input is not a feedback vertex set of the index graph", witness=cycle
         )
-    cut = frozenset(lmap.vertex_to_id[v] for v in fvs_set)
-    tilde = tilde_transform(net)
-    result = is_gns_cut(tilde, cut)
+    result = is_gns_cut(tilde_transform(net), fvs_set)
     if isinstance(result, GnsRefusal):
         raise ContractViolation(
             "mapped feedback set failed the GNS check", witness=result.witness

@@ -50,7 +50,7 @@ from gnskit.cyclepack import (
 from gnskit.digraph import _find_cycle
 from gnskit.errors import FormatError
 from gnskit.indexcoding import GFMatrix, _check_prime, minrank_edge_cap, parse_index_code
-from gnskit.network import GnsCertificate, Link, _adjacency, _gns_verdict, closure_links
+from gnskit.network import GnsCertificate, Link, _gns_verdict, _link_graph, closure_links
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -960,7 +960,7 @@ def reference_min_gns_cut_exact(net: MUNetwork) -> GnsCertificate:
     reachability first, kept verbatim without its cap: every candidate gets
     the full verdict."""
     cuttable = sorted(e.id for e in net.links if e.tail is not None)
-    index, out = _adjacency(net)
+    index, out, _ = _link_graph(net.nodes, net.links)
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     for size in range(len(cuttable) + 1):
         for combo in combinations(cuttable, size):
@@ -968,6 +968,55 @@ def reference_min_gns_cut_exact(net: MUNetwork) -> GnsCertificate:
             if perm is not None:
                 return GnsCertificate(cut=frozenset(combo), permutation=perm)
     raise AssertionError("no GNS cut found even after cutting every link")
+
+
+def reference_unit_maxflow(links: Sequence[Link], nodes: Sequence[str], s: str, t: str) -> int:
+    """`gnskit.network._unit_maxflow` before it read the network's one link
+    graph, kept verbatim: it builds its own node index and adjacency."""
+    index = {x: i for i, x in enumerate(nodes)}
+    out: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    inn: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for e in links:
+        if e.tail is None:
+            continue
+        out[index[e.tail]].append((e.id, index[e.head]))
+        inn[index[e.head]].append((e.id, index[e.tail]))
+    si, ti = index[s], index[t]
+    flow: dict[int, bool] = {e.id: False for e in links if e.tail is not None}
+    value = 0
+    while True:
+        parent: dict[int, tuple[int, int, bool]] = {}  # node -> (prev, link, forward)
+        queue = [si]
+        seen = {si}
+        found = False
+        while queue and not found:
+            u = queue.pop(0)
+            for eid, v in out[u]:
+                if not flow[eid] and v not in seen:
+                    seen.add(v)
+                    parent[v] = (u, eid, True)
+                    if v == ti:
+                        found = True
+                        break
+                    queue.append(v)
+            if found:
+                break
+            for eid, v in inn[u]:
+                if flow[eid] and v not in seen:
+                    seen.add(v)
+                    parent[v] = (u, eid, False)
+                    if v == ti:
+                        found = True
+                        break
+                    queue.append(v)
+        if not found:
+            return value
+        v = ti
+        while v != si:
+            u, eid, forward = parent[v]
+            flow[eid] = forward
+            v = u
+        value += 1
 
 
 def oracle_mincut(net: MUNetwork, s: str, t: str) -> int:

@@ -320,6 +320,20 @@ class TestTensorBound:
             assert tb.radicand == 3**q
             assert tb.value == pytest.approx(5 - 3)
 
+    def test_power_refused_before_it_is_built(self, monkeypatch):
+        g = directed_cycle(5)  # its square has 25 vertices
+        built = []
+        monkeypatch.setattr(gnskit.bounds, "tensor_power", lambda *args: built.append(args))
+        refusal = "power graph has 25 vertices, exact-search cap is 24"
+        with pytest.raises(CapacityError, match=refusal):
+            tensor_bound(g, 2, 5, vertex_cap=24)
+        with pytest.raises(CapacityError, match=refusal):
+            shannon_capacity_lb(g, 2, vertex_cap=24)
+        assert built == []
+        monkeypatch.undo()  # past the tensor cap, tensor_power's own refusal
+        with pytest.raises(CapacityError, match="tensor power would have 25 vertices"):
+            tensor_bound(g, 2, 5, tensor_cap=20, vertex_cap=10)
+
 
 class TestShannonLowerBound:
     def test_empty_graph(self):

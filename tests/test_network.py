@@ -1,13 +1,14 @@
 """Network model, transforms, and GNS cut machinery."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gnskit import (
     ContractViolation,
     FormatError,
     GnsCertificate,
     GnsRefusal,
+    build_network,
     closure_links,
     fvs_to_gns_cut,
     is_gns_cut,
@@ -31,6 +32,7 @@ from helpers import (
     oracle_min_gns_size,
     oracle_mincut,
     reference_min_gns_cut_exact,
+    reference_unit_maxflow,
 )
 
 
@@ -62,6 +64,28 @@ def small_networks(draw):
         net = tilde_transform(net)
     assume(len(net.regular_links()) <= 12)
     return net
+
+
+@st.composite
+def dag_networks(draw):
+    """A `build_network` DAG of at most 9 links, parallel ones allowed, whose
+    pairs may be unreachable (mincut 0) and may share endpoints."""
+    n = draw(st.integers(2, 6))
+    links = []
+    for _ in range(draw(st.integers(0, 9))):
+        i = draw(st.integers(0, n - 2))
+        links.append((i, draw(st.integers(i + 1, n - 1))))
+    k = draw(st.integers(1, n // 2))
+    ends = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    pairs = list(zip(draw(ends), draw(ends)))
+    assume(all(s != t for s, t in pairs))
+    name = [f"v{i}" for i in range(n)]
+    return build_network(
+        name,
+        [(name[i], name[j]) for i, j in links],
+        [(name[s], name[t]) for s, t in pairs],
+        require_reachable=False,
+    )
 
 
 class TestParsing:
@@ -121,6 +145,26 @@ class TestMincut:
         for net in corpus(10):
             for s, t in net.pairs:
                 assert mincut(net, s, t) == oracle_mincut(net, s, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dag_networks())
+    # its 3 units need a backward residual arc: forward arcs alone find 2
+    @example(build_network(
+        ["s", "a", "b", "c", "d", "t"],
+        [("s", "c"), ("s", "a"), ("s", "b"), ("d", "t"), ("c", "t"), ("a", "c"), ("c", "t"),
+         ("a", "d"), ("b", "c")],
+        [("s", "t")],
+    ))
+    def test_matches_the_reference_maxflow(self, net):
+        staged = tilde_transform(net)
+        for i, (s, t) in enumerate(net.pairs):
+            expected = oracle_mincut(net, s, t)
+            assert reference_unit_maxflow(net.links, net.nodes, s, t) == expected
+            assert mincut(net, s, t) == expected
+            assert len(net.source_links[i]) == expected
+            stage = staged.pairs[i][0]
+            assert reference_unit_maxflow(staged.links, staged.nodes, stage, t) == expected
+            assert mincut(staged, stage, t) == expected
 
 
 class TestIndexGraph:
