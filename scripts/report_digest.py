@@ -19,6 +19,12 @@ of `GRAPHS` in scripts/gap_wrappings.py, reported with
 `mais_vertices=64` and no other flag, where the packing leaves a gap below
 the minimum feedback vertex set. It takes no seed; `--seed` is ignored.
 
+The workload `large-dags` is not a benchmark corpus either: it is the
+networks `bench/corpus.py` draws for the parameter sets of `LARGE_DAG_SETS`
+(m = 66-119 links), reported with `mais_vertices=128` and no other flag, so
+the exact searches run far past the benchmark's sizes. It takes no seed
+either.
+
 The workload `codes` covers the index-coding commands instead of `bounds`:
 on `GRAPHS` and on the fixed `random_digraph` draws of `DRAWS`, it runs
 `gnskit minrank`, `gnskit code` and `gnskit verify code` (on the code just
@@ -49,7 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from corpus import WORKLOADS, Instance, corpus  # noqa: E402
+from corpus import WORKLOADS, Instance, corpus, dag_network  # noqa: E402
 from gap_wrappings import GRAPHS  # noqa: E402  (the script beside this one)
 from gnskit import (  # noqa: E402
     FormatError,
@@ -64,6 +70,13 @@ from gnskit import (  # noqa: E402
 from gnskit.indexcoding import minrank_edge_cap  # noqa: E402
 
 GAP_WRAPPINGS = "gap-wrappings"
+LARGE_DAGS = "large-dags"
+# (nodes, links, pairs, seed) of dag_network, by link count m from 66 to 119
+LARGE_DAG_SETS = (
+    (22, 60, 5, 3), (22, 65, 5, 2), (24, 70, 6, 1), (24, 75, 6, 8), (26, 80, 6, 2),
+    (26, 80, 7, 4), (30, 95, 8, 6), (28, 90, 7, 5), (30, 100, 8, 1), (30, 100, 8, 2),
+    (30, 100, 8, 3),
+)
 CODES = "codes"
 NETWORKS = "networks"
 # (nodes, links, pairs, seed); the last draws no reachable pair, so it is refused
@@ -81,6 +94,13 @@ def gap_wrappings() -> list[Instance]:
     return [
         Instance(f"gap{i}", serialize_network(network_from_side_info_graph(g), [name]))
         for i, (name, g) in enumerate(GRAPHS)
+    ]
+
+
+def large_dags() -> list[Instance]:
+    return [
+        Instance(f"dag{i}", dag_network(*params).text(f"dag_network{params}"))
+        for i, params in enumerate(LARGE_DAG_SETS)
     ]
 
 
@@ -150,7 +170,9 @@ def networks(digest, seed: int, tmp: Path) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workload", required=True, choices=sorted([*WORKLOADS, GAP_WRAPPINGS, CODES, NETWORKS])
+        "--workload",
+        required=True,
+        choices=sorted([*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, CODES, NETWORKS]),
     )
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
@@ -165,6 +187,8 @@ def main() -> None:
         else:
             if args.workload == GAP_WRAPPINGS:
                 instances, flags, overrides = gap_wrappings(), (), "mais_vertices=64"
+            elif args.workload == LARGE_DAGS:
+                instances, flags, overrides = large_dags(), (), "mais_vertices=128"
             else:
                 workload = WORKLOADS[args.workload]
                 instances = corpus(workload, args.seed)

@@ -57,6 +57,7 @@ def _max_acyclic(
     candidates: Sequence[int],
     required: Sequence[int] = (),
     target: int | None = None,
+    cycles: Sequence[int] = (),
 ) -> tuple[int, int]:
     """Largest acyclic induced superset of `required` inside required plus
     `candidates` (out- and in-neighbour bitmasks `out`, `inn`) as (size,
@@ -66,7 +67,10 @@ def _max_acyclic(
     first if it closes no cycle; a popped state is pruned unless its members
     plus the candidates left, less one per disjoint cycle among them, beat
     the best set, and otherwise runs down its include chain and stacks the
-    exclude branches it passes."""
+    exclude branches it passes. A state's count, in candidate order, first
+    keeps the cycles of its parent's count (the root's: `cycles`, counted
+    over a superset of the candidates) that lie inside its members and
+    candidates; each still meets the candidates, as the members are acyclic."""
     members = 0
     for v in required:
         if _closes_cycle(out, inn, members, v):
@@ -79,12 +83,15 @@ def _max_acyclic(
         suffix[i] = suffix[i + 1] | 1 << candidates[i]
     best = count if target is None else max(count, target - 1)
     stop = count + ncand if target is None else target  # a set this large ends the search
-    best_mask, stack = members, [(0, members, count)]
+    best_mask, stack = members, [(0, members, count, cycles)]
     while stack:
-        i, members, count = stack.pop()
+        i, members, count, reuse = stack.pop()
         bound = count + ncand - i
         if bound > best:
-            bound -= _disjoint_cycles(out, inn, members, suffix[i], bound - best)
+            cycles = _disjoint_cycles(
+                out, inn, members, suffix[i], candidates[i:], bound - best, reuse
+            )
+            bound -= len(cycles)
         if bound <= best:
             continue
         if i == 0:  # only the root starts at the first candidate
@@ -93,7 +100,7 @@ def _max_acyclic(
             v = candidates[i]
             i += 1
             if not _closes_cycle(out, inn, members, v):
-                stack.append((i, members, count))
+                stack.append((i, members, count, cycles))
                 members |= 1 << v
                 count += 1
                 if count > best:
@@ -111,12 +118,13 @@ def _largest_acyclic(
 ) -> tuple[int, int]:
     """Largest acyclic induced set as (size, members mask), by decision
     probes down from the disjoint-cycle bound: t = n minus the greedy count
-    of disjoint cycles, then t - 1, and so on; the first probe that finds a
-    set of t vertices proves t the maximum."""
+    of disjoint cycles in `order` (each probe's root keeps them), then t - 1,
+    and so on; the first probe that finds a set of t vertices proves t."""
     n = len(out)
-    target = n - _disjoint_cycles(out, inn, 0, (1 << n) - 1, n)
+    cycles = _disjoint_cycles(out, inn, 0, (1 << n) - 1, order, n)
+    target = n - len(cycles)
     while True:
-        found, acyclic = _max_acyclic(out, inn, order, target=target)
+        found, acyclic = _max_acyclic(out, inn, order, target=target, cycles=cycles)
         if found >= target:
             return found, acyclic
         target -= 1

@@ -219,20 +219,30 @@ def _closes_cycle(out: Sequence[int], inn: Sequence[int], members: int, v: int) 
 
 
 def _disjoint_cycles(
-    out: Sequence[int], inn: Sequence[int], fixed: int, free: int, limit: int
-) -> int:
-    """Greedy count, stopped at `limit`, of cycles of the graph induced on
-    `fixed | free` whose `free` parts are pairwise disjoint (masks as in
-    `_closes_cycle`). Each free vertex in turn: a shortest cycle through it
-    inside the live vertices is counted and its free part leaves the live
-    set; a vertex on no such cycle leaves it by itself. With `fixed` acyclic
-    every cycle meets `free`, so an acyclic set holding `fixed` inside
-    `fixed | free` misses at least one free vertex per counted cycle."""
-    live, count = fixed | free, 0
-    while free and count < limit:
-        bit = free & -free
+    out: Sequence[int], inn: Sequence[int], fixed: int, free: int, order: Sequence[int],
+    limit: int, reuse: Sequence[int] = (),
+) -> list[int]:
+    """Greedy list, stopped at `limit`, of cycles (vertex masks) of the graph
+    induced on `fixed | free` whose `free` parts are pairwise disjoint (masks
+    as in `_closes_cycle`). Each `reuse` cycle inside the live vertices is
+    kept; then each free vertex in `order` (a listing of `free`): a shortest
+    cycle through it inside the live vertices is counted and its free part
+    leaves the live set; a vertex on no such cycle leaves it by itself. With
+    `fixed` acyclic every cycle meets `free`, so an acyclic set holding
+    `fixed` inside `fixed | free` misses at least one free vertex per cycle."""
+    live, cycles = fixed | free, []
+    for cycle in reuse:
+        if not cycle & ~live and len(cycles) < limit:
+            live &= fixed | ~cycle
+            free &= ~cycle
+            cycles.append(cycle)
+    for v in order:
+        if not free or len(cycles) >= limit:
+            break
+        bit = 1 << v
+        if not free & bit:
+            continue
         free ^= bit
-        v = bit.bit_length() - 1
         goal = inn[v] & live
         frontier = out[v] & live if goal else 0
         seen, layers = frontier | bit, []
@@ -258,8 +268,8 @@ def _disjoint_cycles(
             cycle |= u
         live &= fixed | ~cycle
         free &= ~cycle
-        count += 1
-    return count
+        cycles.append(cycle)
+    return cycles
 
 
 def _strong_components(g: Digraph, low: int) -> list[list[int]]:

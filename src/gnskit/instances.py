@@ -177,19 +177,14 @@ def random_dag_network(
         _, out, _ = _link_graph(nodes, (Link(i, *ends) for i, ends in enumerate(links)))
         endpoints = rng.sample(range(n_nodes), 2 * k)
         pairs = []
-        ok = True
         for x in range(k):
             s, t = endpoints[2 * x], endpoints[2 * x + 1]
             if s > t:
                 s, t = t, s
             if t not in _reachable(out, s, frozenset(), t):
-                ok = False
                 break
             pairs.append((nodes[s], nodes[t]))
-        if not ok:
-            continue
-        if len({s for s, _ in pairs}) < k or len({t for _, t in pairs}) < k:
-            continue
-        return build_network(nodes, links, pairs, require_reachable=True)
+        else:  # the 2k endpoints are distinct, so sources and destinations are too
+            return build_network(nodes, links, pairs, require_reachable=True)
     raise ValueError(f"no reachable pair assignment found in {max_retries} retries")
 

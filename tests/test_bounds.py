@@ -295,6 +295,15 @@ class TestProbeDown:
         self.check(g2)
         assert tensor_bound(g, 2, g.n).radicand == reference_mais_size(g2)
 
+    def test_index_graph_past_a_hundred_links(self):
+        # m = 116 with mais 103: the q=1 probe ran for seconds while each
+        # search state counted its disjoint cycles from scratch in bit order
+        g = to_index_graph(random_dag_network(30, 100, 8, 2))[0]
+        m = g.n
+        assert m == 116
+        assert tensor_bound(g, 1, m, vertex_cap=128).radicand == 103
+        assert m - len(min_fvs_exact(g, 128)) == 103
+
     def test_squares(self):
         graphs = [directed_cycle(4), symmetric_cycle(4), symmetric_cycle(5)]
         graphs += [random_digraph(5, 0.4, seed) for seed in range(1, 6)]
@@ -823,27 +832,41 @@ class TestSearchMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(random_graphs(max_n=9, p=0.5), st.data())
     def test_dense_graphs(self, g, data):
-        # the disjoint-cycle bound prunes most states here, and is sound
+        # the disjoint-cycle bound prunes most states here, and is sound in
+        # any vertex order and from any valid root cycles: those of the whole
+        # graph, some of which leave the candidates when vertices are dropped
         out, inn = _masks(g._out), _masks(g._in)
         order = _search_order(g)
         size = reference_max_acyclic(g._out, order)
-        assert _disjoint_cycles(out, inn, 0, (1 << g.n) - 1, g.n) <= g.n - size
+        root = _disjoint_cycles(out, inn, 0, (1 << g.n) - 1, data.draw(st.permutations(order)), g.n)
+        assert len(root) <= g.n - size
         required = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=4, unique=True))
+        dropped = data.draw(st.lists(st.sampled_from(order), max_size=3, unique=True))
         cand = [v for v in order if v not in required]
+        fewer = [v for v in cand if v not in dropped]
         for t in (None, size - 1, size, size + 1):
             self._check_probe(g, out, inn, order, (), t)
             self._check_probe(g, out, inn, cand, required, t)
+        for t in (None, *range(g.n + 2)):
+            self._check_probe(g, out, inn, order, (), t, root)
+            self._check_probe(g, out, inn, cand, required, t, root)
+            self._check_probe(g, out, inn, fewer, required, t, root)
         # with an acyclic `fixed` part, every counted cycle costs the
-        # largest acyclic superset of it one free vertex
+        # largest acyclic superset of it one free vertex, in any order and
+        # after keeping any of the root cycles
         most = reference_max_acyclic(g._out, cand, required)
         if most >= 0:
             free = sum(1 << v for v in cand)
             fixed = sum(1 << v for v in required)
-            assert _disjoint_cycles(out, inn, fixed, free, g.n) <= g.n - most
+            reuse = data.draw(st.lists(st.sampled_from(root), unique=True)) if root else []
+            cycles = _disjoint_cycles(
+                out, inn, fixed, free, data.draw(st.permutations(cand)), g.n, reuse
+            )
+            assert len(cycles) <= g.n - most
 
     @staticmethod
-    def _check_probe(g, out, inn, cand, required, t):
-        found, mask = _max_acyclic(out, inn, cand, required, t)
+    def _check_probe(g, out, inn, cand, required, t, cycles=()):
+        found, mask = _max_acyclic(out, inn, cand, required, t, cycles)
         reference = reference_max_acyclic(g._out, cand, required, t)
         if t is None:
             assert found == reference

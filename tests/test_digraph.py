@@ -33,6 +33,7 @@ from helpers import (
     oracle_mais,
     reference_enumerate_simple_cycles,
     reference_find_cycle,
+    reference_max_acyclic,
     symmetric_cycle,
     to_nx,
 )
@@ -300,7 +301,10 @@ class TestDisjointCycles:
         inn = [sum(1 << w for w in ws) for ws in g._in]
         fixed_mask = sum(1 << v for v in fixed)
         free = ((1 << g.n) - 1) & ~fixed_mask
-        return _disjoint_cycles(out, inn, fixed_mask, free, g.n if limit is None else limit)
+        order = [v for v in range(g.n) if free >> v & 1]
+        return len(_disjoint_cycles(
+            out, inn, fixed_mask, free, order, g.n if limit is None else limit
+        ))
 
     def test_counts(self):
         two = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
@@ -316,6 +320,59 @@ class TestDisjointCycles:
         bowtie = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
         assert self.count(bowtie) == 1
         assert self.count(bowtie, fixed=(0,)) == 2
+
+    def test_order_picks_the_cycles(self):
+        # the bowtie 1 <-> 0 <-> 2: the order decides which 2-cycle through 0
+        # is counted, and with 0 fixed both are
+        bowtie = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
+        out = [sum(1 << w for w in ws) for ws in bowtie._out]
+        inn = [sum(1 << w for w in ws) for ws in bowtie._in]
+        assert _disjoint_cycles(out, inn, 0, 7, [0, 1, 2], 3) == [0b011]
+        assert _disjoint_cycles(out, inn, 0, 7, [2, 1, 0], 3) == [0b101]
+        assert _disjoint_cycles(out, inn, 1, 6, [2, 1], 3) == [0b101, 0b011]
+        # a reused cycle is kept first, and one outside fixed | free is dropped
+        assert _disjoint_cycles(out, inn, 0, 7, [0, 1, 2], 3, [0b101]) == [0b101]
+        assert _disjoint_cycles(out, inn, 0, 3, [0, 1], 3, [0b101]) == [0b011]
+        assert _disjoint_cycles(out, inn, 1, 6, [1, 2], 1, [0b101, 0b011]) == [0b101]
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=8, p=0.4), st.data())
+    def test_any_order_and_reuse(self, g, data):
+        # a parent state's cycles, reused by a child whose free vertices are
+        # some of the parent's (the rest fixed or dropped), with masks that
+        # reach outside the child's vertices mixed in
+        out = [sum(1 << w for w in ws) for ws in g._out]
+        inn = [sum(1 << w for w in ws) for ws in g._in]
+        full = (1 << g.n) - 1
+        subset = st.lists(st.integers(0, g.n - 1), unique=True).map(
+            lambda vs: sum(1 << v for v in vs)
+        )
+
+        def listing(mask):
+            return data.draw(st.permutations([v for v in range(g.n) if mask >> v & 1]))
+
+        parent_fixed = data.draw(subset)
+        parent_free = full & ~parent_fixed
+        parent = _disjoint_cycles(out, inn, parent_fixed, parent_free, listing(parent_free), g.n)
+        moved, dropped = data.draw(subset) & parent_free, data.draw(subset) & parent_free
+        fixed, free = parent_fixed | moved, parent_free & ~moved & ~dropped
+        outside = [c for c in data.draw(st.lists(subset, max_size=3)) if c & ~(fixed | free)]
+        reuse = data.draw(st.permutations(parent + outside))
+        limit = data.draw(st.integers(0, g.n))
+        cycles = _disjoint_cycles(out, inn, fixed, free, listing(free), limit, reuse)
+        assert len(cycles) <= limit
+        taken = 0
+        for c in cycles:
+            assert not c & ~(fixed | free)
+            members = [v for v in range(g.n) if c >> v & 1]
+            assert not nx.is_directed_acyclic_graph(to_nx(g).subgraph(members))
+            assert not c & free & taken
+            taken |= c & free
+        fixed_list = [v for v in range(g.n) if fixed >> v & 1]
+        most = reference_max_acyclic(g._out, [v for v in range(g.n) if free >> v & 1], fixed_list)
+        if most >= 0:  # fixed is acyclic: each cycle costs a free vertex
+            assert all(c & free for c in cycles)
+            assert len(cycles) <= (fixed | free).bit_count() - most
 
 
 class TestEmbedding:
