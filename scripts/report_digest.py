@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """One digest of gnskit's exit codes and output over a fixed corpus.
 
-    python3 scripts/report_digest.py --workload NAME --seed N
+    python3 scripts/report_digest.py [--workload NAME] --seed N
 
 Writes the corpus of the workload seed (bench/corpus.py, the generator the
 benchmark measures on) to a temporary directory and runs
@@ -12,7 +12,8 @@ exit code and standard output, in corpus order. Equal digests at two commits
 mean byte-identical reports on that corpus. Every report must also read back
 through `parse_report` and `serialize_report` to the same text; otherwise
 the script exits non-zero naming the instance. gnskit is imported from the
-`src/` beside this directory.
+`src/` beside this directory. The workload `all`, the default, prints the
+digest of every workload below in one run, the benchmark corpora first.
 
 The workload `gap-wrappings` is not a benchmark corpus: it is the wrappings
 of `GRAPHS` in scripts/gap_wrappings.py, reported with
@@ -79,6 +80,7 @@ LARGE_DAG_SETS = (
 )
 CODES = "codes"
 NETWORKS = "networks"
+ALL = "all"  # every workload, the benchmark corpora first
 # (nodes, links, pairs, seed); the last draws no reachable pair, so it is refused
 GEN_NETWORKS = ((4, 6, 1, 1), (6, 10, 2, 3), (8, 14, 3, 5), (10, 20, 4, 7), (4, 0, 2, 1))
 CODE_FIELDS = (2, 3, 5)
@@ -167,32 +169,25 @@ def networks(digest, seed: int, tmp: Path) -> int:
     return len(instances)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--workload",
-        required=True,
-        choices=sorted([*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, CODES, NETWORKS]),
-    )
-    parser.add_argument("--seed", type=int, required=True)
-    args = parser.parse_args()
+def print_digest(workload: str, seed: int) -> None:
+    """Run one workload and print its instance count and digest."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        if args.workload == CODES:
+        if workload == CODES:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
             count, unit = codes(digest, Path(tmp)), "graphs"
-        elif args.workload == NETWORKS:
+        elif workload == NETWORKS:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
-            count, unit = networks(digest, args.seed, Path(tmp)), "networks"
+            count, unit = networks(digest, seed, Path(tmp)), "networks"
         else:
-            if args.workload == GAP_WRAPPINGS:
+            if workload == GAP_WRAPPINGS:
                 instances, flags, overrides = gap_wrappings(), (), "mais_vertices=64"
-            elif args.workload == LARGE_DAGS:
+            elif workload == LARGE_DAGS:
                 instances, flags, overrides = large_dags(), (), "mais_vertices=128"
             else:
-                workload = WORKLOADS[args.workload]
-                instances = corpus(workload, args.seed)
-                flags, overrides = workload.flags, workload.cap_overrides
+                spec = WORKLOADS[workload]
+                instances = corpus(spec, seed)
+                flags, overrides = spec.flags, spec.cap_overrides
             os.environ["GNSKIT_CAP_OVERRIDES"] = overrides
             for inst in instances:
                 path = Path(tmp) / f"{inst.name}.mun"
@@ -200,8 +195,18 @@ def main() -> None:
                 report = run(digest, ["bounds", str(path), *flags, "--out", "machine"])
                 check_round_trip(inst.name, report.decode("utf-8"))
             count, unit = len(instances), "instances"
-    print(f"{args.workload} seed {args.seed}: {count} {unit}")
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"{workload} seed {seed}: {count} {unit}")
+    print(f"sha256 {digest.hexdigest()}", flush=True)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    workloads = [*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, NETWORKS, CODES]
+    parser.add_argument("--workload", default=ALL, choices=sorted([*workloads, ALL]))
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args()
+    for workload in workloads if args.workload == ALL else [args.workload]:
+        print_digest(workload, args.seed)
 
 
 if __name__ == "__main__":

@@ -581,7 +581,8 @@ def _key_value(line: str) -> tuple[str, str, str]:
 def parse_report(text: str) -> BoundReport:
     """The report `serialize_report` wrote. Blank lines and unknown keys are
     ignored, and a repeated key keeps its last line; other malformed text
-    raises FormatError."""
+    raises FormatError, as do a section key with a value on its own line, a
+    `gns:` size that is not its cut's and `packing:` assignments with no value."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "boundreport":
         raise FormatError("missing 'boundreport' header")
@@ -593,7 +594,7 @@ def parse_report(text: str) -> BoundReport:
             section.append(raw.strip())
             continue
         key, sep, value = _key_value(raw)
-        if not sep:
+        if not sep or (value and key in sections):
             raise FormatError(f"malformed line {raw!r}")
         section = None if value else sections.get(key)
         if section is None:
@@ -612,6 +613,8 @@ def parse_report(text: str) -> BoundReport:
         fields["gns_exact"] = None
         if gns:
             cut, permutation = _int_set(gns.get("cut", "")), gns["permutation"].split()
+            if int(gns.get("size", len(cut))) != len(cut):
+                raise FormatError(f"gns size {gns['size']} is not the size of its cut")
             fields["gns_exact"] = GnsCertificate(cut, tuple(int(x) for x in permutation))
         total, assigns = None, []
         for line in sections["packing"]:
@@ -623,7 +626,8 @@ def parse_report(text: str) -> BoundReport:
                 assigns.append((tuple(int(v) for v in cycle), _rational(weight)))
             else:
                 raise FormatError(f"unknown packing line {line!r}")
-        # assignments without a value line are dropped
+        if assigns and total is None:
+            raise FormatError("packing assignments without a value line")
         fields["packing"] = None if total is None else CyclePacking(tuple(assigns), total)
         code = sections["code"]
         fields["code"] = parse_index_code("\n".join(code) + "\n") if code else None

@@ -16,7 +16,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
 from .digraph import (
@@ -26,7 +26,7 @@ from .digraph import (
     enumerate_simple_cycles,
 )
 from .errors import CapacityError, ContractViolation
-from .network import Link, MUNetwork, closure_links, to_index_graph
+from .network import Link, MUNetwork, _Arcs, _reachable, closure_links, to_index_graph
 
 F0 = Fraction(0)
 
@@ -211,58 +211,71 @@ def _group_pairs(links: Sequence[Link]) -> dict[tuple[str, str], list[int]]:
     return grouped
 
 
+def _pair_graph(
+    links: Iterable[Link], terminals: Iterable[str] = ()
+) -> tuple[dict[str, int], list[tuple[str, str]], list[list[int]], _Arcs]:
+    """The node index, the sorted distinct (tail, head) pairs of the regular
+    links, each pair's link ids, and for each node the (pair, head) arcs
+    leaving it. Nodes, the terminals among them, and pairs are numbered in
+    name order, so comparing numbers compares names."""
+    grouped = _group_pairs(links)
+    pairs = sorted(grouped)
+    names = sorted({x for pair in pairs for x in pair}.union(terminals))
+    index = {x: i for i, x in enumerate(names)}
+    out: _Arcs = [[] for _ in names]
+    for p, (tail, head) in enumerate(pairs):
+        out[index[tail]].append((p, index[head]))
+    return index, pairs, [grouped[pair] for pair in pairs], out
+
+
 def _distances_from(
-    terminal: str,
-    out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
-    lengths: dict[tuple[str, str], int],
-) -> tuple[dict[str, int], dict[str, tuple[str, tuple[str, str]]]]:
-    """Dijkstra from the exit side of `terminal`, never re-entering it, on
-    integer lengths (a metric over a common denominator). Returns each
-    reached node's distance and its (parent, pair) on one shortest path."""
-    dist: dict[str, int] = {}
-    prev: dict[str, tuple[str, tuple[str, str]]] = {}
-    heap: list[tuple[int, str, str, tuple[str, str]]] = []
-    for head, key in out_pairs.get(terminal, ()):
-        if head == terminal:
-            continue
-        heapq.heappush(heap, (lengths[key], head, terminal, key))
+    terminal: int, out: _Arcs, lengths: Sequence[int], cut: Collection[int] = ()
+) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """Dijkstra from the exit side of `terminal` over the pairs not in `cut`,
+    never re-entering it, on integer lengths (a metric over a common
+    denominator). Returns each reached node's distance, in the order they
+    were reached, and its (parent, pair) on one shortest path."""
+    dist: dict[int, int] = {}
+    prev: dict[int, tuple[int, int]] = {}
+    heap = [
+        (lengths[p], head, terminal, p)
+        for p, head in out[terminal]
+        if head != terminal and p not in cut
+    ]
+    heapq.heapify(heap)
     while heap:
-        d, node, parent, key = heapq.heappop(heap)
+        d, node, parent, p = heapq.heappop(heap)
         if node in dist:
             continue
         dist[node] = d
-        prev[node] = (parent, key)
-        for head, k2 in out_pairs.get(node, ()):
-            if head == terminal or head in dist:
-                continue
-            heapq.heappush(heap, (d + lengths[k2], head, node, k2))
+        prev[node] = (parent, p)
+        for p, head in out[node]:
+            if head != terminal and head not in dist and p not in cut:
+                heapq.heappush(heap, (d + lengths[p], head, node, p))
     return dist, prev
 
 
 def _shortest_cycle_through(
-    terminal: str,
-    out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
-    lengths: dict[tuple[str, str], int],
-) -> tuple[int, tuple[tuple[str, str], ...]] | None:
+    terminal: int, out: _Arcs, lengths: Sequence[int]
+) -> tuple[int, tuple[int, ...]] | None:
     """Shortest closed walk through `terminal` under the given lengths,
     treating the terminal as split into an exit side and an entry side.
     Returns its length and the pair sequence, or None if no cycle passes."""
-    dist, prev = _distances_from(terminal, out_pairs, lengths)
-    best: tuple[int, str, tuple[str, str]] | None = None
+    dist, prev = _distances_from(terminal, out, lengths)
+    best: tuple[int, int, int] | None = None
     for node, d in dist.items():
-        for head, key in out_pairs.get(node, ()):
+        for p, head in out[node]:
             if head == terminal:
-                cand = d + lengths[key]
+                cand = d + lengths[p]
                 if best is None or cand < best[0] or (cand == best[0] and node < best[1]):
-                    best = (cand, node, key)
+                    best = (cand, node, p)
     if best is None:
         return None
     total, node, closing = best
     seq = [closing]
     while node != terminal:
-        parent, key = prev[node]
-        seq.append(key)
-        node = parent
+        node, p = prev[node]
+        seq.append(p)
     seq.reverse()
     return total, tuple(seq)
 
@@ -283,28 +296,23 @@ def solve_spreading_metric(
     the last packing an optimal packing over all cycles through a terminal
     (column generation with a shortest-cycle pricing step).
     """
-    grouped = _group_pairs(links)
-    pair_keys = sorted(grouped)
-    pair_index = {key: i for i, key in enumerate(pair_keys)}
-    costs = [len(grouped[key]) for key in pair_keys]
-    out_pairs: dict[str, list[tuple[str, tuple[str, str]]]] = {}
-    for tail, head in pair_keys:
-        out_pairs.setdefault(tail, []).append((head, (tail, head)))
-    order = sorted(set(terminals))
+    terminals = set(terminals)
+    index, pairs, ids, out = _pair_graph(links, terminals)
+    costs = [len(group) for group in ids]
+    order = sorted(index[t] for t in terminals)
 
     # the covering LP's packing dual: one row per pair, one column per cycle
-    rows: list[list[int]] = [[] for _ in pair_keys]
-    cycles: list[tuple[tuple[str, str], ...]] = []  # pair sequence of each column
+    rows: list[list[int]] = [[] for _ in pairs]
+    cycles: list[tuple[int, ...]] = []  # pair sequence of each column
     known: set[frozenset[int]] = set()
-    x, d = [0] * len(pair_keys), 1  # pair lengths, over the common denominator d
+    x, d = [0] * len(pairs), 1  # pair lengths, over the common denominator d
     weights: list[int] = []
     for _ in range(iteration_cap + 1):
-        lengths = dict(zip(pair_keys, x))
         violated = 0
         for t in order:
-            found = _shortest_cycle_through(t, out_pairs, lengths)
+            found = _shortest_cycle_through(t, out, x)
             if found is not None and found[0] < d:
-                row = frozenset(pair_index[key] for key in found[1])
+                row = frozenset(found[1])
                 if row not in known:
                     known.add(row)
                     cycles.append(found[1])
@@ -314,11 +322,13 @@ def solve_spreading_metric(
         if not violated:
             objective = Fraction(sum(c * xi for c, xi in zip(costs, x)), d)
             metric = tuple(
-                (e.id, Fraction(x[pair_index[(e.tail, e.head)]], d))
-                for e in sorted(links, key=lambda e: e.id)
-                if e.tail is not None
+                sorted((eid, Fraction(x[p], d)) for p, group in enumerate(ids) for eid in group)
             )
-            packing = tuple((cyc, Fraction(w, d)) for cyc, w in zip(cycles, weights) if w > 0)
+            packing = tuple(
+                (tuple(pairs[p] for p in cyc), Fraction(w, d))
+                for cyc, w in zip(cycles, weights)
+                if w > 0
+            )
             return SpreadingMetric(lengths=metric, objective=objective, packing=packing)
         _, weights, x, d = _simplex_core(len(cycles), rows, costs, [1] * len(cycles))
     raise CapacityError(
@@ -375,45 +385,17 @@ class ApproxFes:
     metric: SpreadingMetric  # the solved relaxation, with its optimal packing
 
 
-def _pair_graph(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {}
-    for tail, head in pairs:
-        adj.setdefault(tail, set()).add(head)
-        adj.setdefault(head, set())
-    return adj
-
-
-def _reaches(adj: dict[str, set[str]], start: str, goal: str) -> bool:
-    """Is there a path from `start` to `goal` in `adj`?"""
-    seen, stack = {start}, [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            return True
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
-def _minimal_cut(
-    pairs: Iterable[tuple[str, str]], cut_pairs: set[tuple[str, str]]
-) -> set[tuple[str, str]]:
-    """`cut_pairs` without the cuts that are not needed: in sorted order, a
-    pair (tail, head) is dropped when its head does not reach its tail in
-    the acyclic rest of `pairs`, and then joins the rest. Raises
-    ContractViolation unless the rest is acyclic, before and after."""
-    rest = _pair_graph(set(pairs) - cut_pairs)
-    if _find_cycle(rest) is not None:
-        raise ContractViolation("feedback edge set verification failed")
-    kept = set(cut_pairs)
-    for key in sorted(cut_pairs):
-        tail, head = key
-        if not _reaches(rest, head, tail):
-            rest.setdefault(tail, set()).add(head)
-            rest.setdefault(head, set())
-            kept.remove(key)
+def _minimal_cut(out: _Arcs, cut: Collection[int]) -> set[int]:
+    """The pairs of `cut` that are needed: in pair order, a cut pair is
+    dropped when its head does not reach its tail in the rest of the pair
+    graph `out`, and then joins the rest. Raises ContractViolation unless
+    the rest is acyclic at the end, and so all along, since it only grows."""
+    kept = set(cut)
+    ends = sorted((p, tail, head) for tail, arcs in enumerate(out) for p, head in arcs if p in kept)
+    for p, tail, head in ends:
+        if tail not in _reachable(out, head, kept, tail):
+            kept.remove(p)
+    rest = {tail: [head for p, head in arcs if p not in kept] for tail, arcs in enumerate(out)}
     if _find_cycle(rest) is not None:
         raise ContractViolation("feedback edge set verification failed")
     return kept
@@ -447,45 +429,43 @@ def subset_fes_approx(
     closed = closure_links(net)
     terminals = sorted({s for s, _ in net.pairs})
     metric = solve_spreading_metric(closed, terminals, iteration_cap)
-    grouped = _group_pairs(closed)
+    index, _, ids, out = _pair_graph(closed, terminals)
     by_id = metric.as_dict()
     # lengths, distances and radii over `scale`, volumes over 2k * scale: the
     # objective/(2k) credit is then the integer objective * scale
     scale = math.lcm(*(length.denominator for length in by_id.values()))
-    lengths = {key: int(by_id[ids[0]] * scale) for key, ids in grouped.items()}
+    lengths = [int(by_id[group[0]] * scale) for group in ids]
     credit, two_k = int(metric.objective * scale), 2 * max(net.k, 1)
 
-    cut_pairs: set[tuple[str, str]] = set()
-    for s in terminals:
-        adj = _pair_graph(grouped.keys() - cut_pairs)
-        out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
-        dist, _ = _distances_from(s, out_pairs, lengths)
-        if not any(s in adj[v] for v in dist):
+    cut: set[int] = set()
+    for s in (index[t] for t in terminals):
+        dist, _ = _distances_from(s, out, lengths, cut)
+        if not any(head == s and p not in cut for v in dist for p, head in out[v]):
             continue  # no surviving cycle passes through s
+        reached = [(s, 0), *dist.items()]  # by distance, so each ball is a prefix
         radii = sorted({d for d in dist.values() if 2 * d < scale} | {0})
-        best: tuple[int, int, frozenset[tuple[str, str]]] | None = None  # cost, volume, cut
+        best: tuple[int, int, set[int]] | None = None  # cost, volume, cut
         for rho in radii:
-            ball = {v for v, d in dist.items() if d <= rho}
             boundary = set()
             volume = 0
-            for key, ids in grouped.items():
-                tail, head = key
-                if key in cut_pairs or (tail != s and tail not in ball):
-                    continue  # cut, or its tail lies outside the ball
-                d_tail = 0 if tail == s else dist[tail]
-                volume += len(ids) * max(0, min(rho, d_tail + lengths[key]) - d_tail)
-                if head == s or head not in ball:
-                    boundary.add(key)
+            for tail, d_tail in reached:
+                if d_tail > rho:
+                    break
+                for p, head in out[tail]:
+                    if p in cut:
+                        continue
+                    volume += len(ids[p]) * max(0, min(rho, d_tail + lengths[p]) - d_tail)
+                    if head == s or dist[head] > rho:
+                        boundary.add(p)
             volume = credit + two_k * volume
-            cost = sum(len(grouped[key]) for key in boundary)
+            cost = sum(len(ids[p]) for p in boundary)
             # radii ascend, so on equal cost/volume the smaller radius stays
             if best is None or cost * best[1] < best[0] * volume:
-                best = (cost, volume, frozenset(boundary))
+                best = (cost, volume, boundary)
         if best is not None:
-            cut_pairs |= best[2]
+            cut |= best[2]
 
-    cut_pairs = _minimal_cut(grouped.keys(), cut_pairs)
-    fes = frozenset(eid for key in cut_pairs for eid in grouped[key])
+    fes = frozenset(eid for p in _minimal_cut(out, cut) for eid in ids[p])
     weight = len(fes)
     if metric.objective > 0:
         ratio_val = float(Fraction(weight) / metric.objective)
@@ -511,7 +491,10 @@ def fes_to_fvs(net: MUNetwork, fes: Iterable[int]) -> frozenset[int]:
     unknown = fes_set - known
     if unknown:
         raise ValueError(f"unknown link ids: {sorted(unknown)}")
-    live = _pair_graph((e.tail, e.head) for e in closure_links(net) if e.id not in fes_set)
+    live: dict[str, set[str]] = {}
+    for e in closure_links(net):
+        if e.id not in fes_set:
+            live.setdefault(e.tail, set()).add(e.head)
     cycle = _find_cycle(live)
     if cycle is not None:
         raise ContractViolation(

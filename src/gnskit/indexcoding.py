@@ -270,6 +270,8 @@ class IndexCode:
 
     def __post_init__(self):
         _check_prime(self.p)
+        if self.blowup_t < 1 or self.n < 0:
+            raise ValueError("a code needs t >= 1 and n >= 0")
         width = self.blowup_t * self.n
         for row in self.rows:
             if len(row) != width:

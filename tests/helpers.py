@@ -44,7 +44,6 @@ from gnskit.cyclepack import (
     ApproxFes,
     SpreadingMetric,
     _group_pairs,
-    _pair_graph,
     _simplex_max,
 )
 from gnskit.digraph import _find_cycle
@@ -724,6 +723,16 @@ def reference_packing_from_metric(closed_links: Sequence[Link], metric: Spreadin
     return CyclePacking(assignments=tuple(sorted(weights.items())), value=value)
 
 
+def reference_pair_graph(pairs: Iterable[tuple[str, str]]) -> dict[str, set[str]]:
+    """The pair graph keyed by node name, as `gnskit.cyclepack` built it
+    before it numbered nodes and pairs."""
+    adj: dict[str, set[str]] = {}
+    for tail, head in pairs:
+        adj.setdefault(tail, set()).add(head)
+        adj.setdefault(head, set())
+    return adj
+
+
 def reference_minimal_cut(pairs, cut_pairs: set) -> set:
     """The minimality pass of `reference_subset_fes_approx`, the reference
     `gnskit.cyclepack._minimal_cut` is compared against: each cut pair in
@@ -732,10 +741,10 @@ def reference_minimal_cut(pairs, cut_pairs: set) -> set:
     verifies the rest."""
     pairs, cut_pairs = set(pairs), set(cut_pairs)
     for key in sorted(cut_pairs):
-        if _find_cycle(_pair_graph(pairs - cut_pairs | {key})) is None:
+        if _find_cycle(reference_pair_graph(pairs - cut_pairs | {key})) is None:
             cut_pairs.remove(key)
 
-    if _find_cycle(_pair_graph(pairs - cut_pairs)) is not None:
+    if _find_cycle(reference_pair_graph(pairs - cut_pairs)) is not None:
         raise ContractViolation("feedback edge set verification failed")
     return cut_pairs
 
@@ -775,7 +784,7 @@ def reference_subset_fes_approx(
     cut_pairs: set[tuple[str, str]] = set()
     credit = metric.objective / (2 * max(net.k, 1))
     for s in terminals:
-        adj = _pair_graph(grouped.keys() - cut_pairs)
+        adj = reference_pair_graph(grouped.keys() - cut_pairs)
         out_pairs = {v: [(w, (v, w)) for w in ws] for v, ws in adj.items()}
         dist, _ = reference_distances_from(s, out_pairs, lengths)
         if not any(s in adj[v] for v in dist):

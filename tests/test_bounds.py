@@ -448,13 +448,44 @@ def printed_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+SECTIONS = ("gns", "packing", "code")
+
+
+def refused_past_the_reference(text: str) -> bool:
+    """Whether `text` has one of the three shapes no serializer writes,
+    which parse_report refuses although the reference reads them: a section
+    key with a value on its own line, a `gns:` section whose `size:` is not
+    the size of its `cut:`, and `packing:` assignments with no `value:`."""
+    section, lines = None, {key: [] for key in SECTIONS}
+    for raw in [ln for ln in text.splitlines() if ln.strip()][1:]:
+        if raw.startswith("  ") and section is not None:
+            key, _, value = raw.partition(":")
+            lines[section].append((key.strip(), value.strip()))
+            continue
+        key, _, value = (part.strip() for part in raw.partition(":"))
+        if key in SECTIONS and value:
+            return True
+        section = None if value or key not in SECTIONS else key
+    gns, packing = dict(lines["gns"]), {key for key, _ in lines["packing"]}
+    try:
+        cut = {int(x) for x in gns.get("cut", "").split()}
+        wrong_size = "size" in gns and int(gns["size"]) != len(cut)
+    except ValueError:
+        wrong_size = True  # the reference refuses a malformed cut as well
+    return wrong_size or ("assign" in packing and "value" not in packing)
+
+
 def assert_parses_like_the_reference(text: str) -> None:
     """parse_report returns the reference's report where it has one, and
-    raises FormatError where the reference raises anything. The reference
-    reads rationals only as `a` or `a/b`, the forms the serializer writes."""
+    raises FormatError where the reference raises anything or where the
+    text has a shape the reference reads but no serializer writes. The
+    reference reads rationals only as `a` or `a/b`, the forms the serializer
+    writes."""
     try:
         expected = reference_parse_report(text, fraction=printed_fraction)
     except (FormatError, ArithmeticError, LookupError, ValueError):
+        expected = None
+    if expected is None or refused_past_the_reference(text):
         with pytest.raises(FormatError):
             parse_report(text)
     else:
@@ -550,6 +581,7 @@ class TestBoundReport:
     @pytest.mark.parametrize("index", range(len(REPORT_TEXTS)))
     def test_real_reports_round_trip(self, index):
         text = REPORT_TEXTS[index]
+        assert not refused_past_the_reference(text)
         assert parse_report(text) == reference_parse_report(text)
         assert serialize_report(parse_report(text)) == text
 
@@ -563,9 +595,12 @@ class TestBoundReport:
         [
             "mais: x\nmais: 2\n",  # the last line wins unread
             "packing:\n  value: x\n  value: 1\n",  # every value line is read
-            "packing:\n  assign: 1 0 1\n",  # dropped without a value line
-            "gns: 3\n  cut: 1\nunknown: x\nskipped: a b\n",  # unknown keys are ignored
+            # the next three are refused: see test_parse_report_refuses_what_no_serializer_writes
+            "packing:\n  assign: 1 0 1\n",
+            "gns: 3\n  cut: 1\nunknown: x\nskipped: a b\n",
             "gns:\n  size: x\n  cut: y\n  cut: 1\n  permutation: 1\n",
+            "unknown: x\nskipped: a b\n",  # unknown keys are ignored
+            "gns:\n  size: 1\n  cut: y\n  cut: 1\n  permutation: 1\n",  # the last cut wins
             "tensor_bound: q=1 q=2 radicand=3 value=1.0 extra=x\n",
             "  mais: 2\n\n   \nfvs:\napprox_fvs:\ncode:\n",
             "packing:\n  value: 1\n gns:\n  cut: 1\n",
@@ -573,6 +608,28 @@ class TestBoundReport:
     )
     def test_parse_report_keeps_the_reference_quirks(self, lines):
         assert_parses_like_the_reference("boundreport\nm: 4\nk: 1\n" + lines)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "packing:\n  assign: 1 0 1\n",  # assignments without a value line
+            "packing:\n  assign: 1 0 1\npacking:\n  assign: 1 2 3\n",
+            "gns: 3\n",  # a section key with a value on its own line
+            "packing: 1\n  value: 1\n",
+            "code: x\n",
+            "  gns: 3\n",  # no section is open, so this line is not indented content
+            "gns:\n  size: x\n  cut: 1\n  permutation: 1\n",  # size is not the cut's
+            "gns:\n  size: 2\n  cut: 1\n  permutation: 1\n",
+            "gns:\n  size: 2\n  cut: 1 1\n  permutation: 1\n",
+            "gns:\n  size: 0\n  cut: 1\n  cut:\n  size: 1\n  permutation: 1\n",
+        ],
+    )
+    def test_parse_report_refuses_what_no_serializer_writes(self, lines):
+        text = "boundreport\nm: 4\nk: 1\n" + lines
+        reference_parse_report(text)  # which reads each of them
+        assert refused_past_the_reference(text)
+        with pytest.raises(FormatError):
+            parse_report(text)
 
 
 class TestReportFvsPaths:

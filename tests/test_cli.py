@@ -283,6 +283,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "ok: false" in out and "failing_user: 1" in out
 
+    @pytest.mark.parametrize("blowup", ["0", "-1"])
+    def test_code_with_blowup_below_one_is_refused(self, tmp_path, capsys, blowup):
+        # t = 0 once verified as ok with an undefined rate
+        graph = tmp_path / "c3.dg"
+        graph.write_text("digraph 3\ne 0 1\ne 1 2\ne 2 0\n")
+        code = tmp_path / "t0.code"
+        code.write_text(f"code p=2 t={blowup} n=3 r=0\n")
+        assert main(["verify", "code", "--graph", str(graph), "--code", str(code)]) == 2
+        assert "t >= 1" in capsys.readouterr().err
+
     def test_gnscut_pass(self, parallel, capsys):
         assert main([
             "verify", "gnscut", "--network", parallel, "--tilde", "--cut", "0,1",

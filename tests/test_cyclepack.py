@@ -11,6 +11,7 @@ from gnskit import (
     CapacityError,
     ContractViolation,
     Digraph,
+    build_network,
     closure_links,
     fes_to_fvs,
     parse_network,
@@ -24,6 +25,7 @@ from gnskit.bounds import mais_exact, min_fvs_exact
 from gnskit.cyclepack import (
     CyclePacking,
     _minimal_cut,
+    _pair_graph,
     _simplex_core,
     _simplex_max,
     packing_from_metric,
@@ -35,6 +37,7 @@ from gnskit.instances import (
     random_dag_network,
     random_digraph,
 )
+from gnskit.network import Link
 from helpers import (
     PARALLEL_LINKS,
     SHARED_BOTTLENECK,
@@ -418,21 +421,31 @@ class TestSubsetFesApprox:
 
 class TestMinimalCut:
     """The minimality pass tests each cut pair by reachability in the
-    acyclic rest, which a dropped pair joins; the reference rebuilds the
-    pair graph and searches it for a cycle once per pair."""
+    acyclic rest of the numbered pair graph, which a dropped pair joins; the
+    reference rebuilds the name-keyed pair graph and searches it for a cycle
+    once per pair."""
+
+    @staticmethod
+    def minimal_cut(pairs, cut):
+        """`_minimal_cut` on the pair graph of one link per pair, with the
+        cut and the pairs it keeps as name pairs."""
+        _, keys, _, out = _pair_graph(Link(i, *pair) for i, pair in enumerate(pairs))
+        numbered = {keys.index(pair) for pair in cut}
+        kept = _minimal_cut(out, numbered)
+        assert numbered == {keys.index(pair) for pair in cut}  # left as it was
+        return {keys[p] for p in kept}
 
     def test_a_dropped_pair_joins_the_rest(self):
         # either cut alone breaks the triangle: (a, b) goes first, so
         # (b, c) closes the triangle again and stays
         pairs = {("a", "b"), ("b", "c"), ("c", "a")}
         cut = {("a", "b"), ("b", "c")}
-        assert _minimal_cut(pairs, cut) == reference_minimal_cut(pairs, cut) == {("b", "c")}
-        assert cut == {("a", "b"), ("b", "c")}  # the argument is left as it was
+        assert self.minimal_cut(pairs, cut) == reference_minimal_cut(pairs, cut) == {("b", "c")}
 
     def test_a_cyclic_rest_is_refused(self):
         pairs = {("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
         with pytest.raises(ContractViolation, match="verification failed"):
-            _minimal_cut(pairs, {("b", "c")})
+            self.minimal_cut(pairs, {("b", "c")})
 
     @settings(max_examples=200, deadline=None)
     @given(st.permutations("abcdef"), st.data())
@@ -442,7 +455,7 @@ class TestMinimalCut:
         cut = {(t, h) for t, h in pairs if order.index(t) > order.index(h)}
         if pairs:
             cut |= data.draw(st.sets(st.sampled_from(sorted(pairs))))
-        assert _minimal_cut(pairs, cut) == reference_minimal_cut(pairs, cut)
+        assert self.minimal_cut(pairs, cut) == reference_minimal_cut(pairs, cut)
 
 
 class TestIntegerPathsMatchReference:
@@ -481,6 +494,25 @@ class TestIntegerPathsMatchReference:
         # and the packing map splits fractional weights
         metric = self.check_network(network_from_side_info_graph(g))
         assert any(length.denominator > 1 for _, length in metric.lengths)
+
+    def test_name_order_differs_from_declaration_order(self):
+        # nodes and pairs are numbered in name order, where n10 sorts before
+        # n2 and s10 before s2, so the heap and tie comparisons on numbers
+        # must still be the comparisons on names
+        for seed in range(1, 5):
+            self.check_network(random_dag_network(12, 22, 4, seed=seed))
+        metric = self.check_network(network_from_side_info_graph(symmetric_cycle(11)))
+        assert any(length.denominator > 1 for _, length in metric.lengths)
+
+    def test_a_terminal_on_no_link(self):
+        # the pair (e, c) has mincut 0, so its source e gets no source link
+        # and lies on no link of the closure
+        net = build_network(
+            "abcde", [("a", "b"), ("c", "d")], [("a", "b"), ("e", "c")], require_reachable=False
+        )
+        assert net.source_links[1] == ()
+        self.check_network(net)
+        assert subset_fes_approx(net).fes == {0}
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_n=7))

@@ -10,6 +10,7 @@ from gnskit import (
     CapacityError,
     ContractViolation,
     Digraph,
+    FormatError,
     GFMatrix,
     IndexCode,
     blowup,
@@ -441,3 +442,10 @@ class TestCodeFormat:
     def test_row_count_checked(self):
         with pytest.raises(Exception, match="rows"):
             parse_index_code("code p=2 t=1 n=2 r=2\nrow 1 0\n")
+
+    @pytest.mark.parametrize("header", ["t=0 n=3", "t=-1 n=3", "t=1 n=-1"])
+    def test_blowup_below_one_and_negative_n_are_refused(self, header):
+        # with t = 0 the rate r/t divides by zero; t = -1 shifted by a
+        # negative count in the verifier
+        with pytest.raises(FormatError, match="t >= 1 and n >= 0"):
+            parse_index_code(f"code p=2 {header} r=0\n")
