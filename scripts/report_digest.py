@@ -26,6 +26,11 @@ networks `bench/corpus.py` draws for the parameter sets of `LARGE_DAG_SETS`
 the exact searches run far past the benchmark's sizes. It takes no seed
 either.
 
+The workload `gns-large` runs the exact GNS cut search far past the
+benchmark's sizes, with `mais_vertices=128`: `gnskit gnscut --exact --tilde`
+on the `large-dags` networks, and `gnscut --exact` with and without
+`--tilde` on the gap wrappings. It takes no seed either.
+
 The workload `codes` covers the index-coding commands instead of `bounds`:
 on `GRAPHS` and on the fixed `random_digraph` draws of `DRAWS`, it runs
 `gnskit minrank`, `gnskit code` and `gnskit verify code` (on the code just
@@ -78,6 +83,7 @@ LARGE_DAG_SETS = (
     (26, 80, 7, 4), (30, 95, 8, 6), (28, 90, 7, 5), (30, 100, 8, 1), (30, 100, 8, 2),
     (30, 100, 8, 3),
 )
+GNS_LARGE = "gns-large"
 CODES = "codes"
 NETWORKS = "networks"
 ALL = "all"  # every workload, the benchmark corpora first
@@ -169,6 +175,16 @@ def networks(digest, seed: int, tmp: Path) -> int:
     return len(instances)
 
 
+def gns_large(digest, tmp: Path) -> int:
+    runs = [(inst, ["--tilde"]) for inst in large_dags()]
+    runs += [(inst, tilde) for inst in gap_wrappings() for tilde in ([], ["--tilde"])]
+    for inst, tilde in runs:
+        path = tmp / f"{inst.name}.mun"
+        path.write_text(inst.text, encoding="utf-8")
+        run(digest, ["gnscut", str(path), "--exact", *tilde])
+    return len(runs)
+
+
 def print_digest(workload: str, seed: int) -> None:
     """Run one workload and print its instance count and digest."""
     digest = hashlib.sha256()
@@ -176,6 +192,9 @@ def print_digest(workload: str, seed: int) -> None:
         if workload == CODES:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
             count, unit = codes(digest, Path(tmp)), "graphs"
+        elif workload == GNS_LARGE:
+            os.environ["GNSKIT_CAP_OVERRIDES"] = "mais_vertices=128"
+            count, unit = gns_large(digest, Path(tmp)), "searches"
         elif workload == NETWORKS:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
             count, unit = networks(digest, seed, Path(tmp)), "networks"
@@ -201,7 +220,7 @@ def print_digest(workload: str, seed: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    workloads = [*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, NETWORKS, CODES]
+    workloads = [*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, GNS_LARGE, NETWORKS, CODES]
     parser.add_argument("--workload", default=ALL, choices=sorted([*workloads, ALL]))
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()

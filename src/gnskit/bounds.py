@@ -25,7 +25,8 @@ from .cyclepack import (
     subset_fes_approx,
     validate_packing,
 )
-from .digraph import Digraph, _closes_cycle, _disjoint_cycles, _residual_cycle, tensor_power
+from .digraph import Digraph, _residual_cycle, tensor_power
+from .digraph import _largest_acyclic, _lexmin, _masks, _max_acyclic, _search_order
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import (
     IndexCode,
@@ -47,108 +48,9 @@ from .network import (
 _T = TypeVar("_T")
 
 
-def _masks(adj: Sequence[Sequence[int]]) -> list[int]:
-    return [sum(map((1).__lshift__, ws)) for ws in adj]  # 1 << w for each w
-
-
-def _max_acyclic(
-    out: Sequence[int],
-    inn: Sequence[int],
-    candidates: Sequence[int],
-    required: Sequence[int] = (),
-    target: int | None = None,
-    cycles: Sequence[int] = (),
-) -> tuple[int, int]:
-    """Largest acyclic induced superset of `required` inside required plus
-    `candidates` (out- and in-neighbour bitmasks `out`, `inn`) as (size,
-    members mask), size -1 if `required` has a cycle. With `target` the bound
-    starts at target - 1, so the size is >= target exactly when such a set
-    (the mask) exists. Branches on each candidate in order, including it
-    first if it closes no cycle; a popped state is pruned unless its members
-    plus the candidates left, less one per disjoint cycle among them, beat
-    the best set, and otherwise runs down its include chain and stacks the
-    exclude branches it passes. A state's count, in candidate order, first
-    keeps the cycles of its parent's count (the root's: `cycles`, counted
-    over a superset of the candidates) that lie inside its members and
-    candidates; each still meets the candidates, as the members are acyclic."""
-    members = 0
-    for v in required:
-        if _closes_cycle(out, inn, members, v):
-            return -1, 0
-        members |= 1 << v
-    count = members.bit_count()
-    ncand = len(candidates)
-    suffix = [0] * (ncand + 1)  # suffix[i]: mask of candidates[i:]
-    for i in range(ncand - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | 1 << candidates[i]
-    best = count if target is None else max(count, target - 1)
-    stop = count + ncand if target is None else target  # a set this large ends the search
-    best_mask, stack = members, [(0, members, count, cycles)]
-    while stack:
-        i, members, count, reuse = stack.pop()
-        bound = count + ncand - i
-        if bound > best:
-            cycles = _disjoint_cycles(
-                out, inn, members, suffix[i], candidates[i:], bound - best, reuse
-            )
-            bound -= len(cycles)
-        if bound <= best:
-            continue
-        if i == 0:  # only the root starts at the first candidate
-            stop = min(stop, bound)
-        while best < stop and count + (ncand - i) > best:
-            v = candidates[i]
-            i += 1
-            if not _closes_cycle(out, inn, members, v):
-                stack.append((i, members, count, cycles))
-                members |= 1 << v
-                count += 1
-                if count > best:
-                    best, best_mask = count, members
-    return best, best_mask
-
-
-def _search_order(g: Digraph) -> list[int]:
-    """Candidates by decreasing total degree, then index."""
-    return sorted(range(g.n), key=lambda v: (-len(g._out[v]) - len(g._in[v]), v))
-
-
-def _largest_acyclic(
-    out: Sequence[int], inn: Sequence[int], order: Sequence[int]
-) -> tuple[int, int]:
-    """Largest acyclic induced set as (size, members mask), by decision
-    probes down from the disjoint-cycle bound: t = n minus the greedy count
-    of disjoint cycles in `order` (each probe's root keeps them), then t - 1,
-    and so on; the first probe that finds a set of t vertices proves t."""
-    n = len(out)
-    cycles = _disjoint_cycles(out, inn, 0, (1 << n) - 1, order, n)
-    target = n - len(cycles)
-    while True:
-        found, acyclic = _max_acyclic(out, inn, order, target=target, cycles=cycles)
-        if found >= target:
-            return found, acyclic
-        target -= 1
-
-
 def _mais_size(g: Digraph) -> int:
-    return _largest_acyclic(_masks(g._out), _masks(g._in), _search_order(g))[0]
-
-
-def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:
-    """Lexicographically smallest `size`-subset of range(n) inside a
-    solution: each vertex in order is kept if some solution holds it and the
-    vertices kept so far. `witness` masks one solution holding those, so a
-    vertex in it is kept unsearched; `fits(trial)` returns the mask of a
-    solution holding `trial`, or None."""
-    chosen: list[int] = []
-    for v in range(n):
-        if len(chosen) == size:
-            break
-        found = witness if witness >> v & 1 else fits(chosen + [v])
-        if found is not None:
-            witness = found
-            chosen.append(v)
-    return chosen
+    out, inn = _masks(g._out), _masks(g._in)
+    return _largest_acyclic(out, inn, _search_order(out, inn))[0]
 
 
 def mais_exact(
@@ -158,7 +60,8 @@ def mais_exact(
     smallest witnessing vertex set."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    out, inn, order = _masks(g._out), _masks(g._in), _search_order(g)
+    out, inn = _masks(g._out), _masks(g._in)
+    order = _search_order(out, inn)
     size, acyclic = _largest_acyclic(out, inn, order)
 
     def fits(trial: list[int]) -> int | None:
@@ -192,7 +95,8 @@ def min_fvs_exact(
     is the same with or without `upper` and `packing`."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    out, inn, order = _masks(g._out), _masks(g._in), _search_order(g)
+    out, inn = _masks(g._out), _masks(g._in)
+    order = _search_order(out, inn)
     full = (1 << g.n) - 1
     if packing is not None:
         validate_packing(g, packing)
@@ -437,7 +341,7 @@ def bound_report(
         raise ContractViolation("translated vertex set is not a feedback vertex set")
     gns = None
     if exact_gns:
-        gns = attempt("gns", lambda: min_gns_cut_exact(tilde_transform(net), caps.gns_cuttable))
+        gns = attempt("gns", lambda: min_gns_cut_exact(tilde_transform(net), caps.mais_vertices))
     tensors = [
         attempt(
             f"tensor:q={q}",

@@ -21,7 +21,6 @@ ENV_VAR = "GNSKIT_CAP_OVERRIDES"
 class Caps:
     tensor_vertices: int = 5000
     rcp_cycles: int = 20_000
-    gns_cuttable: int = 18
     mais_vertices: int = 22
     alpha_vertices: int = 30
     minrank_base_edges: int = 16

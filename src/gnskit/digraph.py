@@ -10,7 +10,7 @@ through constructions but are ignored by equality and never serialized.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
 from .errors import CapacityError, FormatError
@@ -270,6 +270,107 @@ def _disjoint_cycles(
         free &= ~cycle
         cycles.append(cycle)
     return cycles
+
+
+def _masks(adj: Sequence[Sequence[int]]) -> list[int]:
+    return [sum(map((1).__lshift__, ws)) for ws in adj]  # 1 << w for each w
+
+
+def _max_acyclic(
+    out: Sequence[int],
+    inn: Sequence[int],
+    candidates: Sequence[int],
+    required: Sequence[int] = (),
+    target: int | None = None,
+    cycles: Sequence[int] = (),
+) -> tuple[int, int]:
+    """Largest acyclic induced superset of `required` inside required plus
+    `candidates` (out- and in-neighbour bitmasks `out`, `inn`) as (size,
+    members mask), size -1 if `required` has a cycle. With `target` the bound
+    starts at target - 1, so the size is >= target exactly when such a set
+    (the mask) exists. Branches on each candidate in order, including it
+    first if it closes no cycle; a popped state is pruned unless its members
+    plus the candidates left, less one per disjoint cycle among them, beat
+    the best set, and otherwise runs down its include chain and stacks the
+    exclude branches it passes. A state's count, in candidate order, first
+    keeps the cycles of its parent's count (the root's: `cycles`, counted
+    over a superset of the candidates) that lie inside its members and
+    candidates; each still meets the candidates, as the members are acyclic."""
+    members = 0
+    for v in required:
+        if _closes_cycle(out, inn, members, v):
+            return -1, 0
+        members |= 1 << v
+    count = members.bit_count()
+    ncand = len(candidates)
+    suffix = [0] * (ncand + 1)  # suffix[i]: mask of candidates[i:]
+    for i in range(ncand - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | 1 << candidates[i]
+    best = count if target is None else max(count, target - 1)
+    stop = count + ncand if target is None else target  # a set this large ends the search
+    best_mask, stack = members, [(0, members, count, cycles)]
+    while stack:
+        i, members, count, reuse = stack.pop()
+        bound = count + ncand - i
+        if bound > best:
+            cycles = _disjoint_cycles(
+                out, inn, members, suffix[i], candidates[i:], bound - best, reuse
+            )
+            bound -= len(cycles)
+        if bound <= best:
+            continue
+        if i == 0:  # only the root starts at the first candidate
+            stop = min(stop, bound)
+        while best < stop and count + (ncand - i) > best:
+            v = candidates[i]
+            i += 1
+            if not _closes_cycle(out, inn, members, v):
+                stack.append((i, members, count, cycles))
+                members |= 1 << v
+                count += 1
+                if count > best:
+                    best, best_mask = count, members
+    return best, best_mask
+
+
+def _search_order(out: Sequence[int], inn: Sequence[int]) -> list[int]:
+    """Vertices by decreasing total degree (mask popcount), then index."""
+    return sorted(range(len(out)), key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v))
+
+
+def _largest_acyclic(
+    out: Sequence[int], inn: Sequence[int], order: Sequence[int], required: Sequence[int] = ()
+) -> tuple[int, int]:
+    """Largest acyclic induced superset of `required` (the vertices not in
+    `order`) as (size, members mask), size -1 if `required` has a cycle, by
+    decision probes down from the disjoint-cycle bound: t = n minus the greedy
+    count of disjoint cycles in `order` (each probe's root keeps them), then
+    t - 1, and so on; the first probe that finds a set of t vertices proves t."""
+    n, fixed = len(out), sum(1 << v for v in required)
+    cycles = _disjoint_cycles(out, inn, fixed, (1 << n) - 1 & ~fixed, order, n)
+    target = n - len(cycles)
+    while True:
+        found, acyclic = _max_acyclic(out, inn, order, required, target, cycles)
+        if found >= target or found < 0:
+            return found, acyclic
+        target -= 1
+
+
+def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:
+    """Lexicographically smallest `size`-subset of range(n) inside a
+    solution: each vertex in order is kept if some solution holds it and the
+    vertices kept so far. `witness` masks one solution holding those, so a
+    vertex in it is kept unsearched; `fits(trial)` returns the mask of a
+    solution holding `trial`, or None."""
+    chosen: list[int] = []
+    for v in range(n):
+        if len(chosen) == size:
+            break
+        found = witness if witness >> v & 1 else fits(chosen + [v])
+        if found is not None:
+            witness = found
+            chosen.append(v)
+    return chosen
 
 
 def _strong_components(g: Digraph, low: int) -> list[list[int]]:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
 from .digraph import Digraph, _find_cycle, _residual_cycle
+from .digraph import _largest_acyclic, _lexmin, _max_acyclic, _search_order
 from .errors import CapacityError, ContractViolation, FormatError
 
 
@@ -391,36 +391,45 @@ def is_gns_cut(net: MUNetwork, cut: Iterable[int]) -> GnsCertificate | GnsRefusa
 
 
 def min_gns_cut_exact(
-    net: MUNetwork, cuttable_cap: int = DEFAULT_CAPS.gns_cuttable
+    net: MUNetwork, cuttable_cap: int = DEFAULT_CAPS.mais_vertices
 ) -> GnsCertificate:
-    """Smallest GNS cut by subset enumeration in increasing size with early
-    exit; ties go to the lexicographically smallest id tuple. Each candidate
-    subset is verified by the polynomial checker, so the search is
-    exponential only in the number of cuttable links. Most candidates fail
-    only because a pair's source reaches its own destination, so that comes first."""
-    cuttable = sorted(e.id for e in net.links if e.tail is not None)
-    if len(cuttable) > cuttable_cap:
-        raise CapacityError(
-            f"{len(cuttable)} cuttable links exceed the exact-search cap of "
-            f"{cuttable_cap}; use the subset feedback-edge-set approximation"
-        )
+    """Smallest GNS cut, ties to the lexicographically smallest id set. With
+    one closing link t_i -> s_i per pair, a cycle through closing links is a
+    cycle or loop of `_gns_verdict`'s pair digraph and back, so the cut is
+    the lexmin minimum feedback set, over the regular links (ids 0..r-1), of
+    the line graph of the regular and the kept closing links (r..r+k-1): the
+    acyclic-set search of the index graph, exponential only in r."""
     index, out, _ = _link_graph(net.nodes, net.links)
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
-    order = list(range(len(pair_idx)))  # the last refuting pair first
-    for size in range(len(cuttable) + 1):
-        for combo in combinations(cuttable, size):
-            cut = frozenset(combo)
-            for i in order:
-                s, t = pair_idx[i]
-                if t in _reachable(out, s, cut, t):
-                    order.remove(i)
-                    order.insert(0, i)
-                    break
-            else:
-                perm, _ = _gns_verdict(out, pair_idx, cut)
-                if perm is not None:
-                    return GnsCertificate(cut=cut, permutation=perm)
-    raise ContractViolation("no GNS cut found even after cutting every link")
+    ends = [(index[e.tail], index[e.head]) for e in net.links if e.tail is not None]
+    r = len(ends)
+    if r > cuttable_cap:
+        raise CapacityError(
+            f"{r} cuttable links exceed the exact-search cap of "
+            f"{cuttable_cap}; use the subset feedback-edge-set approximation"
+        )
+    ends += [(t, s) for s, t in pair_idx]  # the closing links
+    leave, enter = [0] * len(index), [0] * len(index)  # line-graph vertices by tail, by head
+    for i, (tail, head) in enumerate(ends):
+        leave[tail] |= 1 << i
+        enter[head] |= 1 << i
+    succ, pred = [leave[head] for _, head in ends], [enter[tail] for tail, _ in ends]
+    closing = range(r, len(ends))
+    order = [v for v in _search_order(succ, pred) if v < r]
+    size, acyclic = _largest_acyclic(succ, pred, order, closing)
+    if size < 0:
+        raise ContractViolation("no GNS cut found even after cutting every link")
+
+    def fits(trial: list[int]) -> int | None:  # a cut's mask is its bits below r
+        cand = [v for v in order if v not in trial]
+        found, members = _max_acyclic(succ, pred, cand, closing, size)
+        return ~members if found >= size else None
+
+    cut = frozenset(_lexmin(r, len(ends) - size, fits, ~acyclic))
+    perm, _ = _gns_verdict(out, pair_idx, cut)
+    if perm is None:
+        raise ContractViolation("the minimum feedback cut failed the GNS check")
+    return GnsCertificate(cut=cut, permutation=perm)
 
 
 def fvs_to_gns_cut(net: MUNetwork, fvs: Iterable[int]) -> GnsCertificate:

@@ -30,14 +30,7 @@ from gnskit import (
     build_network,
     enumerate_simple_cycles,
 )
-from gnskit.bounds import (
-    BoundReport,
-    ShannonBound,
-    TensorBound,
-    _masks,
-    _max_acyclic,
-    _search_order,
-)
+from gnskit.bounds import BoundReport, ShannonBound, TensorBound
 from gnskit.caps import DEFAULT_CAPS
 from gnskit.cyclepack import (
     ApproxDiagnostics,
@@ -46,7 +39,7 @@ from gnskit.cyclepack import (
     _group_pairs,
     _simplex_max,
 )
-from gnskit.digraph import _find_cycle
+from gnskit.digraph import _find_cycle, _masks, _max_acyclic, _search_order
 from gnskit.errors import FormatError
 from gnskit.indexcoding import GFMatrix, _check_prime, minrank_edge_cap, parse_index_code
 from gnskit.network import GnsCertificate, Link, _gns_verdict, _link_graph, closure_links
@@ -174,7 +167,7 @@ def _reference_closes_cycle(out_adj, members: set[int], v: int) -> bool:
 
 
 def reference_max_acyclic(out_adj, candidates, required=(), target=None) -> int:
-    """The set-based, recursive form of `gnskit.bounds._max_acyclic` on tuple
+    """The set-based, recursive form of `gnskit.digraph._max_acyclic` on tuple
     adjacency, the reference its bitmask stack search is compared against:
     largest acyclic induced superset of `required` inside required plus
     `candidates`, -1 if `required` has a cycle, stopping at `target`."""
@@ -211,7 +204,12 @@ def reference_mais_size(g: Digraph) -> int:
     disjoint-cycle bound: one branch and bound without a target, whose best
     set grows from empty. The reference the probe-down search is compared
     against."""
-    return _max_acyclic(_masks(g._out), _masks(g._in), _search_order(g))[0]
+    return _max_acyclic(_masks(g._out), _masks(g._in), search_order(g))[0]
+
+
+def search_order(g: Digraph) -> list[int]:
+    """`gnskit.digraph._search_order` of a Digraph's neighbour masks."""
+    return _search_order(_masks(g._out), _masks(g._in))
 
 
 def _reference_mis_size(masks, allowed: int, target: int | None = None) -> int:

@@ -32,10 +32,7 @@ import gnskit.digraph
 import gnskit.network
 from gnskit.bounds import (
     _mais_size,
-    _masks,
-    _max_acyclic,
     _mis_size,
-    _search_order,
     alpha_exact,
     mais_exact,
     min_fvs_exact,
@@ -51,7 +48,7 @@ from gnskit.cyclepack import (
     validate_packing,
     vertex_split_links,
 )
-from gnskit.digraph import _disjoint_cycles
+from gnskit.digraph import _disjoint_cycles, _masks, _max_acyclic
 from gnskit.instances import (
     network_from_side_info_graph,
     random_dag_network,
@@ -71,6 +68,7 @@ from helpers import (
     reference_max_acyclic,
     reference_parse_report,
     reference_rcp_exact,
+    search_order,
     symmetric_cycle,
     to_nx,
 )
@@ -207,7 +205,7 @@ class TestPackingSteersFvs:
     def test_matches_the_search_without_a_packing(self, g):
         packing = rcp_exact(g)
         lexmin = min_fvs_exact(g)
-        size = reference_max_acyclic(g._out, _search_order(g))
+        size = reference_max_acyclic(g._out, search_order(g))
         assert lexmin == _reference_lexmin(g, g.n - size, False)
         empty = CyclePacking((), Fraction(0))
         for upper in (None, lexmin, frozenset(range(g.n))):
@@ -236,7 +234,7 @@ class TestPackingSteersFvs:
         for upper in (None, approx, frozenset(range(g.n))):
             assert min_fvs_exact(g, 64, upper=upper, packing=packing) == lexmin
         if g.n <= 26:  # the recursive reference takes over 30 s at m = 36
-            size = reference_max_acyclic(g._out, _search_order(g))
+            size = reference_max_acyclic(g._out, search_order(g))
             assert lexmin == _reference_lexmin(g, g.n - size, False)
 
     def test_networks_where_the_packing_proves_the_incumbent(self):
@@ -246,7 +244,7 @@ class TestPackingSteersFvs:
             lexmin = min_fvs_exact(g, 64)
             assert len(lexmin) == math.ceil(packing.value)
             assert min_fvs_exact(g, 64, upper=lexmin, packing=packing) == lexmin
-            size = reference_max_acyclic(g._out, _search_order(g))
+            size = reference_max_acyclic(g._out, search_order(g))
             assert lexmin == _reference_lexmin(g, g.n - size, False)
 
     def test_invalid_packing_is_refused(self):
@@ -521,6 +519,13 @@ class TestBoundReport:
         assert report.m - report.mais_value == 1
         assert report.rcp_value == 1
         assert len(report.gns_exact.cut) == 1
+
+    def test_exact_gns_on_a_gap_wrapping(self):
+        # 36 cuttable links staged, past the 18 that subset enumeration took
+        net = network_from_side_info_graph(symmetric_cycle(7))
+        report = bound_report(net, exact_gns=True, caps=Caps(mais_vertices=64))
+        assert report.skipped == ()
+        assert len(report.gns_exact.cut) == report.m - report.mais_value == 5
 
     def test_tensor_and_shannon_fields(self):
         report = bound_report(
@@ -819,7 +824,7 @@ def _reference_lexmin(g, size, required_trial):
     """The lexmin certificate loop driven by the reference search: keep each
     vertex in order if a set of `size` still fits around the vertices so far
     (as required members for mais, as removed vertices for the FVS)."""
-    order = _search_order(g)
+    order = search_order(g)
     target = reference_max_acyclic(g._out, order)
     chosen = []
     for v in range(g.n):
@@ -847,7 +852,7 @@ class TestSearchMatchesReference:
     def test_certificates(self):
         for g in self._graphs():
             assert 18 <= g.n <= 27
-            size = reference_max_acyclic(g._out, _search_order(g))
+            size = reference_max_acyclic(g._out, search_order(g))
             assert mais_exact(g, 64) == (size, _reference_lexmin(g, size, True))
             assert min_fvs_exact(g, 64) == _reference_lexmin(g, g.n - size, False)
 
@@ -868,7 +873,7 @@ class TestSearchMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(random_graphs(max_n=7))
     def test_small_graphs(self, g):
-        size = reference_max_acyclic(g._out, _search_order(g))
+        size = reference_max_acyclic(g._out, search_order(g))
         assert mais_exact(g) == (size, _reference_lexmin(g, size, True))
         assert min_fvs_exact(g) == _reference_lexmin(g, g.n - size, False)
 
@@ -877,7 +882,7 @@ class TestSearchMatchesReference:
         # exists, and the mask is one; without a target both are the maximum
         for g in self._graphs():
             out, inn = _masks(g._out), _masks(g._in)
-            order = _search_order(g)
+            order = search_order(g)
             size = _max_acyclic(out, inn, order)[0]
             cases = [(order, (), t) for t in (None, 1, size - 1, size, size + 1)]
             for required in ([0, 1], list(range(0, g.n, 3)), order[:6]):
@@ -893,7 +898,7 @@ class TestSearchMatchesReference:
         # any vertex order and from any valid root cycles: those of the whole
         # graph, some of which leave the candidates when vertices are dropped
         out, inn = _masks(g._out), _masks(g._in)
-        order = _search_order(g)
+        order = search_order(g)
         size = reference_max_acyclic(g._out, order)
         root = _disjoint_cycles(out, inn, 0, (1 << g.n) - 1, data.draw(st.permutations(order)), g.n)
         assert len(root) <= g.n - size

@@ -54,13 +54,14 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_capacity_is_three(self, parallel, capsys, monkeypatch):
-        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "gns_cuttable=1")
+        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "mais_vertices=1")
         assert main(["gnscut", parallel, "--tilde", "--exact"]) == 3
         capsys.readouterr()
 
     def test_bad_cap_override_is_two(self, parallel, capsys, monkeypatch):
-        # no report path enumerates cycles, so `cycles` names no cap
-        for entry in ("bogus=1", "cycles=5"):
+        # no report path enumerates cycles, so `cycles` names no cap; the
+        # GNS search is capped by `mais_vertices`, so `gns_cuttable` names none
+        for entry in ("bogus=1", "cycles=5", "gns_cuttable=1"):
             monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", entry)
             assert main(["bounds", parallel]) == 2
         capsys.readouterr()
@@ -107,6 +108,15 @@ class TestBounds:
         report = parse_report(capsys.readouterr().out)
         assert (report.m, report.mais_value, report.rcp_value) == (4, 2, 2)
         assert len(report.gns_exact.cut) == 2
+
+    def test_exact_gns_is_skipped_exactly_with_mais(self, parallel, capsys, monkeypatch):
+        # the staged network has m cuttable links, the index graph m vertices
+        for cap, skipped in ((3, True), (4, False)):  # m = 4
+            monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", f"mais_vertices={cap}")
+            assert main(["bounds", parallel, "--exact-gns", "--out", "machine"]) == 0
+            report = parse_report(capsys.readouterr().out)
+            assert ("gns" in report.skipped) == ("mais" in report.skipped) == skipped
+            assert (report.gns_exact is None) == (report.mais_value is None) == skipped
 
     def test_q_list_prints_tensor_bounds(self, single, capsys):
         assert main(["bounds", single, "--q", "1", "2", "--out", "machine"]) == 0

@@ -20,7 +20,7 @@ from gnskit import (
     to_index_graph,
 )
 from gnskit.bounds import mais_exact, min_fvs_exact
-from gnskit.instances import random_dag_network
+from gnskit.instances import network_from_side_info_graph, random_dag_network
 
 from helpers import (
     DIAMOND,
@@ -33,6 +33,7 @@ from helpers import (
     oracle_mincut,
     reference_min_gns_cut_exact,
     reference_unit_maxflow,
+    symmetric_cycle,
 )
 
 
@@ -344,6 +345,53 @@ class TestMinGnsCutExact:
     @given(small_networks())
     def test_matches_the_reference_search(self, net):
         assert min_gns_cut_exact(net) == reference_min_gns_cut_exact(net)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dag_networks(), st.booleans())
+    # a pair of mincut 0 beside a reachable one
+    @example(build_network(["a", "b", "c"], [("a", "b")], [("a", "b"), ("b", "c")]), False)
+    # a source that is another pair's destination, on parallel links
+    @example(build_network(
+        ["a", "b", "c"], [("a", "b"), ("a", "b"), ("b", "c")], [("a", "b"), ("b", "c")]
+    ), False)
+    # pairs (x, y) and (y, x) where y does not reach x: no cut unstaged
+    @example(build_network(["x", "y"], [("x", "y")], [("x", "y"), ("y", "x")]), False)
+    @example(build_network(["x", "y"], [("x", "y")], [("x", "y"), ("y", "x")]), True)
+    def test_matches_the_reference_on_any_pairs(self, net, staged):
+        if staged:
+            net = tilde_transform(net)
+        assume(len(net.regular_links()) <= 14)
+        try:
+            expected = reference_min_gns_cut_exact(net)
+        except AssertionError:  # the reference finds no GNS cut
+            with pytest.raises(ContractViolation, match="no GNS cut"):
+                min_gns_cut_exact(net)
+        else:
+            assert min_gns_cut_exact(net) == expected
+
+    def test_closing_links_alone_cyclic_has_no_cut(self):
+        net = build_network(["x", "y"], [("x", "y")], [("x", "y"), ("y", "x")])
+        with pytest.raises(ContractViolation, match="no GNS cut"):
+            min_gns_cut_exact(net)
+        cert = min_gns_cut_exact(tilde_transform(net))
+        assert isinstance(is_gns_cut(tilde_transform(net), cert.cut), GnsCertificate)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            network_from_side_info_graph(symmetric_cycle(5)),
+            network_from_side_info_graph(symmetric_cycle(7)),
+            random_dag_network(22, 60, 5, 3),
+        ],
+        ids=["bidirected-C5", "bidirected-C7", "random_dag_network(22,60,5,3)"],
+    )
+    def test_staged_cut_is_m_minus_mais_past_old_cap(self, net):
+        # m = 26, 36 and 66 cuttable links, where subset enumeration stopped at 18
+        staged = tilde_transform(net)
+        g, _ = to_index_graph(net)
+        cert = min_gns_cut_exact(staged, cuttable_cap=128)
+        assert len(cert.cut) == net.m - mais_exact(g, 128)[0]
+        assert is_gns_cut(staged, cert.cut) == cert
 
 
 class TestCutBoundChain:
