@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
@@ -53,84 +53,136 @@ class SpreadingMetric:
     terminal measures at least 1; `objective` is the capacity-weighted total
     (parallel links share one length). `packing` is its LP dual: generated
     cycles as (tail, head) pair sequences with positive weights summing to
-    `objective`, each pair loaded at most its link count."""
+    `objective`, each pair loaded at most its link count. `solved` is the
+    solve's (node index, link ids per pair, arcs, pair lengths x, d)."""
 
     lengths: tuple[tuple[int, Fraction], ...]  # (link id, length), id order
     objective: Fraction
     packing: tuple[tuple[tuple[tuple[str, str], ...], Fraction], ...]
+    solved: tuple | None = field(default=None, compare=False, repr=False)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.lengths)
 
 
-def _simplex_core(
-    num_vars: int,
-    rows: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-    objective: Sequence[int],
-) -> tuple[int, list[int], list[int], int]:
+class _Tableau:
     """Maximize objective*x subject to rows*x <= rhs, x >= 0, on integer
-    data with rhs >= 0.
+    data with rhs >= 0, the columns arriving in batches.
 
-    Integer-preserving dense tableau (Edmonds 1967, Bareiss 1968): the
-    entries are Python ints over one common denominator d, the previous
-    pivot element (d = |det| of the current basis, starting at 1), so every
-    row update (p*x - f*y) // d divides exactly and no Fraction is built
-    until the result. Bland's rule for both the entering column and ratio
-    ties, so the optimum (and the returned vertex) is deterministic and
-    cycling is impossible. Returns (value, primal x, dual y) as ints over
-    the final d, then d > 0; the duals are the reduced costs of the slack
-    columns.
+    Integer-preserving dense tableau (Edmonds 1967, Bareiss 1968): Python
+    ints over one common denominator d, the previous pivot element (d =
+    |det| of the current basis, starting at 1), so every row update
+    (p*x - f*y) // d divides exactly. Bland's rule for both the entering
+    column and ratio ties, so the optimum (and the returned vertex) is
+    deterministic and cycling is impossible.
+
+    Each `add` returns what a cold run on all columns so far returns, new
+    columns numbered after the old ones and before the slacks. They change
+    no other reduced cost or ratio, so that run repeats the last one's
+    pivots until a new column prices negative, which only happens where the
+    last run entered a slack, or at its end. So the state before each slack
+    entry is kept, and `add` resumes from the first one where a new column
+    prices negative, else from the end; as the slack block is d times the
+    basis inverse, a column joins a state as its entries' sum of slack columns.
     """
-    m = len(rows)
-    width = num_vars + m
-    tableau: list[list[int]] = []
-    for i in range(m):
-        row = list(rows[i]) + [0] * m + [rhs[i]]
-        row[num_vars + i] = 1
-        tableau.append(row)
-    cost = [-c for c in objective] + [0] * (m + 1)
-    basis = list(range(num_vars, width))
-    d = 1
 
-    while True:
-        enter = next((j for j in range(width) if cost[j] < 0), -1)
-        if enter < 0:
-            break
-        # ratio test b_i/a_i by cross-multiplication (every a_i compared is > 0)
-        leave = -1
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                b = tableau[i][-1]
-                if leave < 0:
-                    leave, best_b, best_a = i, b, a
+    def __init__(self, rhs: Sequence[int]):
+        # row r: the m slack columns, the right-hand side at m, the structural columns
+        self.tableau = [[0] * len(rhs) + [b] for b in rhs]
+        for r, row in enumerate(self.tableau):
+            row[r] = 1
+        self.cost, self.basis, self.d = [0] * (len(rhs) + 1), list(range(len(rhs))), 1
+        self.columns: list[tuple[Sequence[tuple[int, int]], int]] = []  # (entries, objective)
+        self.saved: list[tuple[list[list[int]], list[int], list[int], int]] = []
+
+    def add(
+        self, columns: Iterable[Sequence[tuple[int, int]]], objective: Iterable[int]
+    ) -> tuple[int, list[int], list[int], int]:
+        """Add columns as (row, entry) pairs with their objective entries and
+        solve: (value, primal x, dual y) as ints over the final d, then d > 0;
+        the duals are the reduced costs of the slack columns."""
+        m = len(self.tableau)
+        self.columns += zip(columns, objective)
+        for k, (_, cost, _, d) in enumerate(self.saved):
+            new = self.columns[len(cost) - m - 1 :]
+            if any(sum(a * cost[i] for i, a in col) < d * c for col, c in new):
+                self.tableau, self.cost, self.basis, self.d = self.saved[k]
+                del self.saved[k:]
+                break
+        tableau, cost, basis, d = self.tableau, self.cost, self.basis, self.d
+        new = self.columns[len(cost) - m - 1 :]
+        if len(cost) == m + 1:  # the slack basis: a column's entries are its own
+            self.tableau = tableau = [row + [0] * len(new) for row in tableau]
+            for j, (col, _) in enumerate(new, m + 1):
+                for i, a in col:
+                    tableau[i][j] = a
+            self.cost = cost = cost + [-c for _, c in new]
+        elif new:
+            at = {b: r for r, b in enumerate(basis) if b < m}  # basic slack -> its row
+            block = []
+            for col, _ in new:
+                entries = [0] * m
+                for i, a in col:
+                    if i in at:  # a basic slack's column is d at its row
+                        entries[at[i]] += a * d
+                    else:
+                        for r, row in enumerate(tableau):
+                            entries[r] += a * row[i]
+                block.append(entries)
+            self.tableau = tableau = [[*row, *e] for row, e in zip(tableau, zip(*block))]
+            self.cost = cost = cost + [sum(a * cost[i] for i, a in col) - d * c for col, c in new]
+        order = [*range(m + 1, len(cost)), *range(m)]  # the cold run's column order
+
+        while True:
+            enter = next((j for j in order if cost[j] < 0), -1)
+            if enter < 0:
+                break
+            # ratio test b_i/a_i by cross-multiplication, ties to the cold run's order
+            leave = -1
+            for i in range(m):
+                a = tableau[i][enter]
+                if a > 0:
+                    b = tableau[i][m]
+                    if leave < 0:
+                        leave, best_b, best_a = i, b, a
+                        continue
+                    left, right = b * best_a, best_b * a
+                    if left < right or left == right and (
+                        (basis[i] < m, basis[i]) < (basis[leave] < m, basis[leave])
+                    ):
+                        leave, best_b, best_a = i, b, a
+            if leave < 0:
+                raise ContractViolation("unbounded packing LP; constraints are malformed")
+            if enter < m:
+                self.saved.append((list(tableau), cost, list(basis), d))
+            pivot_row = tableau[leave]
+            p = pivot_row[enter]
+            for i, row in enumerate(tableau):
+                if i == leave:
                     continue
-                left, right = b * best_a, best_b * a
-                if left < right or (left == right and basis[i] < basis[leave]):
-                    leave, best_b, best_a = i, b, a
-        if leave < 0:
-            raise ContractViolation("unbounded packing LP; constraints are malformed")
-        pivot_row = tableau[leave]
-        p = pivot_row[enter]
-        for i, row in enumerate(tableau):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
-            elif p != d:  # only rescaled to the new denominator
-                tableau[i] = [p * x // d for x in row]
-        f = cost[enter]
-        cost = [(p * x - f * y) // d for x, y in zip(cost, pivot_row)]
-        basis[leave] = enter
-        d = p
+                f = row[enter]
+                if f:
+                    tableau[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+                elif p != d:  # only rescaled to the new denominator
+                    tableau[i] = [p * x // d for x in row]
+            f = cost[enter]
+            self.cost = cost = [(p * x - f * y) // d for x, y in zip(cost, pivot_row)]
+            basis[leave] = enter
+            self.d = d = p
 
-    x = [0] * num_vars
-    for i, b in enumerate(basis):
-        if b < num_vars:
-            x[b] = tableau[i][-1]
-    return cost[-1], x, cost[num_vars:width], d
+        x = [0] * (len(cost) - m - 1)
+        for i, b in enumerate(basis):
+            if b > m:
+                x[b - m - 1] = tableau[i][m]
+        return cost[m], x, cost[:m], d
+
+
+def _simplex_core(
+    num_vars: int, rows: Sequence[Sequence[int]], rhs: Sequence[int], objective: Sequence[int]
+) -> tuple[int, list[int], list[int], int]:
+    """`_Tableau` on one batch of columns, given as dense rows."""
+    columns = [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(num_vars)]
+    return _Tableau(rhs).add(columns, objective)
 
 
 def _simplex_max(
@@ -302,23 +354,21 @@ def solve_spreading_metric(
     order = sorted(index[t] for t in terminals)
 
     # the covering LP's packing dual: one row per pair, one column per cycle
-    rows: list[list[int]] = [[] for _ in pairs]
+    lp = _Tableau(costs)
     cycles: list[tuple[int, ...]] = []  # pair sequence of each column
     known: set[frozenset[int]] = set()
     x, d = [0] * len(pairs), 1  # pair lengths, over the common denominator d
     weights: list[int] = []
     for _ in range(iteration_cap + 1):
-        violated = 0
+        violated = []
         for t in order:
             found = _shortest_cycle_through(t, out, x)
             if found is not None and found[0] < d:
-                row = frozenset(found[1])
-                if row not in known:
-                    known.add(row)
+                column = frozenset(found[1])
+                if column not in known:
+                    known.add(column)
                     cycles.append(found[1])
-                    for i, coefficients in enumerate(rows):
-                        coefficients.append(1 if i in row else 0)
-                    violated += 1
+                    violated.append([(p, 1) for p in column])
         if not violated:
             objective = Fraction(sum(c * xi for c, xi in zip(costs, x)), d)
             metric = tuple(
@@ -329,8 +379,8 @@ def solve_spreading_metric(
                 for cyc, w in zip(cycles, weights)
                 if w > 0
             )
-            return SpreadingMetric(lengths=metric, objective=objective, packing=packing)
-        _, weights, x, d = _simplex_core(len(cycles), rows, costs, [1] * len(cycles))
+            return SpreadingMetric(metric, objective, packing, (index, ids, out, x, d))
+        _, weights, x, d = lp.add(violated, [1] * len(violated))
     raise CapacityError(
         f"spreading metric did not converge within {iteration_cap} generated constraints"
     )
@@ -429,13 +479,10 @@ def subset_fes_approx(
     closed = closure_links(net)
     terminals = sorted({s for s, _ in net.pairs})
     metric = solve_spreading_metric(closed, terminals, iteration_cap)
-    index, _, ids, out = _pair_graph(closed, terminals)
-    by_id = metric.as_dict()
+    index, ids, out, lengths, scale = metric.solved
     # lengths, distances and radii over `scale`, volumes over 2k * scale: the
     # objective/(2k) credit is then the integer objective * scale
-    scale = math.lcm(*(length.denominator for length in by_id.values()))
-    lengths = [int(by_id[group[0]] * scale) for group in ids]
-    credit, two_k = int(metric.objective * scale), 2 * max(net.k, 1)
+    credit, two_k = sum(len(group) * x for group, x in zip(ids, lengths)), 2 * max(net.k, 1)
 
     cut: set[int] = set()
     for s in (index[t] for t in terminals):

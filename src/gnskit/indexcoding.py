@@ -276,7 +276,7 @@ class IndexCode:
         for row in self.rows:
             if len(row) != width:
                 raise ValueError("row width must be t*n")
-            if any(not 0 <= a < self.p for a in row):
+            if row and not 0 <= min(row) <= max(row) < self.p:
                 raise ValueError("coefficients must be residues in [0, p)")
 
     @property
@@ -341,22 +341,24 @@ def build_cycle_code(
 def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     """Exact decodability: for every user, all t subsymbols of the wanted
     message must lie in the span of the received rows plus the user's
-    side-information subsymbols. Returns (True, None) or (False, first
-    failing user)."""
+    side-information subsymbols, checked modulo the rows' span: each unit
+    row is reduced once by the code's basis, and a user decodes when its
+    wanted residues lie in the span of its side-information residues.
+    Returns (True, None) or (False, first failing user)."""
     if code.n != g.n:
         raise ValueError("code message count does not match the graph")
-    t = code.blowup_t
-    code_basis = _GFBasis(t * code.n, code.p)
+    t, width = code.blowup_t, code.blowup_t * code.n
+    code_basis = _GFBasis(width, code.p)
     for row in code.rows:
         code_basis.add(code_basis.row(row))
+    residues = [code_basis._reduce(code_basis.unit(col)) for col in range(width)]
     for user in range(g.n):
-        basis = code_basis.copy()
+        basis = _GFBasis(width, code.p)
         for j in g.out_neighbors(user):
             for s in range(t):
-                basis.add(basis.unit(j * t + s))
-        for s in range(t):
-            if not basis.contains(basis.unit(user * t + s)):
-                return False, user
+                basis.add(residues[j * t + s])
+        if not all(basis.contains(r) for r in residues[user * t : (user + 1) * t]):
+            return False, user
     return True, None
 
 
@@ -400,7 +402,7 @@ def serialize_index_code(code: IndexCode, header_comments: Sequence[str] = ()) -
     lines = [f"# {c}" for c in header_comments]
     lines.append(f"code p={code.p} t={code.blowup_t} n={code.n} r={code.r}")
     for row in code.rows:
-        lines.append("row " + " ".join(str(a) for a in row))
+        lines.append("row " + " ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

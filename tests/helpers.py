@@ -41,7 +41,14 @@ from gnskit.cyclepack import (
 )
 from gnskit.digraph import _find_cycle, _masks, _max_acyclic, _search_order
 from gnskit.errors import FormatError
-from gnskit.indexcoding import GFMatrix, _check_prime, minrank_edge_cap, parse_index_code
+from gnskit.indexcoding import (
+    GFMatrix,
+    IndexCode,
+    _check_prime,
+    _GFBasis,
+    minrank_edge_cap,
+    parse_index_code,
+)
 from gnskit.network import GnsCertificate, Link, _gns_verdict, _link_graph, closure_links
 
 F0 = Fraction(0)
@@ -464,6 +471,28 @@ def reference_derive_decoders(g: Digraph, code: IndexCode) -> tuple:
             user_rows.append(tuple((-a) % p for a in cur[width:]))
         decoders.append(tuple(user_rows))
     return tuple(decoders)
+
+
+def reference_verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
+    """`gnskit.indexcoding.verify_index_code` as it was before it checked
+    modulo the code's row space, the reference it is compared against: the
+    code's basis is copied for every user and extended by the unit rows of
+    the user's side-information subsymbols."""
+    if code.n != g.n:
+        raise ValueError("code message count does not match the graph")
+    t = code.blowup_t
+    code_basis = _GFBasis(t * code.n, code.p)
+    for row in code.rows:
+        code_basis.add(code_basis.row(row))
+    for user in range(g.n):
+        basis = code_basis.copy()
+        for j in g.out_neighbors(user):
+            for s in range(t):
+                basis.add(basis.unit(j * t + s))
+        for s in range(t):
+            if not basis.contains(basis.unit(user * t + s)):
+                return False, user
+    return True, None
 
 
 def reference_simplex_max(

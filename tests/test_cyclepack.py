@@ -25,6 +25,7 @@ from gnskit.bounds import mais_exact, min_fvs_exact
 from gnskit.cyclepack import (
     CyclePacking,
     _minimal_cut,
+    _Tableau,
     _pair_graph,
     _simplex_core,
     _simplex_max,
@@ -38,6 +39,7 @@ from gnskit.instances import (
     random_digraph,
 )
 from gnskit.network import Link
+import helpers
 from helpers import (
     PARALLEL_LINKS,
     SHARED_BOTTLENECK,
@@ -63,15 +65,6 @@ def reference_on_ints(num_vars, rows, rhs, objective):
         [Fraction(b) for b in rhs],
         [Fraction(c) for c in objective],
     )
-
-
-def reference_core(num_vars, rows, rhs, objective):
-    """`reference_on_ints` in the form `_simplex_core` returns: ints over the
-    least common denominator of its results."""
-    value, x, duals = reference_on_ints(num_vars, rows, rhs, objective)
-    d = math.lcm(*(v.denominator for v in [value, *x, *duals]))
-    value, *rest = (v.numerator * (d // v.denominator) for v in [value, *x, *duals])
-    return value, rest[:num_vars], rest[num_vars:], d
 
 
 @st.composite
@@ -111,26 +104,74 @@ class TestSimplexMatchesReference:
         ) == expected
 
     def test_rcp_and_spreading_metric_on_networks(self, monkeypatch):
-        from gnskit.instances import random_dag_network
-
+        # the metric keeps one tableau across its pricing rounds, so it is
+        # compared with the cutting plane of `tests/helpers.py`, which solves
+        # every round from scratch, here on the Fraction tableau
         nets = [random_dag_network(7, 12, 3, seed=seed) for seed in range(1, 11)]
 
-        def solve_all():
+        def solve_all(solve_metric):
             results = []
             for net in nets:
                 g, _ = to_index_graph(net)
                 terminals = [s for s, _ in net.pairs]
-                results.append(
-                    (rcp_exact(g), solve_spreading_metric(closure_links(net), terminals))
-                )
+                results.append((rcp_exact(g), solve_metric(closure_links(net), terminals)))
             return results
 
-        fraction_free = solve_all()
+        fraction_free = solve_all(solve_spreading_metric)
         monkeypatch.setattr(cyclepack, "_simplex_max", reference_on_ints)
-        # the metric runs on the integer core; the reference's results over
-        # their least common denominator, not the tableau's, must not change it
-        monkeypatch.setattr(cyclepack, "_simplex_core", reference_core)
-        assert solve_all() == fraction_free
+        monkeypatch.setattr(helpers, "_simplex_max", reference_on_ints)
+        assert solve_all(reference_solve_spreading_metric) == fraction_free
+
+
+# a packing LP on three pairs, whose Bland path on its first three columns
+# enters a slack where the fourth column prices negative
+RESUMED_LP = (4, [[1, 0, 0, 1], [1, 1, 0, 0], [1, 0, 1, 1]], [1, 1, 1], [1, 1, 1, 1])
+
+
+class TestTableauBatches:
+    @settings(max_examples=400, deadline=None)
+    @given(integer_lps(), st.lists(st.integers(0, 5), max_size=4))
+    @example(RESUMED_LP, [3])
+    def test_each_batch_matches_a_cold_run(self, lp, cuts):
+        n, rows, rhs, objective = lp
+        tableau, start = _Tableau(rhs), 0
+        for stop in sorted([*(min(cut, n) for cut in cuts), n]):  # empty batches too
+            batch = (
+                [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(start, stop)],
+                objective[start:stop],
+            )
+            so_far = (stop, [row[:stop] for row in rows], rhs, objective[:stop])
+            start = stop
+            try:
+                expected = reference_on_ints(*so_far)
+            except ContractViolation:
+                for solve in (lambda: _simplex_core(*so_far), lambda: tableau.add(*batch)):
+                    with pytest.raises(ContractViolation, match="unbounded"):
+                        solve()
+                return
+            value, x, duals, d = result = tableau.add(*batch)
+            assert result == _simplex_core(*so_far)
+            assert Fraction(value, d) == expected[0]
+            assert [Fraction(v, d) for v in x] == expected[1]
+            assert [Fraction(y, d) for y in duals] == expected[2]
+
+    def test_resumes_where_the_last_run_entered_a_slack(self):
+        # a packing LP on three pairs: cycle 0 covers all of them, cycles 1
+        # and 2 cover pairs 1 and 2. Bland's rule enters cycles 0, 1 and 2,
+        # then slack 0, which pushes cycle 0 out again
+        lp = _Tableau([1, 1, 1])
+        assert lp.add([[(0, 1), (1, 1), (2, 1)], [(1, 1)], [(2, 1)]], [1, 1, 1]) == (
+            2, [0, 1, 1], [0, 1, 1], 1
+        )
+        [(_, cost, _, d)] = lp.saved
+        # cycle 3 on pairs 0 and 2 prices negative before that slack entry,
+        # so a cold run enters it there instead and ends at another vertex
+        # than a run resumed from the end would
+        assert cost[0] + cost[2] - d < 0  # the reduced costs of slacks 0 and 2, less d
+        assert lp.add([[(0, 1), (2, 1)]], [1]) == _simplex_core(*RESUMED_LP) == (
+            2, [0, 1, 0, 1], [0, 1, 1], 1
+        )
+        assert lp.saved == []  # the save was resumed from, and the new path enters no slack
 
 
 class TestRcpExact:

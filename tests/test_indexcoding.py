@@ -29,6 +29,7 @@ from gnskit import (
 from gnskit.bounds import mais_exact
 from gnskit.cyclepack import CyclePacking
 from gnskit.indexcoding import _GFBasis, derive_decoders, is_prime, minrank_edge_cap
+from gnskit.instances import random_digraph
 
 from helpers import (
     ReferenceGF2Basis,
@@ -42,6 +43,7 @@ from helpers import (
     reference_minrank,
     reference_rank_gf2,
     reference_rank_rows,
+    reference_verify_index_code,
     symmetric_cycle,
 )
 from test_digraph import random_graphs
@@ -296,7 +298,53 @@ class TestBuildCycleCode:
         assert verify_index_code(g, code) == (True, None)
 
 
+@st.composite
+def codes_on_graphs(draw):
+    """A digraph and a code on it over F2, F3 or F5: the cycle code of its
+    rcp packing, or random rows with t = 1-3, then maybe with a row dropped
+    or a coefficient changed, so that codes fail at various users."""
+    g = draw(random_graphs(max_n=4))
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        code = build_cycle_code(g, rcp_exact(g), p)
+        t, rows = code.blowup_t, [list(row) for row in code.rows]
+    else:
+        t = draw(st.integers(1, 3))
+        residues = st.lists(st.integers(0, p - 1), min_size=t * g.n, max_size=t * g.n)
+        rows = draw(st.lists(residues, max_size=t * g.n + 1))
+    change = draw(st.sampled_from(["none", "drop", "coefficient"]))
+    if rows and change == "drop":
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    elif rows and rows[0] and change == "coefficient":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(st.integers(0, len(row) - 1))
+        row[col] = (row[col] + draw(st.integers(1, p - 1))) % p
+    return g, IndexCode(p=p, blowup_t=t, n=g.n, rows=tuple(map(tuple, rows)))
+
+
 class TestVerifyIndexCode:
+    @settings(max_examples=200, deadline=None)
+    @given(codes_on_graphs())
+    def test_matches_the_reference(self, case):
+        # checking modulo the code's row space gives the verdict and the
+        # first failing user of extending the code's basis per user
+        g, code = case
+        assert verify_index_code(g, code) == reference_verify_index_code(g, code)
+
+    def test_dropped_rows_fail_where_the_reference_fails(self):
+        failing = set()
+        for g in (directed_cycle(4), symmetric_cycle(5), random_digraph(6, 0.4, 3)):
+            for p in (2, 3, 5):
+                code = build_cycle_code(g, rcp_exact(g), p)
+                assert verify_index_code(g, code) == (True, None)
+                for i in range(code.r):
+                    rows = code.rows[:i] + code.rows[i + 1 :]
+                    short = IndexCode(p=p, blowup_t=code.blowup_t, n=code.n, rows=rows)
+                    result = verify_index_code(g, short)
+                    assert result == reference_verify_index_code(g, short)
+                    failing.add(result[1])
+        assert None not in failing and len(failing) > 2
+
     def test_uncoded_always_decodes(self):
         g = directed_cycle(4)
         rows = tuple(
@@ -449,3 +497,12 @@ class TestCodeFormat:
         # negative count in the verifier
         with pytest.raises(FormatError, match="t >= 1 and n >= 0"):
             parse_index_code(f"code p=2 {header} r=0\n")
+
+    @pytest.mark.parametrize("row", ["3 0 1", "0 -1 1", "0 2 7"])
+    def test_coefficients_outside_the_field_are_refused(self, row):
+        with pytest.raises(FormatError, match=r"residues in \[0, p\)"):
+            parse_index_code(f"code p=3 t=1 n=3 r=1\nrow {row}\n")
+
+    def test_empty_rows_of_an_empty_code(self):
+        code = parse_index_code("code p=5 t=2 n=0 r=2\nrow\nrow\n")
+        assert code.rows == ((), ()) and serialize_index_code(code).endswith("row \nrow \n")
