@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, TypeVar, get_type_hints
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, get_type_hints
 
 from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
@@ -26,7 +26,7 @@ from .cyclepack import (
     validate_packing,
 )
 from .digraph import Digraph, _residual_cycle, tensor_power
-from .digraph import _largest_acyclic, _lexmin, _masks, _max_acyclic, _search_order
+from .digraph import _largest_acyclic, _lexmin, _masks, _max_acyclic, _search_masks
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import (
     IndexCode,
@@ -48,9 +48,10 @@ from .network import (
 _T = TypeVar("_T")
 
 
-def _mais_size(g: Digraph) -> int:
-    out, inn = _masks(g._out), _masks(g._in)
-    return _largest_acyclic(out, inn, _search_order(out, inn))[0]
+def _mais_size(g: Digraph, acyclic: Iterable[int] = ()) -> int:
+    out, inn, order = _search_masks(g)
+    witness = sum(1 << v for v in set(acyclic) if v in range(g.n))
+    return _largest_acyclic(out, inn, order, witness=witness)[0]
 
 
 def mais_exact(
@@ -60,8 +61,7 @@ def mais_exact(
     smallest witnessing vertex set."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    out, inn = _masks(g._out), _masks(g._in)
-    order = _search_order(out, inn)
+    out, inn, order = _search_masks(g)
     size, acyclic = _largest_acyclic(out, inn, order)
 
     def fits(trial: list[int]) -> int | None:
@@ -95,8 +95,7 @@ def min_fvs_exact(
     is the same with or without `upper` and `packing`."""
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    out, inn = _masks(g._out), _masks(g._in)
-    order = _search_order(out, inn)
+    out, inn, order = _search_masks(g)
     full = (1 << g.n) - 1
     if packing is not None:
         validate_packing(g, packing)
@@ -131,8 +130,10 @@ def min_fvs_exact(
                 cost[v] -= w
 
     def fits(trial: list[int]) -> int | None:
-        removed = sum(1 << v for v in trial)
         terms, hit = sum(cost[v] for v in trial), []
+        if terms > slack:  # the cycles' terms are >= 0 as well, so this is final
+            return None
+        removed = sum(1 << v for v in trial)
         for cyc, mask, w in cycles:
             if mask & removed:
                 terms += ((mask & removed).bit_count() - 1) * w
@@ -241,12 +242,19 @@ def tensor_bound(
     m_links: int,
     tensor_cap: int = DEFAULT_CAPS.tensor_vertices,
     vertex_cap: int = DEFAULT_CAPS.mais_vertices,
+    *,
+    acyclic: Iterable[int] = (),
 ) -> TensorBound:
     """m_links minus the q-th root of the acyclic maximum of the q-fold
     strong power; tighter for larger powers on many graphs, though no
-    monotonicity in q is claimed or asserted."""
+    monotonicity in q is claimed or asserted.
+
+    `acyclic` is a hint for q = 1: vertices of g inducing an acyclic
+    subgraph, such as the complement of a feedback vertex set, whose count
+    ends the search. It is checked and ignored when cyclic; the radicand
+    never depends on it."""
     gq = _searchable_power(g, q, tensor_cap, vertex_cap)
-    radicand = _mais_size(gq)
+    radicand = _mais_size(gq, acyclic if q == 1 else ())
     return TensorBound(q=q, radicand=radicand, value=m_links - radicand ** (1.0 / q))
 
 
@@ -339,13 +347,18 @@ def bound_report(
     mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
     if fvs is None and _residual_cycle(g, approx_fvs) is not None:  # refused before its check
         raise ContractViolation("translated vertex set is not a feedback vertex set")
+    # a checked feedback set, minimum unless refused, ends the searches below:
+    # it is a GNS cut of the staged network, and its complement is acyclic
+    cut = approx_fvs if fvs is None else fvs
+    kept = frozenset(range(m)) - cut
     gns = None
     if exact_gns:
-        gns = attempt("gns", lambda: min_gns_cut_exact(tilde_transform(net), caps.mais_vertices))
+        staged = tilde_transform(net)
+        gns = attempt("gns", lambda: min_gns_cut_exact(staged, caps.mais_vertices, witness=cut))
     tensors = [
         attempt(
             f"tensor:q={q}",
-            lambda: tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices),
+            lambda: tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices, acyclic=kept),
         )
         for q in qs
     ]

@@ -157,16 +157,20 @@ class _Tableau:
                 self.saved.append((list(tableau), cost, list(basis), d))
             pivot_row = tableau[leave]
             p = pivot_row[enter]
-            for i, row in enumerate(tableau):
-                if i == leave:
-                    continue
+            # every other row, the cost row too, becomes (p*x - f*y) // d, which
+            # is p*x // d where y == 0: a copy (p == d) or rescale, patched on the
+            # pivot row's support. Rows are replaced, never changed: saves share them
+            support = [(j, y) for j, y in enumerate(pivot_row) if y]
+            rows = [*tableau, cost]
+            for i, row in enumerate(rows):
                 f = row[enter]
-                if f:
-                    tableau[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
-                elif p != d:  # only rescaled to the new denominator
-                    tableau[i] = [p * x // d for x in row]
-            f = cost[enter]
-            self.cost = cost = [(p * x - f * y) // d for x, y in zip(cost, pivot_row)]
+                if i != leave and (f or p != d):
+                    rows[i] = new = row[:] if p == d else [p * x // d for x in row]
+                    if f:
+                        for j, y in support:
+                            new[j] = (p * row[j] - f * y) // d
+            self.cost = cost = rows.pop()
+            tableau[:] = rows
             basis[leave] = enter
             self.d = d = p
 
@@ -281,12 +285,14 @@ def _pair_graph(
 
 
 def _distances_from(
-    terminal: int, out: _Arcs, lengths: Sequence[int], cut: Collection[int] = ()
+    terminal: int, out: _Arcs, lengths: Sequence[int], cut: Collection[int] = (),
+    below: float = math.inf,
 ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
     """Dijkstra from the exit side of `terminal` over the pairs not in `cut`,
     never re-entering it, on integer lengths (a metric over a common
-    denominator). Returns each reached node's distance, in the order they
-    were reached, and its (parent, pair) on one shortest path."""
+    denominator), stopped before it settles a node at distance `below` or
+    more. Returns each reached node's distance, in the order they were
+    reached, and its (parent, pair) on one shortest path."""
     dist: dict[int, int] = {}
     prev: dict[int, tuple[int, int]] = {}
     heap = [
@@ -297,6 +303,8 @@ def _distances_from(
     heapq.heapify(heap)
     while heap:
         d, node, parent, p = heapq.heappop(heap)
+        if d >= below:
+            break
         if node in dist:
             continue
         dist[node] = d
@@ -308,20 +316,17 @@ def _distances_from(
 
 
 def _shortest_cycle_through(
-    terminal: int, out: _Arcs, lengths: Sequence[int]
+    terminal: int, out: _Arcs, inn: _Arcs, lengths: Sequence[int], below: float = math.inf
 ) -> tuple[int, tuple[int, ...]] | None:
     """Shortest closed walk through `terminal` under the given lengths,
-    treating the terminal as split into an exit side and an entry side.
-    Returns its length and the pair sequence, or None if no cycle passes."""
-    dist, prev = _distances_from(terminal, out, lengths)
-    best: tuple[int, int, int] | None = None
-    for node, d in dist.items():
-        for p, head in out[node]:
-            if head == terminal:
-                cand = d + lengths[p]
-                if best is None or cand < best[0] or (cand == best[0] and node < best[1]):
-                    best = (cand, node, p)
-    if best is None:
+    treating the terminal as split into an exit side and an entry side, and
+    closed by one of its in-arcs `inn[terminal]`, (pair, tail) per arc.
+    Returns its length and the pair sequence, or None if no cycle shorter
+    than `below` passes: the search settles no node that far out."""
+    dist, prev = _distances_from(terminal, out, lengths, below=below)
+    arcs = inn[terminal]
+    best = min(((dist[u] + lengths[p], u, p) for p, u in arcs if u in dist), default=None)
+    if best is None or best[0] >= below:
         return None
     total, node, closing = best
     seq = [closing]
@@ -350,6 +355,10 @@ def solve_spreading_metric(
     """
     terminals = set(terminals)
     index, pairs, ids, out = _pair_graph(links, terminals)
+    inn: _Arcs = [[] for _ in out]  # per node, its in-arcs as (pair, tail)
+    for tail, arcs in enumerate(out):
+        for p, head in arcs:
+            inn[head].append((p, tail))
     costs = [len(group) for group in ids]
     order = sorted(index[t] for t in terminals)
 
@@ -362,8 +371,8 @@ def solve_spreading_metric(
     for _ in range(iteration_cap + 1):
         violated = []
         for t in order:
-            found = _shortest_cycle_through(t, out, x)
-            if found is not None and found[0] < d:
+            found = _shortest_cycle_through(t, out, inn, x, d)  # violated: shorter than 1
+            if found is not None:
                 column = frozenset(found[1])
                 if column not in known:
                     known.add(column)

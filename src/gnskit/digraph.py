@@ -10,6 +10,7 @@ through constructions but are ignored by equality and never serialized.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
@@ -26,7 +27,7 @@ class Digraph:
     both directions so traversals are linear-time.
     """
 
-    __slots__ = ("n", "edges", "labels", "_out", "_in")
+    __slots__ = ("n", "edges", "labels", "_out", "_in", "_search")
 
     def __init__(
         self,
@@ -57,6 +58,7 @@ class Digraph:
             inn[v].append(u)
         self._out = tuple(tuple(vs) for vs in out)
         self._in = tuple(tuple(us) for us in inn)
+        self._search: tuple | None = None  # see _search_masks
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -149,11 +151,21 @@ def _find_cycle(adj: dict) -> tuple | None:
     None if acyclic. Nodes must be mutually comparable (all ints or all strs);
     successors that are not keys of `adj` are ignored.
 
-    Peels nodes with no live in-edge or no live out-edge, in linear time; the
-    nodes left do not depend on the peeling order. Then walks minimal
-    successors until a node repeats; the cycle is rotated to start at its
-    smallest node.
+    Kahn's peel on in-degree counts tells an acyclic graph; otherwise peels
+    nodes with no live in-edge or no live out-edge (both in linear time; the
+    nodes left do not depend on the order). Then walks minimal successors
+    until a node repeats; the cycle is rotated to start at its smallest node.
     """
+    indeg = Counter(w for ws in adj.values() for w in ws if w in adj)
+    ready = [v for v in adj if not indeg[v]]
+    for v in ready:  # grows while it is read
+        for w in adj[v]:
+            if w in adj:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+    if len(ready) == len(adj):
+        return None
     live = {v: {w for w in ws if w in adj} for v, ws in adj.items()}
     preds: dict = {v: set() for v in live}
     for v, ws in live.items():
@@ -216,6 +228,27 @@ def _closes_cycle(out: Sequence[int], inn: Sequence[int], members: int, v: int) 
         frontier = reach & members & ~seen
         seen |= frontier
     return False
+
+
+def _acyclic(out: Sequence[int], inn: Sequence[int], members: int) -> bool:
+    """Is the subgraph induced on the mask `members` acyclic (masks as in
+    `_closes_cycle`)? Kahn's peel, in linear time: members go once they have
+    no in-neighbour left, sought among the successors of the last to go."""
+    rest, succ = members, members  # first every member is looked at
+    while succ:
+        ready = 0
+        while succ:
+            low = succ & -succ
+            succ ^= low
+            if not inn[low.bit_length() - 1] & rest:
+                ready |= low
+        rest ^= ready
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            succ |= out[low.bit_length() - 1]
+        succ &= rest
+    return not rest
 
 
 def _disjoint_cycles(
@@ -296,11 +329,9 @@ def _max_acyclic(
     keeps the cycles of its parent's count (the root's: `cycles`, counted
     over a superset of the candidates) that lie inside its members and
     candidates; each still meets the candidates, as the members are acyclic."""
-    members = 0
-    for v in required:
-        if _closes_cycle(out, inn, members, v):
-            return -1, 0
-        members |= 1 << v
+    members = sum(1 << v for v in set(required))
+    if not _acyclic(out, inn, members):
+        return -1, 0
     count = members.bit_count()
     ncand = len(candidates)
     suffix = [0] * (ncand + 1)  # suffix[i]: mask of candidates[i:]
@@ -338,22 +369,38 @@ def _search_order(out: Sequence[int], inn: Sequence[int]) -> list[int]:
     return sorted(range(len(out)), key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v))
 
 
+def _search_masks(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """g's out- and in-neighbour masks and their `_search_order`, built on
+    the first call and kept on g, which never changes."""
+    if g._search is None:
+        out, inn = _masks(g._out), _masks(g._in)
+        g._search = (tuple(out), tuple(inn), tuple(_search_order(out, inn)))
+    return g._search
+
+
 def _largest_acyclic(
-    out: Sequence[int], inn: Sequence[int], order: Sequence[int], required: Sequence[int] = ()
+    out: Sequence[int], inn: Sequence[int], order: Sequence[int], required: Sequence[int] = (),
+    witness: int = 0,
 ) -> tuple[int, int]:
     """Largest acyclic induced superset of `required` (the vertices not in
     `order`) as (size, members mask), size -1 if `required` has a cycle, by
     decision probes down from the disjoint-cycle bound: t = n minus the greedy
     count of disjoint cycles in `order` (each probe's root keeps them), then
-    t - 1, and so on; the first probe that finds a set of t vertices proves t."""
+    t - 1, and so on; the first probe that finds a set of t vertices proves t.
+    A `witness` mask, checked by `_acyclic` and ignored unless it is such a
+    set, proves its own size, so the probes stop there: the size is the same
+    with any witness."""
     n, fixed = len(out), sum(1 << v for v in required)
+    valid = not witness >> n and witness & fixed == fixed and _acyclic(out, inn, witness)
+    known = witness.bit_count() if valid else -1
     cycles = _disjoint_cycles(out, inn, fixed, (1 << n) - 1 & ~fixed, order, n)
     target = n - len(cycles)
-    while True:
+    while target > known:
         found, acyclic = _max_acyclic(out, inn, order, required, target, cycles)
         if found >= target or found < 0:
             return found, acyclic
         target -= 1
+    return known, witness
 
 
 def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:

@@ -343,7 +343,9 @@ def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     message must lie in the span of the received rows plus the user's
     side-information subsymbols, checked modulo the rows' span: each unit
     row is reduced once by the code's basis, and a user decodes when its
-    wanted residues lie in the span of its side-information residues.
+    wanted residues lie in the span of its side-information residues. Zero
+    residues lie in every span: a user wanting only those is not checked,
+    and none joins a basis.
     Returns (True, None) or (False, first failing user)."""
     if code.n != g.n:
         raise ValueError("code message count does not match the graph")
@@ -351,13 +353,15 @@ def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     code_basis = _GFBasis(width, code.p)
     for row in code.rows:
         code_basis.add(code_basis.row(row))
+    zero = code_basis.row([0] * width)
     residues = [code_basis._reduce(code_basis.unit(col)) for col in range(width)]
-    for user in range(g.n):
+    nonzero = [[r for r in residues[v * t : (v + 1) * t] if r != zero] for v in range(g.n)]
+    for user in (v for v in range(g.n) if nonzero[v]):
         basis = _GFBasis(width, code.p)
         for j in g.out_neighbors(user):
-            for s in range(t):
-                basis.add(residues[j * t + s])
-        if not all(basis.contains(r) for r in residues[user * t : (user + 1) * t]):
+            for r in nonzero[j]:
+                basis.add(r)
+        if not all(basis.contains(r) for r in nonzero[user]):
             return False, user
     return True, None
 

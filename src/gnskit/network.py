@@ -391,14 +391,17 @@ def is_gns_cut(net: MUNetwork, cut: Iterable[int]) -> GnsCertificate | GnsRefusa
 
 
 def min_gns_cut_exact(
-    net: MUNetwork, cuttable_cap: int = DEFAULT_CAPS.mais_vertices
+    net: MUNetwork, cuttable_cap: int = DEFAULT_CAPS.mais_vertices, *, witness: Iterable[int] = ()
 ) -> GnsCertificate:
     """Smallest GNS cut, ties to the lexicographically smallest id set. With
     one closing link t_i -> s_i per pair, a cycle through closing links is a
     cycle or loop of `_gns_verdict`'s pair digraph and back, so the cut is
     the lexmin minimum feedback set, over the regular links (ids 0..r-1), of
     the line graph of the regular and the kept closing links (r..r+k-1): the
-    acyclic-set search of the index graph, exponential only in r."""
+    acyclic-set search of the index graph, exponential only in r. `witness`
+    is a hint: a GNS cut's ids, such as a minimum feedback vertex set of the
+    unstaged index graph, whose size ends the size search. It is checked and
+    ignored unless it is a cut of regular links; the cut never depends on it."""
     index, out, _ = _link_graph(net.nodes, net.links)
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     ends = [(index[e.tail], index[e.head]) for e in net.links if e.tail is not None]
@@ -416,7 +419,9 @@ def min_gns_cut_exact(
     succ, pred = [leave[head] for _, head in ends], [enter[tail] for tail, _ in ends]
     closing = range(r, len(ends))
     order = [v for v in _search_order(succ, pred) if v < r]
-    size, acyclic = _largest_acyclic(succ, pred, order, closing)
+    hint = set(witness)
+    kept = (1 << len(ends)) - 1 & ~sum(1 << e for e in hint) if hint <= set(range(r)) else 0
+    size, acyclic = _largest_acyclic(succ, pred, order, closing, kept)
     if size < 0:
         raise ContractViolation("no GNS cut found even after cutting every link")
 

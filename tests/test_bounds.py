@@ -341,6 +341,37 @@ class TestTensorBound:
         with pytest.raises(CapacityError, match="tensor power would have 25 vertices"):
             tensor_bound(g, 2, 5, tensor_cap=20, vertex_cap=10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_graphs(max_n=7, p=0.4), st.lists(st.integers(-2, 9), max_size=9))
+    def test_the_acyclic_hint_never_changes_the_radicand(self, g, hint):
+        # the complement of the lexmin minimum FVS is a maximum acyclic set;
+        # the same plus a vertex, any list of ints and all vertices mostly are
+        # not acyclic, and a subset is acyclic but not maximum
+        size = reference_mais_size(g)
+        fvs = min_fvs_exact(g)
+        best = set(range(g.n)) - fvs
+        hints = [best, sorted(best)[1:], best | {min(fvs, default=0)}, hint, range(g.n)]
+        for acyclic in hints:
+            assert tensor_bound(g, 1, g.n, acyclic=acyclic).radicand == size
+        if g.n <= 3:  # the hint is for q = 1 only
+            square = reference_mais_size(tensor_power(g, 2))
+            assert tensor_bound(g, 2, g.n, vertex_cap=9, acyclic=best).radicand == square
+
+    def test_a_wrong_fvs_still_trips_the_report(self, monkeypatch):
+        # min_fvs_exact returning one vertex too few, so no feedback set: its
+        # complement is cyclic, so the radicand is searched in full and the
+        # report's chain check refuses the mais value that set gives
+        real = gnskit.bounds.min_fvs_exact
+
+        def too_small(*args, **kwargs):
+            fvs = real(*args, **kwargs)
+            return fvs - {min(fvs)}
+
+        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", too_small)
+        net = random_dag_network(7, 12, 3, seed=1)
+        with pytest.raises(ContractViolation, match="first tensor bound disagrees with mais"):
+            bound_report(net, caps=Caps(mais_vertices=64))
+
 
 class TestShannonLowerBound:
     def test_empty_graph(self):
@@ -642,8 +673,8 @@ class TestReportFvsPaths:
     as its incumbent and its own packing as a lower bound, so the search
     refutes one vertex fewer only when the packing does not prove the
     incumbent minimum (rcp > |approx_fvs| - 1). It gives the lexmin minimum
-    FVS either way, and the q = 1 tensor radicand, searched without either,
-    agrees with it."""
+    FVS either way, and the q = 1 tensor radicand, searched with only the
+    complement of that FVS as a checked hint, agrees with it."""
 
     @staticmethod
     def check(net, monkeypatch):

@@ -24,7 +24,9 @@ from gnskit import cyclepack
 from gnskit.bounds import mais_exact, min_fvs_exact
 from gnskit.cyclepack import (
     CyclePacking,
+    _distances_from,
     _minimal_cut,
+    _shortest_cycle_through,
     _Tableau,
     _pair_graph,
     _simplex_core,
@@ -49,6 +51,7 @@ from helpers import (
     reference_minimal_cut,
     reference_packing_from_metric,
     reference_rcp_exact,
+    reference_shortest_cycle_through,
     reference_simplex_max,
     reference_solve_spreading_metric,
     reference_subset_fes_approx,
@@ -121,6 +124,18 @@ class TestSimplexMatchesReference:
         monkeypatch.setattr(cyclepack, "_simplex_max", reference_on_ints)
         monkeypatch.setattr(helpers, "_simplex_max", reference_on_ints)
         assert solve_all(reference_solve_spreading_metric) == fraction_free
+
+
+class TestPivotOffTheDenominator:
+    def test_pinned_lp(self):
+        # the first pivot element is 2 over d = 1, so its pivot rescales
+        # every row, and the third row, with no entry in the entering
+        # column, only that; the basis of the optimum has determinant 5
+        lp = (2, [[2, 1], [1, 3], [0, 1]], [4, 6, 3], [1, 1])
+        value, x, duals, d = _simplex_core(*lp)
+        assert d == 5
+        assert (value, x) == (14, [6, 8])  # over d: 14/5 at x = (6/5, 8/5)
+        assert _simplex_max(*lp) == reference_on_ints(*lp)
 
 
 # a packing LP on three pairs, whose Bland path on its first three columns
@@ -497,6 +512,50 @@ class TestMinimalCut:
         if pairs:
             cut |= data.draw(st.sets(st.sampled_from(sorted(pairs))))
         assert self.minimal_cut(pairs, cut) == reference_minimal_cut(pairs, cut)
+
+
+@st.composite
+def pair_graphs(draw):
+    """A small digraph as a pair graph: per node its out- and in-arcs as
+    (pair, other node), pairs numbered in (tail, head) order, and random
+    integer pair lengths, zeros and ties common."""
+    g = draw(random_graphs(max_n=7, p=0.4))
+    out, inn = [[] for _ in range(g.n)], [[] for _ in range(g.n)]
+    for p, (u, v) in enumerate(sorted(g.edges)):
+        out[u].append((p, v))
+        inn[v].append((p, u))
+    lengths = draw(st.lists(st.integers(0, 4), min_size=len(g.edges), max_size=len(g.edges)))
+    return out, inn, lengths
+
+
+class TestPricingCutoff:
+    """Pricing stops Dijkstra before it settles a node at distance `below`
+    (the LP's denominator) or more: no cycle through such a node is shorter."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair_graphs(), st.data())
+    def test_bounded_search_is_the_unbounded_one_kept_below(self, graph, data):
+        out, inn, lengths = graph
+        terminal = data.draw(st.integers(0, len(out) - 1))
+        below = data.draw(st.integers(0, 12))
+        full = _shortest_cycle_through(terminal, out, inn, lengths)
+        kept = full if full is not None and full[0] < below else None
+        assert _shortest_cycle_through(terminal, out, inn, lengths, below) == kept
+        # the nodes settled are those nearer than `below`, in the same order
+        dist, prev = _distances_from(terminal, out, lengths)
+        near, near_prev = _distances_from(terminal, out, lengths, below=below)
+        assert list(near.items()) == [(v, d) for v, d in dist.items() if d < below]
+        assert near_prev == {v: prev[v] for v in near}
+        # the unbounded walk, closed by an in-arc, is the reference's, which
+        # scans every reached node's out-arcs (single-digit names sort as ints)
+        keys = [(str(u), str(v)) for u, arcs in enumerate(out) for _, v in arcs]
+        out_pairs = {str(u): [(str(v), keys[p]) for p, v in arcs] for u, arcs in enumerate(out)}
+        expected = reference_shortest_cycle_through(
+            str(terminal), out_pairs, {key: Fraction(x) for key, x in zip(keys, lengths)}
+        )
+        assert (full is None) == (expected is None)
+        if full is not None:
+            assert (full[0], tuple(keys[p] for p in full[1])) == expected
 
 
 class TestIntegerPathsMatchReference:

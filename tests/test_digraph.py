@@ -22,7 +22,15 @@ from gnskit import (
 )
 import gnskit.digraph as digraph_mod
 from gnskit.bounds import alpha_exact, mais_exact
-from gnskit.digraph import _disjoint_cycles, _find_cycle
+from gnskit.digraph import (
+    _acyclic,
+    _disjoint_cycles,
+    _find_cycle,
+    _largest_acyclic,
+    _masks,
+    _max_acyclic,
+    _search_order,
+)
 from gnskit.instances import random_digraph
 
 from helpers import (
@@ -373,6 +381,82 @@ class TestDisjointCycles:
         if most >= 0:  # fixed is acyclic: each cycle costs a free vertex
             assert all(c & free for c in cycles)
             assert len(cycles) <= (fixed | free).bit_count() - most
+
+
+class TestAcyclicPeel:
+    """`_acyclic`, the linear peel on masks that checks witnesses and
+    required sets, and `_find_cycle`'s counting peel, against the rescanning
+    reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=8, p=0.3), st.data())
+    def test_matches_the_reference_on_induced_subgraphs(self, g, data):
+        members = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+        adj = {v: g._out[v] for v in members}  # successors outside are ignored
+        expected = reference_find_cycle(adj)
+        mask = sum(1 << v for v in members)
+        assert _acyclic(_masks(g._out), _masks(g._in), mask) == (expected is None)
+        assert _find_cycle(adj) == expected
+
+    def test_cycles_behind_acyclic_parts(self):
+        # the counting peel leaves the path out of the 3-cycle, 2 -> 3 -> 4,
+        # and the path into it, 5 -> 0, goes; the witness is the same
+        adj = {0: [1], 1: [2], 2: [0, 3], 3: [4], 4: [], 5: [0]}
+        assert _find_cycle(adj) == reference_find_cycle(adj) == (0, 1, 2)
+        out = _masks([adj[v] for v in range(6)])
+        inn = _masks([[u for u in adj if v in adj[u]] for v in range(6)])
+        assert not _acyclic(out, inn, 0b111111)
+        assert _acyclic(out, inn, 0b111110) and _acyclic(out, inn, 0)
+
+
+class TestWitnessEndsTheProbes:
+    """`_largest_acyclic` with a witness mask: the size and a witnessing
+    set are those of the search without it, whatever the mask."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_graphs(max_n=8, p=0.4), st.data())
+    def test_any_witness_gives_the_reference_size(self, g, data):
+        out, inn = _masks(g._out), _masks(g._in)
+        order = _search_order(out, inn)
+        required = data.draw(st.lists(st.sampled_from(order), max_size=3, unique=True))
+        cand = [v for v in order if v not in required]
+        size = reference_max_acyclic(g._out, cand, required)
+        full, fixed = (1 << g.n) - 1, sum(1 << v for v in required)
+        _, best = _max_acyclic(out, inn, cand, required)  # a maximum set, if any
+        drop = data.draw(st.integers(0, full))
+        witnesses = {
+            "maximum": best,
+            "smaller": best & ~(drop & ~fixed),
+            "missing a required vertex": best & ~(fixed & -fixed),
+            "any": data.draw(st.integers(0, full)),  # often cyclic
+            "cyclic": full,
+            "out of range": best | 1 << g.n,
+            "negative": -1,
+        }
+        for kind, witness in witnesses.items():
+            found, mask = _largest_acyclic(out, inn, cand, required, witness)
+            assert found == size, kind
+            if size >= 0:
+                members = [v for v in range(g.n) if mask >> v & 1]
+                assert len(members) == size and not fixed & ~mask, kind
+                assert nx.is_directed_acyclic_graph(to_nx(g).subgraph(members)), kind
+
+    def test_a_witness_as_large_as_the_bound_runs_no_probe(self, monkeypatch):
+        # one disjoint cycle in a 5-cycle: the bound 4 is the witness's size
+        g = directed_cycle(5)
+        out, inn = _masks(g._out), _masks(g._in)
+        probes = []
+        real = digraph_mod._max_acyclic
+        monkeypatch.setattr(
+            digraph_mod, "_max_acyclic", lambda *args: probes.append(args) or real(*args)
+        )
+        order = list(range(5))
+        assert _largest_acyclic(out, inn, order, (), 0b01111) == (4, 0b01111)
+        assert probes == []
+        # a smaller or cyclic witness leaves the probe to find the set
+        assert _largest_acyclic(out, inn, order, (), 0b00111)[0] == 4
+        assert _largest_acyclic(out, inn, order, (), 0b11111)[0] == 4
+        assert len(probes) == 2
 
 
 class TestEmbedding:

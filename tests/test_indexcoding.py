@@ -331,6 +331,20 @@ class TestVerifyIndexCode:
         g, code = case
         assert verify_index_code(g, code) == reference_verify_index_code(g, code)
 
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=4), st.sampled_from([2, 3]), st.integers(1, 2), st.data())
+    def test_zero_residues_match_the_reference(self, g, p, t, data):
+        # unit rows send subsymbols uncoded, so their residues are zero: a
+        # user wanting only those is not checked, and none joins a basis;
+        # the random rows make codes fail at various users
+        width = t * g.n
+        units = data.draw(st.lists(st.integers(0, width - 1), unique=True))
+        rows = [tuple(int(c == col) for c in range(width)) for col in units]
+        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width).map(tuple)
+        rows += data.draw(st.lists(row, max_size=2))
+        code = IndexCode(p=p, blowup_t=t, n=g.n, rows=tuple(rows))
+        assert verify_index_code(g, code) == reference_verify_index_code(g, code)
+
     def test_dropped_rows_fail_where_the_reference_fails(self):
         failing = set()
         for g in (directed_cycle(4), symmetric_cycle(5), random_digraph(6, 0.4, 3)):
