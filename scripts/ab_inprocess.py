@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process A/B timing of `gnskit bounds` between two source trees.
 
-    python3 scripts/ab_inprocess.py --old DIR --new DIR --workload W --seed N --rounds R
+    python3 scripts/ab_inprocess.py --old DIR --new DIR --workload W --seed N --rounds R [--limit N]
 
 Each DIR is a checkout whose `src/` holds a gnskit package. Both trees are
 imported into this one process, one after the other, each after every
@@ -13,7 +13,9 @@ tree, the tree that goes first alternating from round to round, as
 `gnskit.cli.main`, with the workload's GNSKIT_CAP_OVERRIDES. Each call's
 wall time is calibrated as the benchmark does (`bench/calibrate.py`): scaled
 by REFERENCE_S over the mean of the reference loop's times just before and
-just after the call.
+just after the call. `--limit N` runs only the first N instances of the
+corpus (default: all of it); a limit changes which instances are compared,
+so its ratios speak for that prefix, not for the workload.
 
 Prints, for each tree, the median over instances of each instance's median
 report time; then, over the rounds, the median and quartiles of the ratio
@@ -78,13 +80,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--limit", type=int, default=None, help="first N instances only")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.limit is not None and args.limit < 1:
+        parser.error("--limit must be at least 1")
     workload = WORKLOADS[args.workload]
     os.environ[CAP_ENV] = workload.cap_overrides
     clis = {"old": load_cli(args.old), "new": load_cli(args.new)}
-    instances = corpus(workload, args.seed)
+    instances = corpus(workload, args.seed)[: args.limit]
     times = {side: [[] for _ in instances] for side in clis}  # calibrated, per instance
     totals = {side: [] for side in clis}  # per round
     seen: list[tuple[str, str] | None] = [None] * len(instances)

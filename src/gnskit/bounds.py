@@ -25,16 +25,10 @@ from .cyclepack import (
     subset_fes_approx,
     validate_packing,
 )
-from .digraph import Digraph, _residual_cycle, tensor_power
+from .digraph import Digraph, _acyclic, _bitmask, _residual_cycle, tensor_power
 from .digraph import _largest_acyclic, _lexmin, _masks, _max_acyclic, _search_masks
 from .errors import CapacityError, ContractViolation, FormatError
-from .indexcoding import (
-    IndexCode,
-    build_cycle_code,
-    co_rate_from_beta,
-    parse_index_code,
-    serialize_index_code,
-)
+from .indexcoding import IndexCode, _code_lines, _cycle_code, co_rate_from_beta, parse_index_code
 from .network import (
     GnsCertificate,
     MUNetwork,
@@ -101,10 +95,10 @@ def min_fvs_exact(
         validate_packing(g, packing)
     if upper is None:
         size, acyclic = _largest_acyclic(out, inn, order)
-    elif not upper <= frozenset(range(g.n)) or _residual_cycle(g, upper) is not None:
+    elif not upper <= frozenset(range(g.n)) or not _acyclic(out, inn, full & ~_bitmask(upper)):
         raise ContractViolation(f"{sorted(upper)} is not a feedback vertex set")
     else:  # from the complement of upper, probe for one vertex more until refuted
-        size, acyclic = g.n - len(upper), full & ~sum(1 << v for v in upper)
+        size, acyclic = g.n - len(upper), full & ~_bitmask(upper)
         if packing is None or packing.value <= len(upper) - 1:
             found, larger = _max_acyclic(out, inn, order, target=size + 1)
             while found > size:
@@ -122,7 +116,7 @@ def min_fvs_exact(
         scale, weights = _integer_weights(packing)
         slack, cost = (g.n - size) * scale - sum(weights), [scale] * g.n
         cycles = [
-            (cyc, sum(1 << v for v in cyc), w)
+            (cyc, _bitmask(cyc), w)
             for (cyc, _), w in zip(packing.assignments, weights)
         ]
         for cyc, _, w in cycles:
@@ -133,7 +127,7 @@ def min_fvs_exact(
         terms, hit = sum(cost[v] for v in trial), []
         if terms > slack:  # the cycles' terms are >= 0 as well, so this is final
             return None
-        removed = sum(1 << v for v in trial)
+        removed = _bitmask(trial)
         for cyc, mask, w in cycles:
             if mask & removed:
                 terms += ((mask & removed).bit_count() - 1) * w
@@ -209,7 +203,7 @@ def alpha_exact(
             rest &= ~(masks[u] | 1 << u)
         need = size - len(trial)
         found, members = _mis_size(masks, rest, target=need)
-        return members | sum(1 << u for u in trial) if found >= need else None
+        return members | _bitmask(trial) if found >= need else None
 
     return size, frozenset(_lexmin(g.n, size, fits, independent))
 
@@ -345,8 +339,10 @@ def bound_report(
         "mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
     )
     mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
-    if fvs is None and _residual_cycle(g, approx_fvs) is not None:  # refused before its check
-        raise ContractViolation("translated vertex set is not a feedback vertex set")
+    if fvs is None:  # refused before its checks, which the code builder does not repeat
+        if _residual_cycle(g, approx_fvs) is not None:
+            raise ContractViolation("translated vertex set is not a feedback vertex set")
+        validate_packing(g, rcp)
     # a checked feedback set, minimum unless refused, ends the searches below:
     # it is a GNS cut of the staged network, and its complement is acyclic
     cut = approx_fvs if fvs is None else fvs
@@ -369,7 +365,7 @@ def bound_report(
         )
         for power in shannon_powers
     ]
-    code = attempt("code", lambda: build_cycle_code(g, rcp, field, caps.code_lcm))
+    code = attempt("code", lambda: _cycle_code(g, rcp, field, caps.code_lcm))
     code_rate = None if code is None else code.rate
     co_rate = None if code_rate is None else co_rate_from_beta(m, code_rate)
 
@@ -421,7 +417,7 @@ def bound_report(
 
 
 def _ints(values) -> str:
-    return " ".join(str(v) for v in sorted(values))
+    return " ".join(map(str, sorted(values)))
 
 
 def _int_set(text: str) -> frozenset[int]:
@@ -463,11 +459,13 @@ def serialize_report(report: BoundReport) -> str:
     lines = ["boundreport"]
     for key, field, _ in _SCALARS:
         value = getattr(report, field)
-        if value is None or value == ():
+        if value is None:
             continue
         if isinstance(value, frozenset):
             value = _ints(value)
         elif isinstance(value, tuple):
+            if not value:
+                continue
             value = " ".join(value)
         lines.append(f"{key}: {value}".rstrip())  # ints and Fractions print exactly
     for key, field, _ in _RECORDS:
@@ -477,16 +475,15 @@ def serialize_report(report: BoundReport) -> str:
     if report.gns_exact is not None:
         cut, permutation = report.gns_exact.cut, report.gns_exact.permutation
         lines += ["gns:", f"  size: {len(cut)}", f"  cut: {_ints(cut)}".rstrip()]
-        lines.append("  permutation: " + " ".join(str(x) for x in permutation))
+        lines.append("  permutation: " + " ".join(map(str, permutation)))
     if report.packing is not None:
         lines.append("packing:")
         lines.append(f"  value: {report.packing.value}")
         for cyc, w in report.packing.assignments:
-            lines.append(f"  assign: {w} " + " ".join(str(v) for v in cyc))
+            lines.append(f"  assign: {w} " + " ".join(map(str, cyc)))
     if report.code is not None:
         lines.append("code:")
-        for code_line in serialize_index_code(report.code).strip().splitlines():
-            lines.append(f"  {code_line}")
+        lines.extend(f"  {code_line}" for code_line in _code_lines(report.code))
     return "\n".join(lines) + "\n"
 
 

@@ -24,19 +24,28 @@ from .errors import CapacityError, ContractViolation, FormatError, GnsKitError
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of `path`. Unbuffered bytes and one decode cost less
+    than a text-mode file; line ends are left to the parsers' `splitlines`,
+    which reads CRLF and lone CR as text mode would have translated them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.readall()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    return data.decode("utf-8")
 
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    try:
+        with open(output, "wb", buffering=0) as fh:
+            while data:  # a raw write may take only part of it
+                data = data[fh.write(data):]
+    except OSError as exc:
+        raise FormatError(f"cannot write {output}: {exc}") from None
 
 
 def _human_report(report: bounds_mod.BoundReport) -> str:

@@ -380,9 +380,8 @@ def solve_spreading_metric(
                     violated.append([(p, 1) for p in column])
         if not violated:
             objective = Fraction(sum(c * xi for c, xi in zip(costs, x)), d)
-            metric = tuple(
-                sorted((eid, Fraction(x[p], d)) for p, group in enumerate(ids) for eid in group)
-            )
+            length = [Fraction(xp, d) if xp else F0 for xp in x]  # shared by parallel links
+            metric = tuple(sorted((eid, length[p]) for p, group in enumerate(ids) for eid in group))
             packing = tuple(
                 (tuple(pairs[p] for p in cyc), Fraction(w, d))
                 for cyc, w in zip(cycles, weights)
@@ -524,7 +523,8 @@ def subset_fes_approx(
     fes = frozenset(eid for p in _minimal_cut(out, cut) for eid in ids[p])
     weight = len(fes)
     if metric.objective > 0:
-        ratio_val = float(Fraction(weight) / metric.objective)
+        # int true division rounds correctly, as float(Fraction) does
+        ratio_val = weight * metric.objective.denominator / metric.objective.numerator
     else:
         ratio_val = 1.0 if weight == 0 else math.inf
     return ApproxFes(

@@ -10,7 +10,6 @@ through constructions but are ignored by equality and never serialized.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
@@ -56,8 +55,8 @@ class Digraph:
         for u, v in sorted(edge_set):
             out[u].append(v)
             inn[v].append(u)
-        self._out = tuple(tuple(vs) for vs in out)
-        self._in = tuple(tuple(us) for us in inn)
+        self._out = tuple(map(tuple, out))
+        self._in = tuple(map(tuple, inn))
         self._search: tuple | None = None  # see _search_masks
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
@@ -156,7 +155,11 @@ def _find_cycle(adj: dict) -> tuple | None:
     nodes left do not depend on the order). Then walks minimal successors
     until a node repeats; the cycle is rotated to start at its smallest node.
     """
-    indeg = Counter(w for ws in adj.values() for w in ws if w in adj)
+    indeg = dict.fromkeys(adj, 0)
+    for ws in adj.values():
+        for w in ws:
+            if w in indeg:
+                indeg[w] += 1
     ready = [v for v in adj if not indeg[v]]
     for v in ready:  # grows while it is read
         for w in adj[v]:
@@ -305,8 +308,17 @@ def _disjoint_cycles(
     return cycles
 
 
+def _bitmask(vertices: Iterable[int]) -> int:
+    """The mask with bit v for each vertex v (a loop: on the few vertices
+    of a set here, summing a generator costs more)."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _masks(adj: Sequence[Sequence[int]]) -> list[int]:
-    return [sum(map((1).__lshift__, ws)) for ws in adj]  # 1 << w for each w
+    return [_bitmask(ws) for ws in adj]
 
 
 def _max_acyclic(
@@ -329,7 +341,7 @@ def _max_acyclic(
     keeps the cycles of its parent's count (the root's: `cycles`, counted
     over a superset of the candidates) that lie inside its members and
     candidates; each still meets the candidates, as the members are acyclic."""
-    members = sum(1 << v for v in set(required))
+    members = _bitmask(required)
     if not _acyclic(out, inn, members):
         return -1, 0
     count = members.bit_count()
@@ -365,8 +377,10 @@ def _max_acyclic(
 
 
 def _search_order(out: Sequence[int], inn: Sequence[int]) -> list[int]:
-    """Vertices by decreasing total degree (mask popcount), then index."""
-    return sorted(range(len(out)), key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v))
+    """Vertices by decreasing total degree (mask popcount), then index (the
+    sort is stable)."""
+    minus_degree = [-o.bit_count() - i.bit_count() for o, i in zip(out, inn)]
+    return sorted(range(len(out)), key=minus_degree.__getitem__)
 
 
 def _search_masks(g: Digraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -390,7 +404,7 @@ def _largest_acyclic(
     A `witness` mask, checked by `_acyclic` and ignored unless it is such a
     set, proves its own size, so the probes stop there: the size is the same
     with any witness."""
-    n, fixed = len(out), sum(1 << v for v in required)
+    n, fixed = len(out), _bitmask(required)
     valid = not witness >> n and witness & fixed == fixed and _acyclic(out, inn, witness)
     known = witness.bit_count() if valid else -1
     cycles = _disjoint_cycles(out, inn, fixed, (1 << n) - 1 & ~fixed, order, n)

@@ -171,6 +171,36 @@ class _GFBasis:
             return None
         return [reduced >> col & 1 for col in range(self.width, self.width + self.tags)]
 
+    def residues(self) -> list:
+        """For each of the first `width` columns, its unit row minus its part
+        in the span, the one such row that is zero in every pivot column:
+        the unit itself off the pivots, and on a pivot the unit minus that
+        pivot's row of the reduced row echelon form. Rows that are not ints
+        are tuples, so residues hash and compare equal when they are."""
+        p = self.p
+        echelon: dict = {}  # pivot -> its row, zero in every other pivot
+        for pivot, row in reversed(self.pivots.items()):  # clear the later pivots
+            for later, base in echelon.items():
+                if p == 2:
+                    if row & later:
+                        row ^= base
+                else:
+                    f = row[later]
+                    if f:
+                        row = [(a - f * b) % p for a, b in zip(row, base)]
+            echelon[pivot] = row
+        if p == 2:
+            return [echelon.get(1 << c, 0) ^ 1 << c for c in range(self.width)]
+        residues = []
+        for col in range(self.width):
+            if col in echelon:
+                residue = [(-a) % p for a in echelon[col]]
+                residue[col] = 0
+            else:
+                residue = self.unit(col)
+            residues.append(tuple(residue))
+        return residues
+
     @property
     def rank(self) -> int:
         return len(self.pivots)
@@ -305,6 +335,12 @@ def build_cycle_code(
     """
     _check_prime(p)
     validate_packing(g, packing)
+    return _cycle_code(g, packing, p, lcm_cap)
+
+
+def _cycle_code(g: Digraph, packing: CyclePacking, p: int, lcm_cap: int) -> IndexCode:
+    """`build_cycle_code` on a packing already checked by `validate_packing`."""
+    _check_prime(p)
     t, copies = _integer_weights(packing)
     if t > lcm_cap:
         raise CapacityError(
@@ -341,11 +377,12 @@ def build_cycle_code(
 def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     """Exact decodability: for every user, all t subsymbols of the wanted
     message must lie in the span of the received rows plus the user's
-    side-information subsymbols, checked modulo the rows' span: each unit
-    row is reduced once by the code's basis, and a user decodes when its
-    wanted residues lie in the span of its side-information residues. Zero
-    residues lie in every span: a user wanting only those is not checked,
-    and none joins a basis.
+    side-information subsymbols, checked modulo the rows' span: the code's
+    basis is reduced once, each unit row's residue is read off it
+    (`_GFBasis.residues`), and a user decodes when its wanted residues lie
+    in the span of its side-information residues: at once when each is one
+    of them, else by an elimination on them. Zero residues lie in every
+    span: a user wanting only those is not checked, and none joins a basis.
     Returns (True, None) or (False, first failing user)."""
     if code.n != g.n:
         raise ValueError("code message count does not match the graph")
@@ -353,16 +390,20 @@ def verify_index_code(g: Digraph, code: IndexCode) -> tuple[bool, int | None]:
     code_basis = _GFBasis(width, code.p)
     for row in code.rows:
         code_basis.add(code_basis.row(row))
-    zero = code_basis.row([0] * width)
-    residues = [code_basis._reduce(code_basis.unit(col)) for col in range(width)]
+    zero = 0 if code.p == 2 else (0,) * width  # in the format of `residues`
+    residues = code_basis.residues()
     nonzero = [[r for r in residues[v * t : (v + 1) * t] if r != zero] for v in range(g.n)]
-    for user in (v for v in range(g.n) if nonzero[v]):
-        basis = _GFBasis(width, code.p)
-        for j in g.out_neighbors(user):
-            for r in nonzero[j]:
+    for user, wanted in enumerate(nonzero):
+        if not wanted:
+            continue
+        side = [r for j in g.out_neighbors(user) for r in nonzero[j]]
+        missing = [r for r in wanted if r not in side]
+        if missing:
+            basis = _GFBasis(width, code.p)
+            for r in side:
                 basis.add(r)
-        if not all(basis.contains(r) for r in nonzero[user]):
-            return False, user
+            if not all(basis.contains(r) for r in missing):
+                return False, user
     return True, None
 
 
@@ -402,11 +443,16 @@ def co_rate_from_beta(m: int, beta: Fraction | int) -> Fraction:
     return Fraction(m) - beta
 
 
+def _code_lines(code: IndexCode) -> list[str]:
+    """The lines of `serialize_index_code` after its comments."""
+    lines = [f"code p={code.p} t={code.blowup_t} n={code.n} r={code.r}"]
+    lines.extend("row " + " ".join(map(str, row)) for row in code.rows)
+    return lines
+
+
 def serialize_index_code(code: IndexCode, header_comments: Sequence[str] = ()) -> str:
     lines = [f"# {c}" for c in header_comments]
-    lines.append(f"code p={code.p} t={code.blowup_t} n={code.n} r={code.r}")
-    for row in code.rows:
-        lines.append("row " + " ".join(map(str, row)))
+    lines.extend(_code_lines(code))
     return "\n".join(lines) + "\n"
 
 

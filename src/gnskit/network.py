@@ -15,13 +15,13 @@ graph translate to cut link ids without any renumbering.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
 from .digraph import Digraph, _find_cycle, _residual_cycle
-from .digraph import _largest_acyclic, _lexmin, _max_acyclic, _search_order
+from .digraph import _bitmask, _largest_acyclic, _lexmin, _max_acyclic, _search_order
 from .errors import CapacityError, ContractViolation, FormatError
 
 
@@ -57,6 +57,25 @@ class MUNetwork:
     def regular_links(self) -> tuple[Link, ...]:
         return tuple(e for e in self.links if e.tail is not None)
 
+    # Built once per network, on first use, and shared by every caller:
+    # nothing may mutate them. Neither is a field, so neither is compared.
+
+    @cached_property
+    def _graph(self) -> tuple[dict[str, int], _Arcs, _Arcs]:
+        """`_link_graph` of the network (`build_network` hands it over)."""
+        return _link_graph(self.nodes, self.links)
+
+    @cached_property
+    def _closure(self) -> tuple[Link, ...]:
+        """`closure_links` of the network."""
+        dest_of: dict[int, str] = {}
+        for (s, t), group in zip(self.pairs, self.source_links):
+            for eid in group:
+                dest_of[eid] = t
+        return tuple(
+            Link(e.id, dest_of[e.id], e.head) if e.id in dest_of else e for e in self.links
+        )
+
 
 @dataclass(frozen=True)
 class GnsCertificate:
@@ -86,13 +105,13 @@ class LinkGraphMap:
     vertex_to_id: tuple[int, ...]
 
 
+_Arcs = list[list[tuple[int, int]]]  # per node, its (link id, other node) pairs
+
+
 def _check_name(name: str) -> str:
-    if not name or "#" in name or any(c.isspace() for c in name):
+    if "#" in name or name.split() != [name]:  # also empty, or holding whitespace
         raise FormatError(f"bad node name {name!r}")
     return name
-
-
-_Arcs = list[list[tuple[int, int]]]  # per node, its (link id, other node) pairs
 
 
 def _link_graph(nodes: Sequence[str], links: Iterable[Link]) -> tuple[dict[str, int], _Arcs, _Arcs]:
@@ -116,16 +135,21 @@ def _unit_maxflow(out: _Arcs, inn: _Arcs, s: int, t: int) -> int:
     used: set[int] = set()
     value = 0
     while True:
-        parent: dict[int, tuple[int, int]] = {s: (s, -1)}  # node -> (prev, link)
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for arcs, forward in ((out[u], True), (inn[u], False)):
-                for eid, v in arcs:
-                    if (eid not in used) == forward and v not in parent:
-                        parent[v] = (u, eid)
-                        queue.append(v)
-        if t not in parent:
+        parent: list[tuple[int, int] | None] = [None] * len(out)  # node -> (prev, link)
+        parent[s] = (s, -1)
+        queue = [s]
+        for u in queue:  # grows while it is read
+            if parent[t] is not None:
+                break
+            for eid, v in out[u]:
+                if parent[v] is None and eid not in used:
+                    parent[v] = (u, eid)
+                    queue.append(v)
+            for eid, v in inn[u]:
+                if parent[v] is None and eid in used:
+                    parent[v] = (u, eid)
+                    queue.append(v)
+        if parent[t] is None:
             return value
         v = t
         while v != s:
@@ -185,7 +209,9 @@ def build_network(
             group.append(next_id)
             next_id += 1
         source_groups.append(tuple(group))
-    return MUNetwork(tuple(node_list), tuple(links), tuple(pairs), tuple(source_groups))
+    net = MUNetwork(tuple(node_list), tuple(links), tuple(pairs), tuple(source_groups))
+    vars(net)["_graph"] = index, out, inn  # fills the cached property: source links add no arc
+    return net
 
 
 def parse_network(text: str) -> MUNetwork:
@@ -242,7 +268,7 @@ def mincut(net: MUNetwork, s: str, t: str) -> int:
         raise ValueError(f"unknown node in mincut query: {s}, {t}")
     if s == t:
         raise ValueError("mincut endpoints must differ")
-    index, out, inn = _link_graph(net.nodes, net.links)
+    index, out, inn = net._graph
     return _unit_maxflow(out, inn, index[s], index[t])
 
 
@@ -250,24 +276,22 @@ def closure_links(net: MUNetwork) -> tuple[Link, ...]:
     """The cyclic closure: every source link gets its pair's destination as
     tail, so delivered information feeds back and every residual cycle
     passes through a source node."""
-    dest_of: dict[int, str] = {}
-    for (s, t), group in zip(net.pairs, net.source_links):
-        for eid in group:
-            dest_of[eid] = t
-    return tuple(
-        Link(e.id, dest_of[e.id], e.head) if e.id in dest_of else e for e in net.links
-    )
+    return net._closure
 
 
 def to_index_graph(net: MUNetwork) -> tuple[Digraph, LinkGraphMap]:
     """The reversed line graph of the closure: one vertex per link, with an
     edge v -> w whenever link v's head is link w's closure tail. This is the
-    side-information graph of the dual index-coding instance."""
-    closed = closure_links(net)
-    index, out, _ = _link_graph(net.nodes, closed)
-    edges = [(v, w) for v, e in enumerate(closed) for w, _ in out[index[e.head]]]
-    ids = tuple(e.id for e in closed)
-    return Digraph(len(closed), edges), LinkGraphMap(id_to_vertex=ids, vertex_to_id=ids)
+    side-information graph of the dual index-coding instance. The closure
+    tails at a node are the regular links leaving it and, at a destination,
+    its pair's source links; links keep their heads in the closure."""
+    index, out, _ = net._graph
+    succ = [[eid for eid, _ in arcs] for arcs in out]
+    for (_, t), group in zip(net.pairs, net.source_links):
+        succ[index[t]].extend(group)
+    edges = [(e.id, w) for e in net.links for w in succ[index[e.head]]]
+    ids = tuple(range(net.m))
+    return Digraph(net.m, edges), LinkGraphMap(id_to_vertex=ids, vertex_to_id=ids)
 
 
 def tilde_transform(net: MUNetwork) -> MUNetwork:
@@ -304,7 +328,7 @@ def tilde_transform(net: MUNetwork) -> MUNetwork:
     result = MUNetwork(
         net.nodes + tuple(stage_names), tuple(links), pairs, tuple(groups)
     )
-    index, out, inn = _link_graph(result.nodes, result.links)
+    index, out, inn = result._graph
     for i, (s, t) in enumerate(result.pairs):
         if len(result.source_links[i]) != _unit_maxflow(out, inn, index[s], index[t]):
             raise ContractViolation("staging transform changed a pair's mincut")
@@ -382,7 +406,7 @@ def is_gns_cut(net: MUNetwork, cut: Iterable[int]) -> GnsCertificate | GnsRefusa
     for eid in sorted(cutset):
         if net.links[eid].tail is None:
             raise ValueError(f"link {eid} is a source link and cannot be cut")
-    index, out, _ = _link_graph(net.nodes, net.links)
+    index, out, _ = net._graph
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     perm, witness = _gns_verdict(out, pair_idx, cutset)
     if perm is not None:
@@ -402,7 +426,7 @@ def min_gns_cut_exact(
     is a hint: a GNS cut's ids, such as a minimum feedback vertex set of the
     unstaged index graph, whose size ends the size search. It is checked and
     ignored unless it is a cut of regular links; the cut never depends on it."""
-    index, out, _ = _link_graph(net.nodes, net.links)
+    index, out, _ = net._graph
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     ends = [(index[e.tail], index[e.head]) for e in net.links if e.tail is not None]
     r = len(ends)
@@ -420,7 +444,7 @@ def min_gns_cut_exact(
     closing = range(r, len(ends))
     order = [v for v in _search_order(succ, pred) if v < r]
     hint = set(witness)
-    kept = (1 << len(ends)) - 1 & ~sum(1 << e for e in hint) if hint <= set(range(r)) else 0
+    kept = (1 << len(ends)) - 1 & ~_bitmask(hint) if hint <= set(range(r)) else 0
     size, acyclic = _largest_acyclic(succ, pred, order, closing, kept)
     if size < 0:
         raise ContractViolation("no GNS cut found even after cutting every link")

@@ -725,9 +725,11 @@ class TestReportFvsPaths:
     @pytest.mark.parametrize("mais_vertices", [64, 1])
     def test_one_index_graph_and_one_fvs_check(self, mais_vertices, monkeypatch):
         # the FES maps to the FVS through the report's own index graph, and
-        # the FVS is checked once: by min_fvs_exact, or by bound_report when
-        # the cap refuses min_fvs_exact before its check
-        calls = {"to_index_graph": 0, "_residual_cycle": 0}
+        # the FVS is checked once: by min_fvs_exact's mask peel, or by
+        # bound_report's cycle search when the cap refuses min_fvs_exact
+        # before its check
+        calls = {"to_index_graph": 0, "fvs check": 0}
+        counts = {"to_index_graph": "to_index_graph", "_residual_cycle": "fvs check"}
 
         def counted(name, real):
             def spy(*args):
@@ -737,15 +739,18 @@ class TestReportFvsPaths:
             return spy
 
         for module in (gnskit.network, gnskit.digraph, gnskit.cyclepack, gnskit.bounds):
-            for name in calls:
+            for name, key in counts.items():
                 if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                    monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        # min_fvs_exact's peel; the searches call it through digraph's name
+        peel = counted("fvs check", gnskit.bounds._acyclic)
+        monkeypatch.setattr(gnskit.bounds, "_acyclic", peel)
         nets = [random_dag_network(7, 12, 3, seed=1), network_from_side_info_graph(symmetric_cycle(5))]
         for net in nets:
             calls.update(dict.fromkeys(calls, 0))
             report = bound_report(net, caps=Caps(mais_vertices=mais_vertices))
             assert ("mais" in report.skipped) == (mais_vertices == 1)
-            assert calls == {"to_index_graph": 1, "_residual_cycle": 1}
+            assert calls == {"to_index_graph": 1, "fvs check": 1}
 
 
 class TestReportPackingMatchesReference:

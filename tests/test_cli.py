@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, formats, determinism."""
 
+import errno
 import functools
+import io
+import os
 import sys
 
 import pytest
@@ -239,6 +242,82 @@ class TestCyclepackCommand:
         assert main(["convert", parallel, "--output", str(tmp_path / "g.dg")]) == 0
         assert main(["cyclepack", str(tmp_path / "g.dg")]) == 3
         capsys.readouterr()
+
+
+class TestFiles:
+    """Inputs are read and outputs written as unbuffered bytes with an
+    explicit UTF-8 decode and encode; the contract of the text-mode files
+    they replace holds: line ends, decode errors, the messages of files
+    that cannot be opened, and every file closed."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_give_the_lf_report(self, tmp_path, newline, capsys):
+        bad = "network\nnode a\n# a comment\nbogus line\n"
+        for text, argv in ((PARALLEL_LINKS, ["--exact-gns", "--out", "machine"]), (bad, [])):
+            results = []
+            for name, ends in (("lf", "\n"), ("other", newline)):
+                path = tmp_path / f"{name}.mun"
+                path.write_bytes(text.replace("\n", ends).encode())
+                out = tmp_path / f"{name}.out"
+                out.unlink(missing_ok=True)
+                code = main(["bounds", str(path), *argv, "--output", str(out)])
+                written = out.read_bytes() if out.exists() else b""
+                results.append((code, written, capsys.readouterr().err))
+            assert results[0] == results[1]
+        assert results[0][0] == 2 and "line 4: unrecognized line 'bogus line'" in results[0][2]
+
+    def test_non_utf8_input_is_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.mun"
+        path.write_bytes(b"network\nnode \xff\n")
+        assert main(["bounds", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: 'utf-8' codec can't decode byte 0xff in position 13: "
+            "invalid start byte\n"
+        )
+
+    def test_unreadable_input_keeps_the_os_message(self, tmp_path, capsys):
+        missing = tmp_path / "missing.mun"
+        for path, errno_ in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR)):
+            assert main(["bounds", str(path)]) == 2
+            reason = f"[Errno {errno_}] {os.strerror(errno_)}: {str(path)!r}"
+            assert capsys.readouterr().err == f"input error: cannot read {path}: {reason}\n"
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_output_is_two(self, parallel, tmp_path, where):
+        output = tmp_path / "missing" / "x.out" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(["bounds", parallel, "--output", str(output)])
+        assert (code, out, "Traceback" in err) == (2, b"", False), err
+        errno_ = errno.ENOENT if where == "missing-directory" else errno.EISDIR
+        reason = f"[Errno {errno_}] {os.strerror(errno_)}: {str(output)!r}"
+        assert err == f"input error: cannot write {output}: {reason}\n"
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        class Trickle(io.FileIO):
+            def write(self, data):
+                return super().write(bytes(data[:3]))  # at most 3 bytes a call
+
+        def trickle(path, mode, buffering):
+            return Trickle(path, "w")
+
+        monkeypatch.setattr(cli, "open", trickle, raising=False)
+        out = tmp_path / "x.out"
+        cli._emit("h\u00e9llo\nw\u00f6rld \u2192\n", str(out))
+        assert out.read_bytes() == "h\u00e9llo\nw\u00f6rld \u2192\n".encode()
+
+    def test_every_file_is_closed(self, parallel, tmp_path, monkeypatch, capsys):
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        latin1 = tmp_path / "latin1.mun"
+        latin1.write_bytes(b"network\nnode \xff\n")
+        assert main(["bounds", parallel, "--output", str(tmp_path / "x.out")]) == 0
+        assert main(["bounds", str(latin1)]) == 2
+        capsys.readouterr()
+        assert len(opened) == 3 and all(fh.closed for fh in opened)
 
 
 class TestDeepInputs:

@@ -28,6 +28,7 @@ from gnskit import (
 )
 from gnskit.bounds import mais_exact
 from gnskit.cyclepack import CyclePacking
+from gnskit import indexcoding
 from gnskit.indexcoding import _GFBasis, derive_decoders, is_prime, minrank_edge_cap
 from gnskit.instances import random_digraph
 
@@ -427,6 +428,67 @@ class TestVerifyIndexCode:
         if code.blowup_t * code.n > 12:
             return  # simulation over 2**(t*n) assignments stays small
         assert decode_simulation(g, code) == (True, None)
+
+
+class TestResiduesOffTheEchelonForm:
+    """`verify_index_code` reduces the code's basis once and reads each unit
+    row's residue off it. A wanted residue equal to a side residue decodes
+    by a set lookup, one only in the span of several side residues by an
+    elimination on them, and one outside that span fails; each case is
+    compared with the reference, verdict and first failing user, over F2,
+    F3 and F5."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.data())
+    def test_residues_are_the_reduced_units(self, p, width, data):
+        # the residue zero in every pivot column is unique, and reducing a
+        # unit row by the rows in insertion order reaches it
+        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+        basis = _GFBasis(width, p)
+        for entries in data.draw(st.lists(row, max_size=width + 1)):
+            basis.add(basis.row(entries))
+        residues = basis.residues()
+        assert len(residues) == width
+        for col, residue in enumerate(residues):
+            reduced = basis._reduce(basis.unit(col))
+            assert residue == (reduced if p == 2 else tuple(reduced))
+
+    @staticmethod
+    def check(monkeypatch, g, p, rows, expected, bases):
+        code = IndexCode(p=p, blowup_t=1, n=g.n, rows=tuple(tuple(a % p for a in r) for r in rows))
+        built = []
+
+        class Counted(_GFBasis):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        assert reference_verify_index_code(g, code) == expected
+        monkeypatch.setattr(indexcoding, "_GFBasis", Counted)
+        assert verify_index_code(g, code) == expected
+        monkeypatch.undo()
+        assert len(built) == bases  # the code's own basis, then one per elimination
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_a_wanted_residue_equal_to_a_side_residue(self, p, monkeypatch):
+        # x0 - x1 leaves x0 and x1 with one residue, and x2 sent uncoded
+        # leaves none: users 0 and 1 decode by lookup, user 2 is not checked
+        g = Digraph(3, [(0, 1), (1, 0)])
+        self.check(monkeypatch, g, p, [(1, -1, 0), (0, 0, 1)], (True, None), bases=1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_a_wanted_residue_in_the_span_of_two(self, p, monkeypatch):
+        # x0 - x1 - x2: x0's residue is x1's plus x2's, and each user holds
+        # the two other messages, so all three need an elimination
+        g = Digraph(3, [(u, v) for u in range(3) for v in range(3) if u != v])
+        self.check(monkeypatch, g, p, [(1, -1, -1)], (True, None), bases=4)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_a_wanted_residue_outside_the_span(self, p, monkeypatch):
+        # as above without the edge 1 -> 2: user 0 decodes, user 1 holds
+        # only x0, whose residue x1 + x2 does not give x1
+        g = Digraph(3, [(0, 1), (0, 2), (1, 0), (2, 0), (2, 1)])
+        self.check(monkeypatch, g, p, [(1, -1, -1)], (False, 1), bases=3)
 
 
 class TestDecoders:

@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import gnskit.network
 from gnskit import (
     ContractViolation,
     FormatError,
     GnsCertificate,
     GnsRefusal,
+    MUNetwork,
+    bound_report,
     build_network,
     closure_links,
     fvs_to_gns_cut,
@@ -127,6 +130,22 @@ class TestParsing:
         til = tilde_transform(parse_network(PARALLEL_LINKS))
         assert parse_network(serialize_network(til)) == til
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=4))
+    @example("")
+    @example("a b")
+    @example("a\u2003")
+    @example("#")
+    def test_node_names_without_whitespace_or_hash(self, name):
+        # a name is refused exactly when it is empty or holds "#" or any
+        # character that str.isspace calls whitespace
+        bad = not name or "#" in name or any(c.isspace() for c in name)
+        if bad:
+            with pytest.raises(FormatError, match="bad node name"):
+                build_network([name], [], [])
+        else:
+            assert build_network([name], [], []).nodes == (name,)
+
 
 class TestMincut:
     def test_disconnected(self):
@@ -186,6 +205,50 @@ class TestIndexGraph:
     def test_two_disjoint_two_cycles(self):
         g, _ = to_index_graph(parse_network(TWO_DISJOINT))
         assert g.edges == frozenset({(0, 2), (2, 0), (1, 3), (3, 1)})
+
+    @settings(max_examples=150, deadline=None)
+    @given(dag_networks())
+    def test_is_the_reversed_line_graph_of_the_closure(self, net):
+        # read off the network's link graph, with each pair's source links
+        # leaving its destination; the closure spells that out link by link
+        closed = closure_links(net)
+        expected = {(v.id, w.id) for v in closed for w in closed if w.tail == v.head}
+        g, lmap = to_index_graph(net)
+        assert (g.n, g.edges) == (net.m, frozenset(expected))
+        assert lmap.vertex_to_id == lmap.id_to_vertex == tuple(range(net.m))
+
+
+class TestOneFrontEndPerNetwork:
+    """Each network builds its link graph and its closure once, on first
+    use, and keeps both; neither takes part in equality."""
+
+    def test_a_report_builds_one_link_graph_per_network(self, monkeypatch):
+        built = []
+        real = gnskit.network._link_graph
+
+        def spy(nodes, links):
+            built.append(tuple(nodes))
+            return real(nodes, links)
+
+        monkeypatch.setattr(gnskit.network, "_link_graph", spy)
+        net = parse_network(PARALLEL_LINKS)
+        assert built == [net.nodes]  # the one parse_network's checks used
+        bound_report(net, exact_gns=True)
+        mincut(net, "s", "t")
+        is_gns_cut(net, [])
+        # the staged network, built by the report, adds the second
+        assert len(built) == 2 and built[1] == tilde_transform(net).nodes
+
+    def test_the_closure_is_built_once(self):
+        net = parse_network(DIAMOND)
+        assert closure_links(net) is closure_links(net)
+
+    def test_caches_take_no_part_in_equality(self):
+        net = parse_network(DIAMOND)
+        twin = MUNetwork(net.nodes, net.links, net.pairs, net.source_links)  # nothing cached
+        assert "_graph" in vars(net) and "_graph" not in vars(twin)
+        assert twin == net and hash(twin) == hash(net)
+        assert twin._graph == net._graph and closure_links(twin) == closure_links(net)
 
 
 class TestTildeTransform:
