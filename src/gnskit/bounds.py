@@ -29,14 +29,8 @@ from .digraph import Digraph, _acyclic, _bitmask, _residual_cycle, tensor_power
 from .digraph import _largest_acyclic, _lexmin, _masks, _max_acyclic, _search_masks
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import IndexCode, _code_lines, _cycle_code, co_rate_from_beta, parse_index_code
-from .network import (
-    GnsCertificate,
-    MUNetwork,
-    closure_links,
-    min_gns_cut_exact,
-    tilde_transform,
-    to_index_graph,
-)
+from .network import GnsCertificate, MUNetwork, _staged_cut, closure_links
+from .network import tilde_transform, to_index_graph
 
 
 _T = TypeVar("_T")
@@ -75,7 +69,8 @@ def min_fvs_exact(
 ) -> frozenset[int]:
     """Lexicographically smallest minimum feedback vertex set (complementary
     certificate of the maximum acyclic set). A feedback vertex set `upper`
-    (checked) replaces the size search by probes for one vertex fewer.
+    (checked) starts the size search: its complement is the witness that
+    `_largest_acyclic` probes up from.
 
     A cycle packing `packing` (checked) bounds the minimum from below by
     weak duality, and one worth more raises ContractViolation. Worth more
@@ -97,13 +92,10 @@ def min_fvs_exact(
         size, acyclic = _largest_acyclic(out, inn, order)
     elif not upper <= frozenset(range(g.n)) or not _acyclic(out, inn, full & ~_bitmask(upper)):
         raise ContractViolation(f"{sorted(upper)} is not a feedback vertex set")
-    else:  # from the complement of upper, probe for one vertex more until refuted
+    else:  # probed up from, unless the packing proves upper minimum
         size, acyclic = g.n - len(upper), full & ~_bitmask(upper)
         if packing is None or packing.value <= len(upper) - 1:
-            found, larger = _max_acyclic(out, inn, order, target=size + 1)
-            while found > size:
-                size, acyclic = found, larger
-                found, larger = _max_acyclic(out, inn, order, target=size + 1)
+            size, acyclic = _largest_acyclic(out, inn, order, witness=acyclic)
     if packing is None:
         slack, cost, cycles = 0, [0] * g.n, []  # nothing is fixed
     else:
@@ -343,14 +335,18 @@ def bound_report(
         if _residual_cycle(g, approx_fvs) is not None:
             raise ContractViolation("translated vertex set is not a feedback vertex set")
         validate_packing(g, rcp)
-    # a checked feedback set, minimum unless refused, ends the searches below:
-    # it is a GNS cut of the staged network, and its complement is acyclic
-    cut = approx_fvs if fvs is None else fvs
-    kept = frozenset(range(m)) - cut
     gns = None
     if exact_gns:
-        staged = tilde_transform(net)
-        gns = attempt("gns", lambda: min_gns_cut_exact(staged, caps.mais_vertices, witness=cut))
+        staged = tilde_transform(net)  # checks that staging keeps each pair's mincut
+        # a set of the staged network's m cuttable links is a GNS cut exactly
+        # when it is a feedback set of the index graph, so the lexmin minimum
+        # FVS is the lexmin minimum cut, and the cap refuses both together
+        if fvs is None:
+            skipped.append("gns")
+        else:
+            gns = _staged_cut(staged, fvs)
+    # a checked feedback set, minimum unless refused, ends the q=1 search
+    kept = frozenset(range(m)) - (approx_fvs if fvs is None else fvs)
     tensors = [
         attempt(
             f"tensor:q={q}",
@@ -373,10 +369,6 @@ def bound_report(
     if mais_value is not None and approx_weight < m - mais_value:
         raise ContractViolation(
             f"approximate feedback weight {approx_weight} below m - mais"
-        )
-    if mais_value is not None and gns is not None and len(gns.cut) != m - mais_value:
-        raise ContractViolation(
-            f"staged GNS cut size {len(gns.cut)} differs from m - mais = {m - mais_value}"
         )
     if code_rate is not None and code_rate != m - rcp.value:
         raise ContractViolation("cycle code rate must equal m minus the packing value")

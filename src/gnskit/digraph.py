@@ -150,10 +150,12 @@ def _find_cycle(adj: dict) -> tuple | None:
     None if acyclic. Nodes must be mutually comparable (all ints or all strs);
     successors that are not keys of `adj` are ignored.
 
-    Kahn's peel on in-degree counts tells an acyclic graph; otherwise peels
-    nodes with no live in-edge or no live out-edge (both in linear time; the
-    nodes left do not depend on the order). Then walks minimal successors
-    until a node repeats; the cycle is rotated to start at its smallest node.
+    Kahn's peel on in-degree counts tells an acyclic graph. Otherwise every
+    node left has an in-edge from the others left, so peeling their sinks,
+    on out-degree counts, leaves the nodes with a live in-edge and a live
+    out-edge (both in linear time; the nodes left do not depend on the
+    order). Then walks minimal successors until a node repeats; the cycle
+    is rotated to start at its smallest node.
     """
     indeg = dict.fromkeys(adj, 0)
     for ws in adj.values():
@@ -169,33 +171,25 @@ def _find_cycle(adj: dict) -> tuple | None:
                     ready.append(w)
     if len(ready) == len(adj):
         return None
-    live = {v: {w for w in ws if w in adj} for v, ws in adj.items()}
-    preds: dict = {v: set() for v in live}
-    for v, ws in live.items():
-        for w in ws:
-            preds[w].add(v)
-    queue = [v for v in live if not live[v] or not preds[v]]
-    dead = set(queue)
-    while queue:
-        v = queue.pop()
-        for w in live[v]:
-            preds[w].discard(v)
-            if not preds[w] and w not in dead:
-                dead.add(w)
-                queue.append(w)
+    live = {v for v in adj if indeg[v]}
+    outdeg = dict.fromkeys(live, 0)
+    preds: dict = {v: [] for v in live}
+    for v in live:
+        for w in adj[v]:
+            if w in live:
+                outdeg[v] += 1
+                preds[w].append(v)
+    sinks = [v for v in live if not outdeg[v]]
+    for v in sinks:  # grows while it is read; removing a sink makes no source
+        live.remove(v)
         for u in preds[v]:
-            live[u].discard(v)
-            if not live[u] and u not in dead:
-                dead.add(u)
-                queue.append(u)
-    for v in dead:
-        del live[v]
-    if not live:
-        return None
+            outdeg[u] -= 1
+            if not outdeg[u]:
+                sinks.append(u)
     walk = [min(live)]
     seen_at = {walk[0]: 0}
     while True:
-        nxt = min(live[walk[-1]])
+        nxt = min(w for w in adj[walk[-1]] if w in live)
         if nxt in seen_at:
             cycle = tuple(walk[seen_at[nxt]:])
             pivot = cycle.index(min(cycle))
@@ -398,23 +392,30 @@ def _largest_acyclic(
 ) -> tuple[int, int]:
     """Largest acyclic induced superset of `required` (the vertices not in
     `order`) as (size, members mask), size -1 if `required` has a cycle, by
-    decision probes down from the disjoint-cycle bound: t = n minus the greedy
-    count of disjoint cycles in `order` (each probe's root keeps them), then
-    t - 1, and so on; the first probe that finds a set of t vertices proves t.
-    A `witness` mask, checked by `_acyclic` and ignored unless it is such a
-    set, proves its own size, so the probes stop there: the size is the same
-    with any witness."""
+    decision probes `_max_acyclic(target=t)`, whose roots keep the greedy
+    disjoint cycles in `order`; no set is larger than n minus their count,
+    the ceiling. A nonempty `witness` mask, checked by `_acyclic` and ignored
+    unless it is such a set, proves its own size: the probes go up from it
+    one vertex at a time, up to the ceiling, each set found the next
+    witness, until one is refuted. Otherwise they go down from the ceiling
+    until one finds a set. The size is the same either way."""
     n, fixed = len(out), _bitmask(required)
-    valid = not witness >> n and witness & fixed == fixed and _acyclic(out, inn, witness)
-    known = witness.bit_count() if valid else -1
     cycles = _disjoint_cycles(out, inn, fixed, (1 << n) - 1 & ~fixed, order, n)
-    target = n - len(cycles)
-    while target > known:
+    ceiling = n - len(cycles)
+    if witness and not witness >> n and witness & fixed == fixed and _acyclic(out, inn, witness):
+        size = witness.bit_count()
+        while size < ceiling:
+            found, larger = _max_acyclic(out, inn, order, required, size + 1, cycles)
+            if found <= size:
+                break
+            size, witness = found, larger
+        return size, witness
+    target = ceiling
+    while True:
         found, acyclic = _max_acyclic(out, inn, order, required, target, cycles)
         if found >= target or found < 0:
             return found, acyclic
         target -= 1
-    return known, witness
 
 
 def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
 from .digraph import Digraph, _find_cycle, _residual_cycle
-from .digraph import _bitmask, _largest_acyclic, _lexmin, _max_acyclic, _search_order
+from .digraph import _largest_acyclic, _lexmin, _max_acyclic, _search_order
 from .errors import CapacityError, ContractViolation, FormatError
 
 
@@ -415,17 +415,14 @@ def is_gns_cut(net: MUNetwork, cut: Iterable[int]) -> GnsCertificate | GnsRefusa
 
 
 def min_gns_cut_exact(
-    net: MUNetwork, cuttable_cap: int = DEFAULT_CAPS.mais_vertices, *, witness: Iterable[int] = ()
+    net: MUNetwork, cuttable_cap: int = DEFAULT_CAPS.mais_vertices
 ) -> GnsCertificate:
     """Smallest GNS cut, ties to the lexicographically smallest id set. With
     one closing link t_i -> s_i per pair, a cycle through closing links is a
     cycle or loop of `_gns_verdict`'s pair digraph and back, so the cut is
     the lexmin minimum feedback set, over the regular links (ids 0..r-1), of
     the line graph of the regular and the kept closing links (r..r+k-1): the
-    acyclic-set search of the index graph, exponential only in r. `witness`
-    is a hint: a GNS cut's ids, such as a minimum feedback vertex set of the
-    unstaged index graph, whose size ends the size search. It is checked and
-    ignored unless it is a cut of regular links; the cut never depends on it."""
+    acyclic-set search of the index graph, exponential only in r."""
     index, out, _ = net._graph
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     ends = [(index[e.tail], index[e.head]) for e in net.links if e.tail is not None]
@@ -443,9 +440,7 @@ def min_gns_cut_exact(
     succ, pred = [leave[head] for _, head in ends], [enter[tail] for tail, _ in ends]
     closing = range(r, len(ends))
     order = [v for v in _search_order(succ, pred) if v < r]
-    hint = set(witness)
-    kept = (1 << len(ends)) - 1 & ~_bitmask(hint) if hint <= set(range(r)) else 0
-    size, acyclic = _largest_acyclic(succ, pred, order, closing, kept)
+    size, acyclic = _largest_acyclic(succ, pred, order, closing)
     if size < 0:
         raise ContractViolation("no GNS cut found even after cutting every link")
 
@@ -480,7 +475,13 @@ def fvs_to_gns_cut(net: MUNetwork, fvs: Iterable[int]) -> GnsCertificate:
         raise ContractViolation(
             "input is not a feedback vertex set of the index graph", witness=cycle
         )
-    result = is_gns_cut(tilde_transform(net), fvs_set)
+    return _staged_cut(tilde_transform(net), fvs_set)
+
+
+def _staged_cut(staged: MUNetwork, fvs: frozenset[int]) -> GnsCertificate:
+    """`is_gns_cut` of a feedback vertex set of the index graph of the
+    network that `staged` stages; ContractViolation when it refuses."""
+    result = is_gns_cut(staged, fvs)
     if isinstance(result, GnsRefusal):
         raise ContractViolation(
             "mapped feedback set failed the GNS check", witness=result.witness

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gnskit import (
     CapacityError,
@@ -17,12 +17,14 @@ from gnskit import (
     bound_report,
     closure_links,
     complement,
+    min_gns_cut_exact,
     parse_network,
     parse_report,
     serialize_report,
     solve_spreading_metric,
     strong_product,
     tensor_power,
+    tilde_transform,
     to_index_graph,
     verify_index_code,
 )
@@ -213,7 +215,7 @@ class TestPackingSteersFvs:
             assert min_fvs_exact(g, 64, upper, empty) == lexmin
 
     def test_a_packing_that_proves_nothing(self):
-        # rcp(C3) = 1 does not prove {1, 2} minimum, so it is probed down
+        # rcp(C3) = 1 does not prove {1, 2} minimum, so the probes go up from {0}
         g = directed_cycle(3)
         packing = rcp_exact(g)
         assert packing.value == 1
@@ -269,8 +271,9 @@ class TestPackingSteersFvs:
 
 
 class TestProbeDown:
-    """The size search probes down from the disjoint-cycle bound; it agrees
-    with the search from scratch and with subset enumeration."""
+    """The size search with no witness probes down from the disjoint-cycle
+    bound; it agrees with the search from scratch and with subset
+    enumeration."""
 
     @staticmethod
     def check(g, oracle=True):
@@ -753,6 +756,65 @@ class TestReportFvsPaths:
             assert calls == {"to_index_graph": 1, "fvs check": 1}
 
 
+@st.composite
+def dag_draws(draw):
+    """A `random_dag_network` draw of 4-8 nodes."""
+    nodes = draw(st.integers(4, 8))
+    try:
+        return random_dag_network(
+            nodes,
+            draw(st.integers(nodes - 1, nodes + 6)),
+            draw(st.integers(1, nodes // 2)),
+            seed=draw(st.integers(0, 2**16)),
+        )
+    except ValueError:  # no reachable pair assignment
+        assume(False)
+
+
+class TestStagedCutIsTheFvs:
+    """`bound_report(exact_gns=True)` takes the GNS cut from its minimum
+    FVS, certified on the staged network: the same cut and permutation that
+    `min_gns_cut_exact` finds by its own search."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(dag_draws(), random_graphs(max_n=5, p=0.4).map(network_from_side_info_graph)))
+    def test_matches_the_exact_search(self, net):
+        report = bound_report(net, exact_gns=True, caps=Caps(mais_vertices=64))
+        assert report.gns_exact == min_gns_cut_exact(tilde_transform(net), 64)
+
+    def test_the_report_runs_no_exact_gns_search(self, monkeypatch):
+        calls = []
+        real = gnskit.network.min_gns_cut_exact
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gnskit.network, "min_gns_cut_exact", spy)
+        monkeypatch.setattr(gnskit.bounds, "min_gns_cut_exact", spy, raising=False)
+        nets = [random_dag_network(7, 12, 3, seed=1), network_from_side_info_graph(symmetric_cycle(5))]
+        for net in nets:
+            report = bound_report(net, exact_gns=True, caps=Caps(mais_vertices=64))
+            assert len(report.gns_exact.cut) == len(report.fvs)
+        assert calls == []
+
+    def test_a_wrong_fvs_fails_the_staged_certificate(self, monkeypatch):
+        # min_fvs_exact returning one vertex too few, so no feedback set, and
+        # no q=1 radicand to disagree with it: only the certificate refuses it
+        real = gnskit.bounds.min_fvs_exact
+
+        def too_small(*args, **kwargs):
+            fvs = real(*args, **kwargs)
+            return fvs - {min(fvs)}
+
+        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", too_small)
+        net = random_dag_network(7, 12, 3, seed=1)
+        caps = Caps(mais_vertices=64)
+        bound_report(net, qs=(), caps=caps)  # which nothing else refuses
+        with pytest.raises(ContractViolation, match="failed the GNS check"):
+            bound_report(net, qs=(), exact_gns=True, caps=caps)
+
+
 class TestReportPackingMatchesReference:
     """The report's packing is the dual of the spreading metric, mapped to
     the index graph; the reference solves one LP over every enumerated
@@ -895,7 +957,9 @@ class TestSearchMatchesReference:
     def test_a_given_minimum_gives_the_lexmin_certificate(self):
         # F is the lexmin minimum FVS under reversed labels, so the search
         # starts from a minimum set that is not the lexmin one; F plus a
-        # vertex and the whole vertex set are not minimum and are probed down
+        # vertex and the whole vertex set are not minimum: the search probes
+        # up from the complement of the first, and down from the ceiling for
+        # the second, whose complement is empty
         for g in self._graphs():
             n = g.n
             reversed_g = Digraph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])

@@ -294,6 +294,12 @@ class TestFindCycle:
     def test_matches_reference_str_nodes(self, adj):
         assert _find_cycle(adj) == reference_find_cycle(adj)
 
+    def test_sinks_hanging_off_a_cycle(self):
+        # 2 -> 1 -> 0 and 3 -> 0 hang off the cycle 5 -> 6 -> 7 -> 5, below
+        # its nodes, and go sink by sink; 4 feeds the cycle and 9 is no key
+        adj = {0: [], 1: [0], 2: [1, 1], 3: [0, 9], 4: [5], 5: [6], 6: [7], 7: [5, 2, 3]}
+        assert _find_cycle(adj) == reference_find_cycle(adj) == (5, 6, 7)
+
     @settings(max_examples=100, deadline=None)
     @given(random_graphs(max_n=6))
     def test_is_acyclic_matches_networkx(self, g):
@@ -411,7 +417,9 @@ class TestAcyclicPeel:
 
 class TestWitnessEndsTheProbes:
     """`_largest_acyclic` with a witness mask: the size and a witnessing
-    set are those of the search without it, whatever the mask."""
+    set are those of the search without it, whatever the mask. The probes
+    go up from a valid nonempty witness, and down from the ceiling without
+    one."""
 
     @settings(max_examples=300, deadline=None)
     @given(random_graphs(max_n=8, p=0.4), st.data())
@@ -457,6 +465,22 @@ class TestWitnessEndsTheProbes:
         assert _largest_acyclic(out, inn, order, (), 0b00111)[0] == 4
         assert _largest_acyclic(out, inn, order, (), 0b11111)[0] == 4
         assert len(probes) == 2
+
+    def test_probes_go_up_from_a_witness_and_down_without_one(self, monkeypatch):
+        # a bidirected K5 beside four isolated vertices: mais 5, and the two
+        # disjoint 2-cycles counted in K5 give the ceiling 9 - 2 = 7
+        g = Digraph(9, complete_digraph(5).edges)
+        out, inn = _masks(g._out), _masks(g._in)
+        order = _search_order(out, inn)
+        targets = []
+        real = digraph_mod._max_acyclic
+        monkeypatch.setattr(
+            digraph_mod, "_max_acyclic", lambda *args: targets.append(args[4]) or real(*args)
+        )
+        for witness, probed in ((0b1, [2, 3, 4, 5, 6]), (0, [7, 6, 5]), (0b11, [7, 6, 5])):
+            targets.clear()
+            assert _largest_acyclic(out, inn, order, (), witness)[0] == 5
+            assert targets == probed
 
 
 class TestEmbedding:
