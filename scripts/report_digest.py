@@ -26,6 +26,13 @@ networks `bench/corpus.py` draws for the parameter sets of `LARGE_DAG_SETS`
 the exact searches run far past the benchmark's sizes. It takes no seed
 either.
 
+The workload `scale` is not a benchmark corpus either: it is the four
+networks `bench/corpus.py` draws for the parameter sets of `SCALE_SETS`
+(m = 226-294 links), reported with `--exact-gns` under the default caps,
+where the LP sandwich proves every exact value. Beside the digest it prints
+each report's wall time and that of its approximation
+(`subset_fes_approx`) alone. It takes no seed either.
+
 The workload `gns-large` runs the exact GNS cut search far past the
 benchmark's sizes, with `mais_vertices=128`: `gnskit gnscut --exact --tilde`
 on the `large-dags` networks, and `gnscut --exact` with and without
@@ -56,6 +63,7 @@ import io
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,11 +75,13 @@ from gnskit import (  # noqa: E402
     FormatError,
     cli,
     network_from_side_info_graph,
+    parse_network,
     parse_report,
     random_digraph,
     serialize_digraph,
     serialize_network,
     serialize_report,
+    subset_fes_approx,
 )
 from gnskit.indexcoding import minrank_edge_cap  # noqa: E402
 
@@ -83,6 +93,9 @@ LARGE_DAG_SETS = (
     (26, 80, 7, 4), (30, 95, 8, 6), (28, 90, 7, 5), (30, 100, 8, 1), (30, 100, 8, 2),
     (30, 100, 8, 3),
 )
+SCALE = "scale"
+# (nodes, links, pairs, seed) of dag_network, m = 226, 227, 294 and 291
+SCALE_SETS = ((50, 200, 12, 15), (50, 200, 12, 16), (60, 260, 14, 13), (60, 260, 14, 2))
 GNS_LARGE = "gns-large"
 CODES = "codes"
 NETWORKS = "networks"
@@ -110,6 +123,24 @@ def large_dags() -> list[Instance]:
         Instance(f"dag{i}", dag_network(*params).text(f"dag_network{params}"))
         for i, params in enumerate(LARGE_DAG_SETS)
     ]
+
+
+def scale(digest, tmp: Path) -> int:
+    for params in SCALE_SETS:
+        text = dag_network(*params).text(f"dag_network{params}")
+        path = tmp / "scale.mun"
+        path.write_text(text, encoding="utf-8")
+        start = time.perf_counter()
+        report = run(digest, ["bounds", str(path), "--exact-gns", "--out", "machine"])
+        report_s = time.perf_counter() - start
+        check_round_trip(f"dag_network{params}", report.decode("utf-8"))
+        net = parse_network(text)
+        start = time.perf_counter()
+        subset_fes_approx(net)
+        approx_s = time.perf_counter() - start
+        print(f"dag_network{params}: m = {net.m}, report {report_s:.2f} s, "
+              f"approximation {approx_s:.2f} s")
+    return len(SCALE_SETS)
 
 
 def run(digest, argv: list[str]) -> bytes:
@@ -195,6 +226,9 @@ def print_digest(workload: str, seed: int) -> None:
         elif workload == GNS_LARGE:
             os.environ["GNSKIT_CAP_OVERRIDES"] = "mais_vertices=128"
             count, unit = gns_large(digest, Path(tmp)), "searches"
+        elif workload == SCALE:
+            os.environ["GNSKIT_CAP_OVERRIDES"] = ""
+            count, unit = scale(digest, Path(tmp)), "instances"
         elif workload == NETWORKS:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
             count, unit = networks(digest, seed, Path(tmp)), "networks"
@@ -220,7 +254,7 @@ def print_digest(workload: str, seed: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    workloads = [*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, GNS_LARGE, NETWORKS, CODES]
+    workloads = [*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, SCALE, GNS_LARGE, NETWORKS, CODES]
     parser.add_argument("--workload", default=ALL, choices=sorted([*workloads, ALL]))
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()

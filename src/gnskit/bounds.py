@@ -303,7 +303,11 @@ def bound_report(
 
     The packing is the dual of the spreading metric that the approximation
     solves, mapped to the index graph by `packing_from_metric`, so rcp is
-    never skipped and costs no cycle enumeration.
+    never skipped and costs no cycle enumeration. Where it proves the
+    approximate feedback set minimum (ceil(rcp) == approx_weight), mais, the
+    q=1 radicand and the GNS cut come from that proof at any size, and `fvs`
+    is the lexmin minimum set only within `caps.mais_vertices`, past which it
+    is the approximate set itself.
     """
     # a nan or infinite constant would switch the regression check off
     if not 0 < ratio_constant < math.inf:
@@ -324,23 +328,35 @@ def bound_report(
     approx_fvs = approx.fes  # index-graph vertex v is link v
     approx_weight = approx.diagnostics.weight
     rcp = packing_from_metric(closure_links(net), approx.metric)
+    # the LP sandwich: by weak duality a valid packing is worth at most any
+    # feedback set, so a checked approx_fvs of size ceil(rcp) is minimum, and
+    # mais and the q=1 radicand need no search
+    lower = math.ceil(rcp.value)  # no feedback set is smaller
+    proven = approx_weight == lower
 
-    # checks approx_fvs and the packing; a packing worth more than
-    # |approx_fvs| - 1 proves approx_fvs minimum
-    fvs = attempt(
-        "mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
-    )
-    mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
-    if fvs is None:  # refused before its checks, which the code builder does not repeat
-        if _residual_cycle(g, approx_fvs) is not None:
-            raise ContractViolation("translated vertex set is not a feedback vertex set")
+    if proven and m > caps.mais_vertices:  # no lexmin search: the proof's own set
         validate_packing(g, rcp)
+        fvs = approx_fvs
+    else:
+        # checks approx_fvs and the packing; a proven approx_fvs is not probed
+        fvs = attempt(
+            "mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
+        )
+        if fvs is None:  # refused before its checks, which the code builder does not repeat
+            if _residual_cycle(g, approx_fvs) is not None:
+                raise ContractViolation("translated vertex set is not a feedback vertex set")
+            validate_packing(g, rcp)
+    if proven:  # the printed set, searched or not, must meet the packing
+        out, inn, _ = _search_masks(g)
+        if len(fvs) != lower or not _acyclic(out, inn, (1 << m) - 1 & ~_bitmask(fvs)):
+            raise ContractViolation(f"{sorted(fvs)} is not a feedback vertex set of size {lower}")
+    mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
     gns = None
     if exact_gns:
         staged = tilde_transform(net)  # checks that staging keeps each pair's mincut
         # a set of the staged network's m cuttable links is a GNS cut exactly
-        # when it is a feedback set of the index graph, so the lexmin minimum
-        # FVS is the lexmin minimum cut, and the cap refuses both together
+        # when it is a feedback set of the index graph, so a minimum FVS is a
+        # minimum cut (the lexmin one the lexmin one), refused only with mais
         if fvs is None:
             skipped.append("gns")
         else:
@@ -348,7 +364,10 @@ def bound_report(
     # a checked feedback set, minimum unless refused, ends the q=1 search
     kept = frozenset(range(m)) - (approx_fvs if fvs is None else fvs)
     tensors = [
-        attempt(
+        # tensor_bound's record for the radicand mais (m - mais ** (1.0 / 1))
+        TensorBound(1, mais_value, m - mais_value**1.0)
+        if q == 1 and proven
+        else attempt(
             f"tensor:q={q}",
             lambda: tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices, acyclic=kept),
         )
@@ -374,7 +393,7 @@ def bound_report(
         raise ContractViolation("cycle code rate must equal m minus the packing value")
     if co_rate is not None and co_rate != rcp.value:
         raise ContractViolation("dual correlated rate must equal the packing value")
-    if mais_value is not None:
+    if mais_value is not None and not proven:  # a search produced the radicand
         for tb in tensors:
             if tb is not None and tb.q == 1 and tb.radicand != mais_value:
                 raise ContractViolation("first tensor bound disagrees with mais")

@@ -148,7 +148,7 @@ def _cmd_cyclepack(args, caps: Caps) -> int:
         )
         packing = cyclepack_mod.packing_from_metric(closed, metric)
     else:
-        g = parse_digraph(_read(args.input))
+        g = parse_digraph(_read(args.input), caps.ls_vertices)
         packing = cyclepack_mod.rcp_exact(g, caps.rcp_cycles)
     lines = ["cyclepacking", f"value: {packing.value}"]
     for cyc, w in packing.assignments:
@@ -158,7 +158,7 @@ def _cmd_cyclepack(args, caps: Caps) -> int:
 
 
 def _cmd_minrank(args, caps: Caps) -> int:
-    g = parse_digraph(_read(args.graph))
+    g = parse_digraph(_read(args.graph), caps.ls_vertices)
     cap = indexcoding_mod.minrank_edge_cap(args.field, caps.minrank_base_edges)
     value, witness = indexcoding_mod.minrank(g, args.field, cap)
     lines = ["minrank", f"field: {args.field}", f"value: {value}", "witness:"]
@@ -169,7 +169,7 @@ def _cmd_minrank(args, caps: Caps) -> int:
 
 
 def _cmd_code(args, caps: Caps) -> int:
-    g = parse_digraph(_read(args.graph))
+    g = parse_digraph(_read(args.graph), caps.ls_vertices)
     packing = cyclepack_mod.rcp_exact(g, caps.rcp_cycles)
     code = indexcoding_mod.build_cycle_code(g, packing, args.field, caps.code_lcm)
     _emit(indexcoding_mod.serialize_index_code(code), args.output)
@@ -188,12 +188,12 @@ def _cmd_gen(args, caps: Caps) -> int:
         )
         _emit(serialize_digraph(g, [meta]), args.output)
     elif args.kind == "digraph":
-        g = instances_mod.random_digraph(args.n, args.prob, args.seed)
+        g = instances_mod.random_digraph(args.n, args.prob, args.seed, caps.ls_vertices)
         meta = f"random digraph n={args.n} prob={args.prob!r} seed={args.seed}"
         _emit(serialize_digraph(g, [meta]), args.output)
     elif args.kind == "network":
         net = instances_mod.random_dag_network(
-            args.nodes, args.links, args.pairs, args.seed
+            args.nodes, args.links, args.pairs, args.seed, vertex_cap=caps.ls_vertices
         )
         meta = (
             f"random dag-network nodes={args.nodes} links={args.links} "
@@ -201,7 +201,7 @@ def _cmd_gen(args, caps: Caps) -> int:
         )
         _emit(network_mod.serialize_network(net, [meta]), args.output)
     elif args.kind == "side-info-network":
-        g = parse_digraph(_read(args.graph))
+        g = parse_digraph(_read(args.graph), caps.ls_vertices)
         net = instances_mod.network_from_side_info_graph(g)
         meta = "network embedding " + os.path.basename(args.graph)
         _emit(network_mod.serialize_network(net, [meta]), args.output)
@@ -212,7 +212,7 @@ def _cmd_verify(args, caps: Caps) -> int:
     lines = ["verify"]
     ok = False
     if args.target == "code":
-        g = parse_digraph(_read(args.graph))
+        g = parse_digraph(_read(args.graph), caps.ls_vertices)
         code = indexcoding_mod.parse_index_code(_read(args.code))
         ok, failing = indexcoding_mod.verify_index_code(g, code)
         lines.append("target: code")

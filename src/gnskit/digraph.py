@@ -589,12 +589,13 @@ def verify_product_blowup_embedding(
     return ok, tuple(mapping)
 
 
-def parse_digraph(text: str) -> Digraph:
+def parse_digraph(text: str, vertex_cap: int = DEFAULT_CAPS.ls_vertices) -> Digraph:
     """Parse the ".dg" text format.
 
     First meaningful line is ``digraph <n>``; each following line is
     ``e <u> <v>`` with 0-based endpoints. ``#`` starts a comment. Self-loop
-    and duplicate edge lines are format errors.
+    and duplicate edge lines are format errors. A header of more than
+    `vertex_cap` vertices is refused before anything is allocated for them.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -613,6 +614,8 @@ def parse_digraph(text: str) -> Digraph:
                 raise FormatError(f"line {lineno}: vertex count is not an integer") from None
             if n < 0:
                 raise FormatError(f"line {lineno}: vertex count must be non-negative")
+            if n > vertex_cap:
+                raise CapacityError(f"{n} vertices exceed the vertex cap of {vertex_cap}")
             continue
         if len(parts) != 3 or parts[0] != "e":
             raise FormatError(f"line {lineno}: expected 'e <u> <v>'")

@@ -135,11 +135,16 @@ def is_vertex_transitive_under_ground_permutations(g: Digraph) -> bool:
     return len(seen) == g.n
 
 
-def random_digraph(n: int, edge_prob: float, seed: int) -> Digraph:
+def random_digraph(
+    n: int, edge_prob: float, seed: int, vertex_cap: int = DEFAULT_CAPS.ls_vertices
+) -> Digraph:
     """Seeded Erdos-Renyi style digraph; identical seeds give identical
-    graphs."""
+    graphs. All n * (n - 1) pairs are drawn, so more than `vertex_cap`
+    vertices are refused first."""
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge probability must be in [0, 1]")
+    if n > vertex_cap:
+        raise CapacityError(f"{n} vertices exceed the vertex cap of {vertex_cap}")
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -156,16 +161,22 @@ def random_dag_network(
     k: int,
     seed: int,
     max_retries: int = 200,
+    vertex_cap: int = DEFAULT_CAPS.ls_vertices,
 ) -> MUNetwork:
     """Seeded random acyclic network with k mutually reachable pairs.
 
     Links point forward along the node order (parallel duplicates allowed);
     pair endpoints are drawn from disjoint node sets until every source
     reaches its destination. Raises if no reachable pair assignment is found
-    within the retry budget.
+    within the retry budget. More than `vertex_cap` nodes or links (each
+    link a vertex of the index graph) are refused before anything is built.
     """
     if n_nodes < 2 or k < 1 or 2 * k > n_nodes:
         raise ValueError("need n_nodes >= 2 and 2*k <= n_nodes")
+    if max(n_nodes, n_links) > vertex_cap:
+        raise CapacityError(
+            f"{n_nodes} nodes and {n_links} links: more than the vertex cap of {vertex_cap}"
+        )
     rng = random.Random(seed)
     nodes = [f"n{i + 1}" for i in range(n_nodes)]
     for _ in range(max_retries):

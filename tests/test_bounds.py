@@ -1,5 +1,6 @@
 """Exact bound quantities, product/blowup identities, and the report."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -360,10 +361,23 @@ class TestTensorBound:
             square = reference_mais_size(tensor_power(g, 2))
             assert tensor_bound(g, 2, g.n, vertex_cap=9, acyclic=best).radicand == square
 
-    def test_a_wrong_fvs_still_trips_the_report(self, monkeypatch):
-        # min_fvs_exact returning one vertex too few, so no feedback set: its
-        # complement is cyclic, so the radicand is searched in full and the
-        # report's chain check refuses the mais value that set gives
+    @pytest.mark.parametrize(
+        "net, refusal",
+        [
+            # the packing leaves a gap (rcp 3, approx 4): the complement is
+            # cyclic, so the radicand is searched in full and disagrees
+            (network_from_side_info_graph(symmetric_cycle(5)), "first tensor bound disagrees"),
+            # the packing proves approx_fvs minimum (rcp 4, approx 4), so the
+            # radicand is mais by the proof, and the printed set must meet it
+            (
+                random_dag_network(7, 12, 3, seed=1),
+                r"\[4, 6, 9\] is not a feedback vertex set of size 4",
+            ),
+        ],
+        ids=["gap", "closed"],
+    )
+    def test_a_wrong_fvs_still_trips_the_report(self, net, refusal, monkeypatch):
+        # min_fvs_exact returning one vertex too few, so no feedback set
         real = gnskit.bounds.min_fvs_exact
 
         def too_small(*args, **kwargs):
@@ -371,8 +385,7 @@ class TestTensorBound:
             return fvs - {min(fvs)}
 
         monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", too_small)
-        net = random_dag_network(7, 12, 3, seed=1)
-        with pytest.raises(ContractViolation, match="first tensor bound disagrees with mais"):
+        with pytest.raises(ContractViolation, match=refusal):
             bound_report(net, caps=Caps(mais_vertices=64))
 
 
@@ -582,12 +595,24 @@ class TestBoundReport:
             bound_report(parse_network(PARALLEL_LINKS), ratio_constant=value)
 
     def test_skips_oversized_components(self):
-        from gnskit.caps import Caps
-
-        tight = Caps(mais_vertices=2, rcp_cycles=20000)
-        report = bound_report(parse_network(PARALLEL_LINKS), caps=tight)
+        # the wrapping of bidirected C5 (m = 26, rcp 3, approx 4): the
+        # packing leaves a gap, so only a search gives mais, and the cap
+        # refuses it
+        tight = Caps(mais_vertices=25, rcp_cycles=20000)
+        report = bound_report(network_from_side_info_graph(symmetric_cycle(5)), caps=tight)
         assert report.mais_value is None
-        assert "mais" in report.skipped
+        assert report.skipped == ("mais", "tensor:q=1")
+        assert parse_report(serialize_report(report)) == report
+
+    def test_a_proven_minimum_is_never_skipped(self):
+        # PARALLEL_LINKS (m = 4, rcp 2, approx 2): the packing proves the
+        # approximate set minimum, so the cap refuses no search
+        net = parse_network(PARALLEL_LINKS)
+        report = bound_report(net, exact_gns=True, caps=Caps(mais_vertices=2))
+        assert report.skipped == ()
+        assert (report.mais_value, report.fvs) == (2, report.approx_fvs)
+        assert report.tensor_bounds == ((1, 2, 2.0),)
+        assert report.gns_exact.cut == report.fvs
         assert parse_report(serialize_report(report)) == report
 
     @pytest.mark.parametrize(
@@ -676,8 +701,10 @@ class TestReportFvsPaths:
     as its incumbent and its own packing as a lower bound, so the search
     refutes one vertex fewer only when the packing does not prove the
     incumbent minimum (rcp > |approx_fvs| - 1). It gives the lexmin minimum
-    FVS either way, and the q = 1 tensor radicand, searched with only the
-    complement of that FVS as a checked hint, agrees with it."""
+    FVS either way. Where the packing leaves a gap, the q = 1 tensor
+    radicand, searched with only the complement of that FVS as a checked
+    hint, agrees with it; where it proves the minimum, the radicand is mais
+    by the same proof."""
 
     @staticmethod
     def check(net, monkeypatch):
@@ -728,9 +755,13 @@ class TestReportFvsPaths:
     @pytest.mark.parametrize("mais_vertices", [64, 1])
     def test_one_index_graph_and_one_fvs_check(self, mais_vertices, monkeypatch):
         # the FES maps to the FVS through the report's own index graph, and
-        # the FVS is checked once: by min_fvs_exact's mask peel, or by
-        # bound_report's cycle search when the cap refuses min_fvs_exact
-        # before its check
+        # each set is checked once. Where the packing leaves a gap (the C5
+        # wrapping), approx_fvs is checked by min_fvs_exact's mask peel, or
+        # by bound_report's cycle search when the cap refuses min_fvs_exact
+        # before its check, and the cap refuses mais. Where it proves
+        # approx_fvs minimum (the draw), the printed set is peeled once as
+        # the proof: past the cap that set is approx_fvs, so it is the only
+        # check, and within the cap min_fvs_exact has peeled approx_fvs first
         calls = {"to_index_graph": 0, "fvs check": 0}
         counts = {"to_index_graph": "to_index_graph", "_residual_cycle": "fvs check"}
 
@@ -745,15 +776,18 @@ class TestReportFvsPaths:
             for name, key in counts.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
-        # min_fvs_exact's peel; the searches call it through digraph's name
+        # min_fvs_exact's and the proof's peel; the searches call it through digraph's name
         peel = counted("fvs check", gnskit.bounds._acyclic)
         monkeypatch.setattr(gnskit.bounds, "_acyclic", peel)
-        nets = [random_dag_network(7, 12, 3, seed=1), network_from_side_info_graph(symmetric_cycle(5))]
-        for net in nets:
+        nets = [(random_dag_network(7, 12, 3, seed=1), True)]
+        nets.append((network_from_side_info_graph(symmetric_cycle(5)), False))
+        for net, closed in nets:
             calls.update(dict.fromkeys(calls, 0))
             report = bound_report(net, caps=Caps(mais_vertices=mais_vertices))
-            assert ("mais" in report.skipped) == (mais_vertices == 1)
-            assert calls == {"to_index_graph": 1, "fvs check": 1}
+            assert (report.rcp_value > report.approx_weight - 1) == closed
+            assert ("mais" in report.skipped) == (mais_vertices == 1 and not closed)
+            checks = 2 if closed and mais_vertices == 64 else 1
+            assert calls == {"to_index_graph": 1, "fvs check": checks}
 
 
 @st.composite
@@ -801,6 +835,8 @@ class TestStagedCutIsTheFvs:
     def test_a_wrong_fvs_fails_the_staged_certificate(self, monkeypatch):
         # min_fvs_exact returning one vertex too few, so no feedback set, and
         # no q=1 radicand to disagree with it: only the certificate refuses it
+        # where the packing leaves a gap (the C5 wrapping; where it proves
+        # the minimum, the printed set is checked against it first)
         real = gnskit.bounds.min_fvs_exact
 
         def too_small(*args, **kwargs):
@@ -808,11 +844,107 @@ class TestStagedCutIsTheFvs:
             return fvs - {min(fvs)}
 
         monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", too_small)
-        net = random_dag_network(7, 12, 3, seed=1)
+        net = network_from_side_info_graph(symmetric_cycle(5))
         caps = Caps(mais_vertices=64)
         bound_report(net, qs=(), caps=caps)  # which nothing else refuses
         with pytest.raises(ContractViolation, match="failed the GNS check"):
             bound_report(net, qs=(), exact_gns=True, caps=caps)
+
+
+class TestLpSandwich:
+    """Where the packing proves the approximate feedback set minimum
+    (ceil(rcp) == approx_weight, weak duality), the report takes mais, the
+    q=1 radicand and the staged GNS cut from that proof at any size: within
+    `mais_vertices` its `fvs` is still the lexmin minimum set, past it the
+    approximate set itself, and nothing is skipped."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(dag_draws(), random_graphs(max_n=5, p=0.4).map(network_from_side_info_graph)),
+        st.sampled_from([1, 64]),
+    )
+    def test_a_closed_sandwich_prints_a_feedback_set_of_size_ceil_rcp(self, net, cap):
+        report = bound_report(net, exact_gns=True, caps=Caps(mais_vertices=cap))
+        g, _ = to_index_graph(net)
+        closed = math.ceil(report.rcp_value) == report.approx_weight
+        assert ("mais" in report.skipped) == (not closed and g.n > cap)
+        if report.fvs is None:
+            return
+        rest = to_nx(g).subgraph(set(range(g.n)) - report.fvs)
+        assert nx.is_directed_acyclic_graph(rest)
+        assert report.mais_value == g.n - len(report.fvs)
+        assert [tb.radicand for tb in report.tensor_bounds] == [report.mais_value]
+        assert report.gns_exact.cut == report.fvs
+        if closed:
+            assert len(report.fvs) == math.ceil(report.rcp_value)
+        if g.n <= cap:
+            assert report.mais_value == reference_mais_size(g)
+            assert report.fvs == min_fvs_exact(g, cap)
+        else:
+            assert report.fvs == report.approx_fvs
+
+    def test_past_the_cap_nothing_is_searched(self, monkeypatch):
+        def refused(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"{name} searched")
+
+            return spy
+
+        for module in (gnskit.digraph, gnskit.bounds, gnskit.network):
+            for name in ("_max_acyclic", "_lexmin"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused(name))
+        # m = 25 and 116, past the default mais_vertices=22
+        for params in ((10, 18, 4, 11), (30, 100, 8, 2)):
+            net = random_dag_network(*params)
+            report = bound_report(net, exact_gns=True)
+            assert math.ceil(report.rcp_value) == report.approx_weight
+            assert report.skipped == ()
+            assert report.fvs == report.approx_fvs == report.gns_exact.cut
+            assert report.tensor_bounds == ((1, report.mais_value, float(len(report.fvs))),)
+        monkeypatch.undo()
+        # the same sizes as the searches within a raised cap
+        searched = bound_report(net, exact_gns=True, caps=Caps(mais_vertices=128))
+        assert searched.mais_value == report.mais_value == 103
+        assert searched.tensor_bounds == report.tensor_bounds
+        assert len(searched.gns_exact.cut) == len(report.gns_exact.cut)
+
+    @pytest.mark.parametrize("cap", [1, 64])
+    @pytest.mark.parametrize(
+        "mutation, refusal",
+        [
+            ("value", "packing value does not match"),
+            ("load", "is overloaded"),
+            ("fvs", "not a feedback vertex set"),
+        ],
+    )
+    def test_a_wrong_certificate_still_raises(self, mutation, refusal, cap, monkeypatch):
+        # a packing that claims more than its assignments give, or its whole
+        # value on one cycle (so ceil(rcp) still meets approx_weight where
+        # it did), or an approximate set with a vertex dropped, and its weight
+        real_packing, real_approx = packing_from_metric, subset_fes_approx
+
+        def packing(*args):
+            p = real_packing(*args)
+            if mutation == "value":
+                return CyclePacking(p.assignments, p.value + 1)
+            if mutation == "load":
+                return CyclePacking(((p.assignments[0][0], p.value),), p.value)
+            return p
+
+        def approx(*args):
+            a = real_approx(*args)
+            if mutation != "fvs":
+                return a
+            diagnostics = dataclasses.replace(a.diagnostics, weight=a.diagnostics.weight - 1)
+            return dataclasses.replace(a, fes=a.fes - {min(a.fes)}, diagnostics=diagnostics)
+
+        monkeypatch.setattr(gnskit.bounds, "packing_from_metric", packing)
+        monkeypatch.setattr(gnskit.bounds, "subset_fes_approx", approx)
+        nets = [random_dag_network(7, 12, 3, seed=1), network_from_side_info_graph(symmetric_cycle(5))]
+        for net in nets:
+            with pytest.raises(ContractViolation, match=refusal):
+                bound_report(net, caps=Caps(mais_vertices=cap))
 
 
 class TestReportPackingMatchesReference:

@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
-from gnskit import cli, parse_digraph, parse_network, parse_report
+from gnskit import (
+    cli,
+    network_from_side_info_graph,
+    parse_digraph,
+    parse_network,
+    parse_report,
+    serialize_network,
+)
 from gnskit.cli import main
 
 from helpers import (
@@ -18,6 +25,7 @@ from helpers import (
     SINGLE_PATH,
     TWO_DISJOINT,
     run_cli,
+    symmetric_cycle,
 )
 
 
@@ -25,6 +33,15 @@ from helpers import (
 def parallel(tmp_path):
     path = tmp_path / "parallel.mun"
     path.write_text(PARALLEL_LINKS)
+    return str(path)
+
+
+@pytest.fixture()
+def gap(tmp_path):
+    """The wrapping of bidirected C5 (m = 26, rcp 3, approx 4): the packing
+    leaves a gap, so only a search gives mais, and the cap can refuse it."""
+    path = tmp_path / "c5.mun"
+    path.write_text(serialize_network(network_from_side_info_graph(symmetric_cycle(5))))
     return str(path)
 
 
@@ -69,14 +86,17 @@ class TestExitCodes:
             assert main(["bounds", parallel]) == 2
         capsys.readouterr()
 
-    def test_negative_cap_override_is_two(self, parallel, capsys, monkeypatch):
+    def test_negative_cap_override_is_two(self, parallel, gap, capsys, monkeypatch):
         for entry in ("mais_vertices=-1", "spreading_iterations=-1"):
             monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", entry)
             assert main(["bounds", parallel]) == 2
             assert "negative value" in capsys.readouterr().err
         monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "mais_vertices=0")
-        assert main(["bounds", parallel, "--out", "machine"]) == 0
+        assert main(["bounds", gap, "--out", "machine"]) == 0
         assert "mais" in parse_report(capsys.readouterr().out).skipped
+        # the packing proves PARALLEL_LINKS' approximate set minimum
+        assert main(["bounds", parallel, "--out", "machine"]) == 0
+        assert parse_report(capsys.readouterr().out).skipped == ()
 
     def test_large_prime_fields_are_decided_at_once(self, parallel, tmp_path, capsys):
         p = str(10**18 + 3)  # trial division to its square root would not finish
@@ -112,11 +132,12 @@ class TestBounds:
         assert (report.m, report.mais_value, report.rcp_value) == (4, 2, 2)
         assert len(report.gns_exact.cut) == 2
 
-    def test_exact_gns_is_skipped_exactly_with_mais(self, parallel, capsys, monkeypatch):
-        # the staged network has m cuttable links, the index graph m vertices
-        for cap, skipped in ((3, True), (4, False)):  # m = 4
+    def test_exact_gns_is_skipped_exactly_with_mais(self, parallel, gap, capsys, monkeypatch):
+        # the staged network has m cuttable links, the index graph m vertices;
+        # the cap refuses both only where the packing leaves a gap
+        for path, cap, skipped in ((gap, 25, True), (gap, 26, False), (parallel, 3, False)):
             monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", f"mais_vertices={cap}")
-            assert main(["bounds", parallel, "--exact-gns", "--out", "machine"]) == 0
+            assert main(["bounds", path, "--exact-gns", "--out", "machine"]) == 0
             report = parse_report(capsys.readouterr().out)
             assert ("gns" in report.skipped) == ("mais" in report.skipped) == skipped
             assert (report.gns_exact is None) == (report.mais_value is None) == skipped
@@ -214,6 +235,48 @@ class TestGen:
         assert main(["gen", "side-info-network", "--graph", str(graph)]) == 0
         net = parse_network(capsys.readouterr().out)
         assert len(net.nodes) == 8
+
+
+class TestOversizeRequests:
+    """Generator sizes and `.dg` headers past `ls_vertices` are refused
+    (exit 3) before anything is allocated for them; the cap is lowered here
+    so that a regression would allocate little."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self, monkeypatch):
+        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "ls_vertices=5")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["digraph", "--n", "6", "--prob", "0.5", "--seed", "1"], 3),
+            (["digraph", "--n", "5", "--prob", "0.5", "--seed", "1"], 0),
+            (["network", "--nodes", "6", "--links", "5", "--pairs", "1", "--seed", "11"], 3),
+            (["network", "--nodes", "5", "--links", "6", "--pairs", "1", "--seed", "11"], 3),
+            (["network", "--nodes", "5", "--links", "5", "--pairs", "1", "--seed", "11"], 0),
+        ],
+    )
+    def test_generators(self, argv, code, capsys):
+        assert main(["gen", *argv]) == code
+        assert ("capacity refusal" in capsys.readouterr().err) == (code == 3)
+
+    @pytest.mark.parametrize("n, code", [(6, 3), (5, 0)])
+    def test_digraph_headers(self, n, code, tmp_path, capsys):
+        graph = tmp_path / "g.dg"
+        graph.write_text(f"digraph {n}\ne 0 1\ne 1 0\n")
+        codes = tmp_path / "c.code"
+        rows = ["1 1 0 0 0", "0 0 1 0 0", "0 0 0 1 0", "0 0 0 0 1"]  # the code `code` prints
+        codes.write_text("code p=2 t=1 n=5 r=4\n" + "".join(f"row {r}\n" for r in rows))
+        for argv in (
+            ["cyclepack", str(graph)],
+            ["minrank", str(graph)],
+            ["code", str(graph)],
+            ["verify", "code", "--graph", str(graph), "--code", str(codes)],
+            ["gen", "side-info-network", "--graph", str(graph)],
+        ):
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count(f"{n} vertices exceed the vertex cap of 5") == (5 if code else 0)
 
 
 class TestCyclepackCommand:

@@ -534,6 +534,12 @@ class TestFileFormat:
         with pytest.raises(FormatError):
             parse_digraph(text)
 
+    def test_header_past_the_cap_is_refused(self):
+        # refused at the header, before the vertices or any edge line
+        with pytest.raises(CapacityError, match="6 vertices exceed the vertex cap of 5"):
+            parse_digraph("digraph 6\ne 0 9\n", vertex_cap=5)
+        assert parse_digraph("digraph 5\ne 0 4\n", vertex_cap=5) == Digraph(5, [(0, 4)])
+
     @settings(max_examples=40, deadline=None)
     @given(random_graphs())
     def test_round_trip_random(self, g):

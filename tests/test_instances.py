@@ -162,3 +162,15 @@ class TestRandomInstances:
     def test_unreachable_raises(self):
         with pytest.raises(ValueError, match="retries"):
             random_dag_network(4, 0, 2, seed=1, max_retries=5)
+
+    def test_oversize_requests_are_refused_before_they_are_built(self, monkeypatch):
+        # a draw past the cap would call the generators' random source first
+        monkeypatch.setattr("random.Random", None)
+        with pytest.raises(CapacityError, match="6 vertices exceed the vertex cap of 5"):
+            random_digraph(6, 0.5, seed=1, vertex_cap=5)
+        for nodes, links in ((6, 5), (5, 6)):
+            with pytest.raises(CapacityError, match="more than the vertex cap of 5"):
+                random_dag_network(nodes, links, 1, seed=1, vertex_cap=5)
+        monkeypatch.undo()
+        assert random_digraph(5, 0.5, seed=1, vertex_cap=5).n == 5
+        assert random_dag_network(5, 5, 1, seed=11, vertex_cap=5) == random_dag_network(5, 5, 1, 11)
