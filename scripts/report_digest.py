@@ -20,6 +20,12 @@ of `GRAPHS` in scripts/gap_wrappings.py, reported with
 `mais_vertices=64` and no other flag, where the packing leaves a gap below
 the minimum feedback vertex set. It takes no seed; `--seed` is ignored.
 
+The workload `gap-paths` covers the paths of `bound_report`'s exact layer
+on the same wrappings: `bounds --exact-gns --q 1 2` and `bounds --q 2`, each
+under the default caps (the search refused, or past the cap where the
+packing proves the minimum) and under `mais_vertices=64` (the search run,
+with and without a q=1 record). It takes no seed either.
+
 The workload `large-dags` is not a benchmark corpus either: it is the
 networks `bench/corpus.py` draws for the parameter sets of `LARGE_DAG_SETS`
 (m = 66-119 links), reported with `mais_vertices=128` and no other flag, so
@@ -86,6 +92,13 @@ from gnskit import (  # noqa: E402
 from gnskit.indexcoding import minrank_edge_cap  # noqa: E402
 
 GAP_WRAPPINGS = "gap-wrappings"
+GAP_PATHS = "gap-paths"
+# (GNSKIT_CAP_OVERRIDES, bounds flags) of each gap-paths report
+GAP_PATH_RUNS = [
+    (overrides, flags)
+    for overrides in ("", "mais_vertices=64")
+    for flags in (("--exact-gns", "--q", "1", "2"), ("--q", "2"))
+]
 LARGE_DAGS = "large-dags"
 # (nodes, links, pairs, seed) of dag_network, by link count m from 66 to 119
 LARGE_DAG_SETS = (
@@ -116,6 +129,17 @@ def gap_wrappings() -> list[Instance]:
         Instance(f"gap{i}", serialize_network(network_from_side_info_graph(g), [name]))
         for i, (name, g) in enumerate(GRAPHS)
     ]
+
+
+def gap_paths(digest, tmp: Path) -> int:
+    for inst in gap_wrappings():
+        path = tmp / f"{inst.name}.mun"
+        path.write_text(inst.text, encoding="utf-8")
+        for overrides, flags in GAP_PATH_RUNS:
+            os.environ["GNSKIT_CAP_OVERRIDES"] = overrides
+            report = run(digest, ["bounds", str(path), *flags, "--out", "machine"])
+            check_round_trip(inst.name, report.decode("utf-8"))
+    return len(GRAPHS) * len(GAP_PATH_RUNS)
 
 
 def large_dags() -> list[Instance]:
@@ -223,6 +247,8 @@ def print_digest(workload: str, seed: int) -> None:
         if workload == CODES:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
             count, unit = codes(digest, Path(tmp)), "graphs"
+        elif workload == GAP_PATHS:
+            count, unit = gap_paths(digest, Path(tmp)), "reports"
         elif workload == GNS_LARGE:
             os.environ["GNSKIT_CAP_OVERRIDES"] = "mais_vertices=128"
             count, unit = gns_large(digest, Path(tmp)), "searches"
@@ -254,7 +280,9 @@ def print_digest(workload: str, seed: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    workloads = [*WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, SCALE, GNS_LARGE, NETWORKS, CODES]
+    workloads = [
+        *WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, SCALE, GNS_LARGE, NETWORKS, CODES, GAP_PATHS
+    ]
     parser.add_argument("--workload", default=ALL, choices=sorted([*workloads, ALL]))
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()

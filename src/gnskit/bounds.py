@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar, get_type_hints
+from typing import Callable, NamedTuple, Sequence, TypeVar, get_type_hints
 
 from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
@@ -25,7 +25,7 @@ from .cyclepack import (
     subset_fes_approx,
     validate_packing,
 )
-from .digraph import Digraph, _acyclic, _bitmask, _residual_cycle, tensor_power
+from .digraph import Digraph, _acyclic, _bitmask, tensor_power
 from .digraph import _largest_acyclic, _lexmin, _masks, _max_acyclic, _search_masks
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import IndexCode, _code_lines, _cycle_code, co_rate_from_beta, parse_index_code
@@ -36,10 +36,8 @@ from .network import tilde_transform, to_index_graph
 _T = TypeVar("_T")
 
 
-def _mais_size(g: Digraph, acyclic: Iterable[int] = ()) -> int:
-    out, inn, order = _search_masks(g)
-    witness = sum(1 << v for v in set(acyclic) if v in range(g.n))
-    return _largest_acyclic(out, inn, order, witness=witness)[0]
+def _mais_size(g: Digraph) -> int:
+    return _largest_acyclic(*_search_masks(g))[0]
 
 
 def mais_exact(
@@ -81,17 +79,20 @@ def min_fvs_exact(
     slack |F| - value. A trial set whose terms exceed the slack is in no
     minimum F, and a vertex whose terms would push them past it is in none
     together with the trial, so it joins the acyclic side. The certificate
-    is the same with or without `upper` and `packing`."""
-    if g.n > vertex_cap:
-        raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
+    is the same with or without `upper` and `packing`. Both are checked
+    before the cap refuses the search."""
     out, inn, order = _search_masks(g)
     full = (1 << g.n) - 1
     if packing is not None:
         validate_packing(g, packing)
+    if upper is not None and (
+        not upper <= frozenset(range(g.n)) or not _acyclic(out, inn, full & ~_bitmask(upper))
+    ):
+        raise ContractViolation(f"{sorted(upper)} is not a feedback vertex set")
+    if g.n > vertex_cap:
+        raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
     if upper is None:
         size, acyclic = _largest_acyclic(out, inn, order)
-    elif not upper <= frozenset(range(g.n)) or not _acyclic(out, inn, full & ~_bitmask(upper)):
-        raise ContractViolation(f"{sorted(upper)} is not a feedback vertex set")
     else:  # probed up from, unless the packing proves upper minimum
         size, acyclic = g.n - len(upper), full & ~_bitmask(upper)
         if packing is None or packing.value <= len(upper) - 1:
@@ -228,19 +229,12 @@ def tensor_bound(
     m_links: int,
     tensor_cap: int = DEFAULT_CAPS.tensor_vertices,
     vertex_cap: int = DEFAULT_CAPS.mais_vertices,
-    *,
-    acyclic: Iterable[int] = (),
 ) -> TensorBound:
     """m_links minus the q-th root of the acyclic maximum of the q-fold
     strong power; tighter for larger powers on many graphs, though no
-    monotonicity in q is claimed or asserted.
-
-    `acyclic` is a hint for q = 1: vertices of g inducing an acyclic
-    subgraph, such as the complement of a feedback vertex set, whose count
-    ends the search. It is checked and ignored when cyclic; the radicand
-    never depends on it."""
+    monotonicity in q is claimed or asserted."""
     gq = _searchable_power(g, q, tensor_cap, vertex_cap)
-    radicand = _mais_size(gq, acyclic if q == 1 else ())
+    radicand = _mais_size(gq)
     return TensorBound(q=q, radicand=radicand, value=m_links - radicand ** (1.0 / q))
 
 
@@ -303,11 +297,12 @@ def bound_report(
 
     The packing is the dual of the spreading metric that the approximation
     solves, mapped to the index graph by `packing_from_metric`, so rcp is
-    never skipped and costs no cycle enumeration. Where it proves the
-    approximate feedback set minimum (ceil(rcp) == approx_weight), mais, the
-    q=1 radicand and the GNS cut come from that proof at any size, and `fvs`
-    is the lexmin minimum set only within `caps.mais_vertices`, past which it
-    is the approximate set itself.
+    never skipped and costs no cycle enumeration. `min_fvs_exact` checks it
+    and the approximate feedback set, then searches the lexmin minimum set
+    `fvs` within `caps.mais_vertices`. Past the cap, where the packing proves
+    the approximate set minimum (ceil(rcp) == approx_weight), `fvs` is that
+    set, and mais and the GNS cut come from it; otherwise they are skipped.
+    The q=1 radicand is mais, as tensor_power(g, 1) is g.
     """
     # a nan or infinite constant would switch the regression check off
     if not 0 < ratio_constant < math.inf:
@@ -328,51 +323,41 @@ def bound_report(
     approx_fvs = approx.fes  # index-graph vertex v is link v
     approx_weight = approx.diagnostics.weight
     rcp = packing_from_metric(closure_links(net), approx.metric)
-    # the LP sandwich: by weak duality a valid packing is worth at most any
-    # feedback set, so a checked approx_fvs of size ceil(rcp) is minimum, and
-    # mais and the q=1 radicand need no search
-    lower = math.ceil(rcp.value)  # no feedback set is smaller
-    proven = approx_weight == lower
-
-    if proven and m > caps.mais_vertices:  # no lexmin search: the proof's own set
-        validate_packing(g, rcp)
-        fvs = approx_fvs
-    else:
-        # checks approx_fvs and the packing; a proven approx_fvs is not probed
-        fvs = attempt(
-            "mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
-        )
-        if fvs is None:  # refused before its checks, which the code builder does not repeat
-            if _residual_cycle(g, approx_fvs) is not None:
-                raise ContractViolation("translated vertex set is not a feedback vertex set")
-            validate_packing(g, rcp)
-    if proven:  # the printed set, searched or not, must meet the packing
+    lower = math.ceil(rcp.value)  # no feedback set is smaller, by weak duality
+    try:  # checks approx_fvs and the packing, then searches within the cap
+        fvs = min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
+    except CapacityError:  # the LP sandwich: a checked approx_fvs of size ceil(rcp) is minimum
+        fvs = approx_fvs if approx_weight == lower else None
+        if fvs is None:
+            skipped.append("mais")
+    else:  # the searched set must meet the packing
         out, inn, _ = _search_masks(g)
-        if len(fvs) != lower or not _acyclic(out, inn, (1 << m) - 1 & ~_bitmask(fvs)):
-            raise ContractViolation(f"{sorted(fvs)} is not a feedback vertex set of size {lower}")
+        if len(fvs) < lower or not _acyclic(out, inn, (1 << m) - 1 & ~_bitmask(fvs)):
+            raise ContractViolation(
+                f"{sorted(fvs)} is not a feedback vertex set of size {lower} or more"
+            )
     mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
     gns = None
     if exact_gns:
         staged = tilde_transform(net)  # checks that staging keeps each pair's mincut
         # a set of the staged network's m cuttable links is a GNS cut exactly
         # when it is a feedback set of the index graph, so a minimum FVS is a
-        # minimum cut (the lexmin one the lexmin one), refused only with mais
+        # minimum cut (the lexmin one gives the lexmin one), refused only with mais
         if fvs is None:
             skipped.append("gns")
         else:
             gns = _staged_cut(staged, fvs)
-    # a checked feedback set, minimum unless refused, ends the q=1 search
-    kept = frozenset(range(m)) - (approx_fvs if fvs is None else fvs)
-    tensors = [
-        # tensor_bound's record for the radicand mais (m - mais ** (1.0 / 1))
-        TensorBound(1, mais_value, m - mais_value**1.0)
-        if q == 1 and proven
-        else attempt(
-            f"tensor:q={q}",
-            lambda: tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices, acyclic=kept),
-        )
-        for q in qs
-    ]
+    tensors = []
+    for q in qs:
+        if q != 1:
+            tensors.append(attempt(
+                f"tensor:q={q}",
+                lambda: tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices),
+            ))
+        elif mais_value is None:  # past mais_vertices, which tensor_bound shares
+            skipped.append("tensor:q=1")
+        else:  # tensor_power(g, 1) is g: tensor_bound's record for the radicand mais
+            tensors.append(TensorBound(1, mais_value, m - mais_value**1.0))
     shannon = [
         attempt(
             f"shannon:power={power}",
@@ -393,10 +378,6 @@ def bound_report(
         raise ContractViolation("cycle code rate must equal m minus the packing value")
     if co_rate is not None and co_rate != rcp.value:
         raise ContractViolation("dual correlated rate must equal the packing value")
-    if mais_value is not None and not proven:  # a search produced the radicand
-        for tb in tensors:
-            if tb is not None and tb.q == 1 and tb.radicand != mais_value:
-                raise ContractViolation("first tensor bound disagrees with mais")
     if rcp.value == 0:
         if approx_weight != 0:
             raise ContractViolation("nonzero cut on an acyclic closure")

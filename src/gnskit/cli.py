@@ -214,6 +214,8 @@ def _cmd_verify(args, caps: Caps) -> int:
     if args.target == "code":
         g = parse_digraph(_read(args.graph), caps.ls_vertices)
         code = indexcoding_mod.parse_index_code(_read(args.code))
+        if code.blowup_t > caps.code_lcm:  # verifying builds the t*n-wide row space
+            raise CapacityError(f"code needs {code.blowup_t} subsymbols, cap is {caps.code_lcm}")
         ok, failing = indexcoding_mod.verify_index_code(g, code)
         lines.append("target: code")
         lines.append(f"ok: {'true' if ok else 'false'}")

@@ -14,6 +14,7 @@ from gnskit import (
     ContractViolation,
     Digraph,
     FormatError,
+    LSParams,
     blowup,
     bound_report,
     closure_links,
@@ -53,6 +54,7 @@ from gnskit.cyclepack import (
 )
 from gnskit.digraph import _disjoint_cycles, _masks, _max_acyclic
 from gnskit.instances import (
+    lubetzky_stav,
     network_from_side_info_graph,
     random_dag_network,
     random_digraph,
@@ -345,30 +347,28 @@ class TestTensorBound:
         with pytest.raises(CapacityError, match="tensor power would have 25 vertices"):
             tensor_bound(g, 2, 5, tensor_cap=20, vertex_cap=10)
 
-    @settings(max_examples=100, deadline=None)
-    @given(random_graphs(max_n=7, p=0.4), st.lists(st.integers(-2, 9), max_size=9))
-    def test_the_acyclic_hint_never_changes_the_radicand(self, g, hint):
-        # the complement of the lexmin minimum FVS is a maximum acyclic set;
-        # the same plus a vertex, any list of ints and all vertices mostly are
-        # not acyclic, and a subset is acyclic but not maximum
-        size = reference_mais_size(g)
-        fvs = min_fvs_exact(g)
-        best = set(range(g.n)) - fvs
-        hints = [best, sorted(best)[1:], best | {min(fvs, default=0)}, hint, range(g.n)]
-        for acyclic in hints:
-            assert tensor_bound(g, 1, g.n, acyclic=acyclic).radicand == size
-        if g.n <= 3:  # the hint is for q = 1 only
-            square = reference_mais_size(tensor_power(g, 2))
-            assert tensor_bound(g, 2, g.n, vertex_cap=9, acyclic=best).radicand == square
+    @staticmethod
+    def too_small(monkeypatch):
+        # min_fvs_exact returning one vertex too few, so no feedback set
+        real = gnskit.bounds.min_fvs_exact
+
+        def drop_one(*args, **kwargs):
+            fvs = real(*args, **kwargs)
+            return fvs - {min(fvs)}
+
+        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", drop_one)
 
     @pytest.mark.parametrize(
         "net, refusal",
         [
-            # the packing leaves a gap (rcp 3, approx 4): the complement is
-            # cyclic, so the radicand is searched in full and disagrees
-            (network_from_side_info_graph(symmetric_cycle(5)), "first tensor bound disagrees"),
-            # the packing proves approx_fvs minimum (rcp 4, approx 4), so the
-            # radicand is mais by the proof, and the printed set must meet it
+            # the packing leaves a gap (rcp 3, approx 4): the searched set is
+            # peeled like any other, and its complement holds a cycle
+            (
+                network_from_side_info_graph(symmetric_cycle(5)),
+                r"\[15, 23, 25\] is not a feedback vertex set of size 3 or more",
+            ),
+            # the packing proves approx_fvs minimum (rcp 4, approx 4), and the
+            # searched set must meet it
             (
                 random_dag_network(7, 12, 3, seed=1),
                 r"\[4, 6, 9\] is not a feedback vertex set of size 4",
@@ -377,16 +377,18 @@ class TestTensorBound:
         ids=["gap", "closed"],
     )
     def test_a_wrong_fvs_still_trips_the_report(self, net, refusal, monkeypatch):
-        # min_fvs_exact returning one vertex too few, so no feedback set
-        real = gnskit.bounds.min_fvs_exact
-
-        def too_small(*args, **kwargs):
-            fvs = real(*args, **kwargs)
-            return fvs - {min(fvs)}
-
-        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", too_small)
+        self.too_small(monkeypatch)
         with pytest.raises(ContractViolation, match=refusal):
             bound_report(net, caps=Caps(mais_vertices=64))
+
+    @pytest.mark.parametrize("qs", [(2,), ()], ids=["q2", "no-q"])
+    def test_a_wrong_fvs_trips_the_report_without_q1(self, qs, monkeypatch):
+        # with no q=1 radicand beside it, the searched set of the C5 wrapping
+        # is still checked
+        self.too_small(monkeypatch)
+        net = network_from_side_info_graph(symmetric_cycle(5))
+        with pytest.raises(ContractViolation, match="is not a feedback vertex set"):
+            bound_report(net, qs=qs, caps=Caps(mais_vertices=64))
 
 
 class TestShannonLowerBound:
@@ -701,10 +703,7 @@ class TestReportFvsPaths:
     as its incumbent and its own packing as a lower bound, so the search
     refutes one vertex fewer only when the packing does not prove the
     incumbent minimum (rcp > |approx_fvs| - 1). It gives the lexmin minimum
-    FVS either way. Where the packing leaves a gap, the q = 1 tensor
-    radicand, searched with only the complement of that FVS as a checked
-    hint, agrees with it; where it proves the minimum, the radicand is mais
-    by the same proof."""
+    FVS either way, and the q = 1 tensor radicand is its mais."""
 
     @staticmethod
     def check(net, monkeypatch):
@@ -755,13 +754,11 @@ class TestReportFvsPaths:
     @pytest.mark.parametrize("mais_vertices", [64, 1])
     def test_one_index_graph_and_one_fvs_check(self, mais_vertices, monkeypatch):
         # the FES maps to the FVS through the report's own index graph, and
-        # each set is checked once. Where the packing leaves a gap (the C5
-        # wrapping), approx_fvs is checked by min_fvs_exact's mask peel, or
-        # by bound_report's cycle search when the cap refuses min_fvs_exact
-        # before its check, and the cap refuses mais. Where it proves
-        # approx_fvs minimum (the draw), the printed set is peeled once as
-        # the proof: past the cap that set is approx_fvs, so it is the only
-        # check, and within the cap min_fvs_exact has peeled approx_fvs first
+        # each set is checked once. min_fvs_exact peels approx_fvs before its
+        # cap refuses the search; within the cap bound_report peels the set
+        # it searched. Past the cap the printed set is approx_fvs where the
+        # packing proves it minimum (the draw), and the cap refuses mais
+        # where the packing leaves a gap (the C5 wrapping)
         calls = {"to_index_graph": 0, "fvs check": 0}
         counts = {"to_index_graph": "to_index_graph", "_residual_cycle": "fvs check"}
 
@@ -776,7 +773,7 @@ class TestReportFvsPaths:
             for name, key in counts.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
-        # min_fvs_exact's and the proof's peel; the searches call it through digraph's name
+        # min_fvs_exact's and the report's peel; the searches call it through digraph's name
         peel = counted("fvs check", gnskit.bounds._acyclic)
         monkeypatch.setattr(gnskit.bounds, "_acyclic", peel)
         nets = [(random_dag_network(7, 12, 3, seed=1), True)]
@@ -786,7 +783,7 @@ class TestReportFvsPaths:
             report = bound_report(net, caps=Caps(mais_vertices=mais_vertices))
             assert (report.rcp_value > report.approx_weight - 1) == closed
             assert ("mais" in report.skipped) == (mais_vertices == 1 and not closed)
-            checks = 2 if closed and mais_vertices == 64 else 1
+            checks = 2 if mais_vertices == 64 else 1
             assert calls == {"to_index_graph": 1, "fvs check": checks}
 
 
@@ -832,31 +829,37 @@ class TestStagedCutIsTheFvs:
             assert len(report.gns_exact.cut) == len(report.fvs)
         assert calls == []
 
-    def test_a_wrong_fvs_fails_the_staged_certificate(self, monkeypatch):
-        # min_fvs_exact returning one vertex too few, so no feedback set, and
-        # no q=1 radicand to disagree with it: only the certificate refuses it
-        # where the packing leaves a gap (the C5 wrapping; where it proves
-        # the minimum, the printed set is checked against it first)
-        real = gnskit.bounds.min_fvs_exact
-
-        def too_small(*args, **kwargs):
-            fvs = real(*args, **kwargs)
-            return fvs - {min(fvs)}
-
-        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", too_small)
+    def test_a_wrong_fvs_fails_the_staged_certificate(self):
+        # the minimum FVS of the C5 wrapping less one vertex is no feedback
+        # set, so no GNS cut of the staged network
         net = network_from_side_info_graph(symmetric_cycle(5))
-        caps = Caps(mais_vertices=64)
-        bound_report(net, qs=(), caps=caps)  # which nothing else refuses
+        fvs = min_fvs_exact(to_index_graph(net)[0], 64)
+        wrong = fvs - {min(fvs)}
         with pytest.raises(ContractViolation, match="failed the GNS check"):
-            bound_report(net, qs=(), exact_gns=True, caps=caps)
+            gnskit.network._staged_cut(tilde_transform(net), wrong)
+
+
+# the side-information graphs of scripts/gap_wrappings.py, whose wrappings
+# leave a gap between the packing and the minimum feedback vertex set
+GAP_GRAPHS = [
+    symmetric_cycle(5),
+    symmetric_cycle(7),
+    symmetric_cycle(9),
+    symmetric_cycle(11),
+    random_digraph(7, 0.4, 3),
+    random_digraph(8, 0.4, 5),
+    lubetzky_stav(LSParams(4, 2, 2, 1)),
+]
+GAP_IDS = ["C5", "C7", "C9", "C11", "rd(7,0.4,3)", "rd(8,0.4,5)", "LS(4,2,2,1)"]
 
 
 class TestLpSandwich:
     """Where the packing proves the approximate feedback set minimum
-    (ceil(rcp) == approx_weight, weak duality), the report takes mais, the
-    q=1 radicand and the staged GNS cut from that proof at any size: within
-    `mais_vertices` its `fvs` is still the lexmin minimum set, past it the
-    approximate set itself, and nothing is skipped."""
+    (ceil(rcp) == approx_weight, weak duality), the report takes mais and
+    the staged GNS cut from that proof at any size: within `mais_vertices`
+    its `fvs` is still the lexmin minimum set, past it the approximate set
+    itself, and nothing is skipped. The q=1 radicand is mais wherever mais
+    is known, as the first tensor power of g is g."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -878,10 +881,42 @@ class TestLpSandwich:
         if closed:
             assert len(report.fvs) == math.ceil(report.rcp_value)
         if g.n <= cap:
-            assert report.mais_value == reference_mais_size(g)
+            radicand = tensor_bound(g, 1, g.n, vertex_cap=64).radicand
+            assert report.mais_value == radicand == reference_mais_size(g)
             assert report.fvs == min_fvs_exact(g, cap)
         else:
             assert report.fvs == report.approx_fvs
+
+    @pytest.mark.parametrize("cap", [22, 64])
+    @pytest.mark.parametrize("side_info", GAP_GRAPHS, ids=GAP_IDS)
+    def test_the_q1_record_is_mais_on_the_gap_wrappings(self, side_info, cap):
+        # m = 26-56: past the default cap the sandwich closes only on the
+        # two random draws; within 64 every mais is searched
+        net = network_from_side_info_graph(side_info)
+        g, _ = to_index_graph(net)
+        report = bound_report(net, caps=Caps(mais_vertices=cap))
+        if report.mais_value is None:
+            assert report.skipped == ("mais", "tensor:q=1")
+            assert report.tensor_bounds == ()
+            return
+        assert report.tensor_bounds == ((1, report.mais_value, g.n - report.mais_value**1.0),)
+        if g.n <= cap:
+            radicand = tensor_bound(g, 1, g.n, vertex_cap=64).radicand
+            assert report.mais_value == radicand == reference_mais_size(g)
+
+    def test_a_lowered_tensor_cap_keeps_the_q1_record(self):
+        # the C5 wrapping (m = 26, rcp 3, approx 4) leaves a gap, and its
+        # mais is searched within the cap; the power tensor_vertices refuses
+        # is g itself, so the q=1 record is that mais, as where the sandwich
+        # closes (PARALLEL_LINKS, m = 4)
+        gap = network_from_side_info_graph(symmetric_cycle(5))
+        report = bound_report(gap, qs=(1, 2), caps=Caps(mais_vertices=64, tensor_vertices=25))
+        assert math.ceil(report.rcp_value) < report.approx_weight
+        assert report.skipped == ("tensor:q=2",)
+        assert report.tensor_bounds == ((1, 22, 4.0),)
+        closed = bound_report(parse_network(PARALLEL_LINKS), caps=Caps(tensor_vertices=3))
+        assert closed.skipped == ()
+        assert closed.tensor_bounds == ((1, 2, 2.0),)
 
     def test_past_the_cap_nothing_is_searched(self, monkeypatch):
         def refused(name):

@@ -5,6 +5,7 @@ import functools
 import io
 import os
 import sys
+import time
 
 import pytest
 
@@ -434,6 +435,22 @@ class TestVerifyCommand:
         assert main(["verify", "code", "--graph", str(graph), "--code", str(code)]) == 1
         out = capsys.readouterr().out
         assert "ok: false" in out and "failing_user: 1" in out
+
+    @pytest.mark.parametrize("blowup, code", [("5", 3), ("4", 1)])
+    def test_code_past_the_lcm_cap_is_refused(self, blowup, code, tmp_path, monkeypatch):
+        # `code p=2 t=100000000 n=3 r=0` ran out of memory building the
+        # t*n-wide row space; the cap is lowered here so that a regression
+        # would allocate little
+        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "code_lcm=4")
+        graph = tmp_path / "c3.dg"
+        graph.write_text("digraph 3\ne 0 1\ne 1 2\ne 2 0\n")
+        codes = tmp_path / "wide.code"
+        codes.write_text(f"code p=2 t={blowup} n=3 r=0\n")
+        start = time.perf_counter()
+        rc, _, err = run_cli(["verify", "code", "--graph", str(graph), "--code", str(codes)])
+        assert (rc, "Traceback" in err) == (code, False), err
+        assert ("code needs 5 subsymbols, cap is 4" in err) == (code == 3)
+        assert time.perf_counter() - start < 10
 
     @pytest.mark.parametrize("blowup", ["0", "-1"])
     def test_code_with_blowup_below_one_is_refused(self, tmp_path, capsys, blowup):
