@@ -25,7 +25,7 @@ from gnskit import (
     network_from_side_info_graph,
     uncertainty_check,
 )
-from gnskit.bounds import alpha_exact, mais_exact
+from gnskit.bounds import min_fvs_exact, shannon_capacity_lb
 
 
 def symmetric_cycle(n: int) -> Digraph:
@@ -50,8 +50,8 @@ def main() -> None:
         is_vertex_transitive_under_ground_permutations(g),
     )
     print(
-        "independence number:", alpha_exact(g)[0],
-        " acyclic maximum:", mais_exact(g)[0],
+        "independence number:", shannon_capacity_lb(g, 1).radicand,
+        " acyclic maximum:", g.n - len(min_fvs_exact(g)),
     )
 
     net = network_from_side_info_graph(g)

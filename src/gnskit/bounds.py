@@ -3,10 +3,12 @@
 Maximum acyclic induced subgraphs (and so minimum feedback vertex sets) are
 found by branch and bound over extendable acyclic sets, exponential only in
 practice-small quantities; independence numbers use a bitmask branch and
-bound. Certificates are tie-broken to the lexicographically smallest optimal
-vertex set. Roots of tensorized bounds are reported in floating point with
-their exact integer radicands retained, and every inequality assertion
-compares exact integers or rationals.
+bound. The certificates of `mais_exact` and `alpha_exact` are tie-broken to
+the lexicographically smallest optimal vertex set; `min_fvs_exact` returns
+the minimum feedback vertex set that its size search finds. Roots of
+tensorized bounds are reported in floating point with their exact integer
+radicands retained, and every inequality assertion compares exact integers
+or rationals.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Callable, NamedTuple, Sequence, TypeVar, get_type_hints
 from .caps import Caps, DEFAULT_CAPS
 from .cyclepack import (
     CyclePacking,
-    _integer_weights,
     packing_from_metric,
     subset_fes_approx,
     validate_packing,
@@ -59,85 +60,37 @@ def mais_exact(
     return size, frozenset(_lexmin(g.n, size, fits, acyclic))
 
 
+def _check_fvs(g: Digraph, fvs: frozenset[int], lower: int = 0) -> None:
+    """ContractViolation unless `fvs` is a feedback vertex set of g (one
+    peel of its complement) with `lower` vertices or more."""
+    out, inn, _ = _search_masks(g)
+    if (
+        len(fvs) < lower
+        or not fvs <= frozenset(range(g.n))
+        or not _acyclic(out, inn, (1 << g.n) - 1 & ~_bitmask(fvs))
+    ):
+        least = f" of size {lower} or more" if lower else ""
+        raise ContractViolation(f"{sorted(fvs)} is not a feedback vertex set{least}")
+
+
 def min_fvs_exact(
     g: Digraph,
     vertex_cap: int = DEFAULT_CAPS.mais_vertices,
     upper: frozenset[int] | None = None,
-    packing: CyclePacking | None = None,
 ) -> frozenset[int]:
-    """Lexicographically smallest minimum feedback vertex set (complementary
-    certificate of the maximum acyclic set). A feedback vertex set `upper`
-    (checked) starts the size search: its complement is the witness that
-    `_largest_acyclic` probes up from.
-
-    A cycle packing `packing` (checked) bounds the minimum from below by
-    weak duality, and one worth more raises ContractViolation. Worth more
-    than |upper| - 1, it proves `upper` minimum, so no probe runs. It also
-    prunes the certificate search: every feedback vertex set F has
-    |F| - value = sum over v in F of (1 - load v) + sum over cycles c of
-    w_c * (|c & F| - 1), all terms >= 0, so for a minimum F that sum is the
-    slack |F| - value. A trial set whose terms exceed the slack is in no
-    minimum F, and a vertex whose terms would push them past it is in none
-    together with the trial, so it joins the acyclic side. The certificate
-    is the same with or without `upper` and `packing`. Both are checked
-    before the cap refuses the search."""
-    out, inn, order = _search_masks(g)
-    full = (1 << g.n) - 1
-    if packing is not None:
-        validate_packing(g, packing)
-    if upper is not None and (
-        not upper <= frozenset(range(g.n)) or not _acyclic(out, inn, full & ~_bitmask(upper))
-    ):
-        raise ContractViolation(f"{sorted(upper)} is not a feedback vertex set")
+    """A minimum feedback vertex set: the complement of the largest acyclic
+    set that the size search finds. A feedback vertex set `upper`, checked
+    before the cap refuses the search, gives the witness that
+    `_largest_acyclic` probes up from; the last, refuted probe proves the
+    set found largest."""
+    witness = 0
+    if upper is not None:
+        _check_fvs(g, upper)
+        witness = (1 << g.n) - 1 & ~_bitmask(upper)
     if g.n > vertex_cap:
         raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    if upper is None:
-        size, acyclic = _largest_acyclic(out, inn, order)
-    else:  # probed up from, unless the packing proves upper minimum
-        size, acyclic = g.n - len(upper), full & ~_bitmask(upper)
-        if packing is None or packing.value <= len(upper) - 1:
-            size, acyclic = _largest_acyclic(out, inn, order, witness=acyclic)
-    if packing is None:
-        slack, cost, cycles = 0, [0] * g.n, []  # nothing is fixed
-    else:
-        if packing.value > g.n - size:
-            raise ContractViolation(
-                f"packing value {packing.value} exceeds the minimum feedback "
-                f"vertex set size {g.n - size}"
-            )
-        # reduced costs on ints over the lcm of the weight denominators
-        scale, weights = _integer_weights(packing)
-        slack, cost = (g.n - size) * scale - sum(weights), [scale] * g.n
-        cycles = [
-            (cyc, _bitmask(cyc), w)
-            for (cyc, _), w in zip(packing.assignments, weights)
-        ]
-        for cyc, _, w in cycles:
-            for v in cyc:
-                cost[v] -= w
-
-    def fits(trial: list[int]) -> int | None:
-        terms, hit = sum(cost[v] for v in trial), []
-        if terms > slack:  # the cycles' terms are >= 0 as well, so this is final
-            return None
-        removed = _bitmask(trial)
-        for cyc, mask, w in cycles:
-            if mask & removed:
-                terms += ((mask & removed).bit_count() - 1) * w
-                hit.append((cyc, w))
-        if terms > slack:
-            return None
-        room, extra = slack - terms, cost[:]  # extra[v]: v's terms added to the trial's
-        for cyc, w in hit:
-            for v in cyc:
-                extra[v] += w
-        free = [v for v in order if not removed >> v & 1]
-        required = [v for v in free if extra[v] > room]
-        cand = [v for v in free if extra[v] <= room]
-        found, acyclic = _max_acyclic(out, inn, cand, required, target=size)
-        return full & ~acyclic if found >= size else None
-
-    return frozenset(_lexmin(g.n, g.n - size, fits, full & ~acyclic))
+    _, acyclic = _largest_acyclic(*_search_masks(g), witness=witness)
+    return frozenset(v for v in range(g.n) if not acyclic >> v & 1)
 
 
 def _mis_size(
@@ -297,12 +250,16 @@ def bound_report(
 
     The packing is the dual of the spreading metric that the approximation
     solves, mapped to the index graph by `packing_from_metric`, so rcp is
-    never skipped and costs no cycle enumeration. `min_fvs_exact` checks it
-    and the approximate feedback set, then searches the lexmin minimum set
-    `fvs` within `caps.mais_vertices`. Past the cap, where the packing proves
-    the approximate set minimum (ceil(rcp) == approx_weight), `fvs` is that
-    set, and mais and the GNS cut come from it; otherwise they are skipped.
-    The q=1 radicand is mais, as tensor_power(g, 1) is g.
+    never skipped and costs no cycle enumeration. Checked, it bounds every
+    feedback set from below by weak duality. Where that bound meets the
+    approximate weight (ceil(rcp) == approx_weight), the approximate set is
+    the minimum feedback vertex set `fvs` at any size, and nothing is
+    searched. Otherwise `min_fvs_exact` searches `fvs` up from the
+    approximate set within `caps.mais_vertices`, and past it mais and the GNS
+    cut are skipped. The report peels the approximate set once, asserts
+    approx_weight >= ceil(rcp), and checks a searched `fvs` once: one peel,
+    and |fvs| >= ceil(rcp). mais and the GNS cut come from `fvs`, and the
+    q=1 radicand is mais, as tensor_power(g, 1) is g.
     """
     # a nan or infinite constant would switch the regression check off
     if not 0 < ratio_constant < math.inf:
@@ -323,26 +280,26 @@ def bound_report(
     approx_fvs = approx.fes  # index-graph vertex v is link v
     approx_weight = approx.diagnostics.weight
     rcp = packing_from_metric(closure_links(net), approx.metric)
-    lower = math.ceil(rcp.value)  # no feedback set is smaller, by weak duality
-    try:  # checks approx_fvs and the packing, then searches within the cap
-        fvs = min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs, packing=rcp)
-    except CapacityError:  # the LP sandwich: a checked approx_fvs of size ceil(rcp) is minimum
-        fvs = approx_fvs if approx_weight == lower else None
-        if fvs is None:
-            skipped.append("mais")
-    else:  # the searched set must meet the packing
-        out, inn, _ = _search_masks(g)
-        if len(fvs) < lower or not _acyclic(out, inn, (1 << m) - 1 & ~_bitmask(fvs)):
-            raise ContractViolation(
-                f"{sorted(fvs)} is not a feedback vertex set of size {lower} or more"
-            )
+    validate_packing(g, rcp)  # so no feedback set is smaller than ceil(rcp), by weak duality
+    lower = math.ceil(rcp.value)
+    _check_fvs(g, approx_fvs)
+    if approx_weight < lower:
+        raise ContractViolation(
+            f"approximate feedback weight {approx_weight} below the packing value {rcp.value}"
+        )
+    if approx_weight == lower:  # the LP sandwich proves approx_fvs minimum
+        fvs = approx_fvs
+    else:  # a gap: only the search proves a minimum, which must meet the packing
+        fvs = attempt("mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs))
+        if fvs is not None:
+            _check_fvs(g, fvs, lower)
     mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
     gns = None
     if exact_gns:
         staged = tilde_transform(net)  # checks that staging keeps each pair's mincut
         # a set of the staged network's m cuttable links is a GNS cut exactly
         # when it is a feedback set of the index graph, so a minimum FVS is a
-        # minimum cut (the lexmin one gives the lexmin one), refused only with mais
+        # minimum cut, refused only with mais
         if fvs is None:
             skipped.append("gns")
         else:

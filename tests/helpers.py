@@ -101,6 +101,12 @@ def to_nx(g: Digraph) -> nx.DiGraph:
     return d
 
 
+def is_feedback_set(g: Digraph, fvs) -> bool:
+    """Are `fvs` vertices of g whose removal leaves it acyclic (networkx)?"""
+    rest = set(range(g.n)) - set(fvs)
+    return set(fvs) <= set(range(g.n)) and nx.is_directed_acyclic_graph(to_nx(g).subgraph(rest))
+
+
 def oracle_alpha(g: Digraph) -> int:
     """Independence number via maximum clique of the undirected complement."""
     und = nx.Graph()

@@ -19,6 +19,7 @@ from gnskit import (
     bound_report,
     closure_links,
     complement,
+    is_gns_cut,
     min_gns_cut_exact,
     parse_network,
     parse_report,
@@ -66,6 +67,7 @@ from helpers import (
     TWO_DISJOINT,
     crossed_unicasts,
     directed_cycle,
+    is_feedback_set,
     oracle_alpha,
     oracle_mais,
     reference_alpha_exact,
@@ -152,125 +154,58 @@ class TestAlphaExact:
 
 
 class TestMinFvsExact:
+    """A minimum feedback vertex set: its size is n minus the reference
+    mais, and removing it leaves g acyclic (networkx)."""
+
+    @staticmethod
+    def check(g, fvs):
+        assert len(fvs) == g.n - reference_mais_size(g)
+        assert is_feedback_set(g, fvs)
+
     def test_dag_empty(self):
         assert min_fvs_exact(Digraph(4, [(0, 1), (2, 3)])) == frozenset()
 
-    def test_three_cycle_smallest_index(self):
-        assert min_fvs_exact(directed_cycle(3)) == frozenset({0})
+    def test_three_cycle(self):
+        g = directed_cycle(3)
+        self.check(g, min_fvs_exact(g))
 
     def test_two_disjoint_two_cycles(self):
         g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         fvs = min_fvs_exact(g)
-        assert len(fvs) == 2
-        assert fvs == frozenset({0, 2})
+        self.check(g, fvs)
+        assert len(fvs & {0, 1}) == len(fvs & {2, 3}) == 1
 
     def test_given_minimum_must_be_a_feedback_vertex_set(self):
+        # a given minimum set comes back as it is: no probe refutes a set
+        # past the disjoint-cycle bound
         g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        assert min_fvs_exact(g, upper=frozenset({1, 3})) == frozenset({0, 2})
-        for bad in (frozenset({0}), frozenset({0, 2, 4})):  # a cycle left; no vertex 4
-            with pytest.raises(ContractViolation):
+        for upper in (frozenset({1, 3}), frozenset({0, 3})):
+            assert min_fvs_exact(g, upper=upper) == upper
+        for bad in (frozenset({0}), frozenset({0, 2, 4}), frozenset({-1, 0, 2})):
+            with pytest.raises(ContractViolation, match="is not a feedback vertex set"):
                 min_fvs_exact(g, upper=bad)
+
+    def test_upper_is_checked_before_the_cap(self):
+        g = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        with pytest.raises(ContractViolation):
+            min_fvs_exact(g, 1, upper=frozenset({0}))
+        with pytest.raises(CapacityError):
+            min_fvs_exact(g, 1, upper=frozenset({0, 2}))
 
     def test_upper_is_probed_down_to_the_minimum(self):
         # a feedback vertex set that is not minimum gives no wrong certificate
         g = directed_cycle(3)
         for upper in (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2})):
-            assert min_fvs_exact(g, upper=upper) == frozenset({0})
+            self.check(g, min_fvs_exact(g, upper=upper))
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_n=6))
     def test_complementarity_and_validity(self, g):
         fvs = min_fvs_exact(g)
         assert len(fvs) == g.n - oracle_mais(g)
-        rest = [v for v in range(g.n) if v not in fvs]
-        sub = Digraph(
-            len(rest),
-            [
-                (rest.index(u), rest.index(v))
-                for (u, v) in g.edges
-                if u in rest and v in rest
-            ],
-        )
-        assert sub.is_acyclic()
-
-
-class TestPackingSteersFvs:
-    """`min_fvs_exact(g, cap, upper, packing)` gives the certificate of the
-    search without them: the packing only proves `upper` minimum or fixes
-    vertices by their reduced costs, and is checked first."""
-
-    @staticmethod
-    def report_packing(net):
-        g, _ = to_index_graph(net)
-        approx = subset_fes_approx(net)
-        return g, packing_from_metric(closure_links(net), approx.metric)
-
-    @settings(max_examples=60, deadline=None)
-    @given(random_graphs(max_n=7))
-    def test_matches_the_search_without_a_packing(self, g):
-        packing = rcp_exact(g)
-        lexmin = min_fvs_exact(g)
-        size = reference_max_acyclic(g._out, search_order(g))
-        assert lexmin == _reference_lexmin(g, g.n - size, False)
-        empty = CyclePacking((), Fraction(0))
-        for upper in (None, lexmin, frozenset(range(g.n))):
-            assert min_fvs_exact(g, 64, upper, packing) == lexmin
-            assert min_fvs_exact(g, 64, upper, empty) == lexmin
-
-    def test_a_packing_that_proves_nothing(self):
-        # rcp(C3) = 1 does not prove {1, 2} minimum, so the probes go up from {0}
-        g = directed_cycle(3)
-        packing = rcp_exact(g)
-        assert packing.value == 1
-        assert min_fvs_exact(g, upper=frozenset({1, 2}), packing=packing) == frozenset({0})
-
-    @pytest.mark.parametrize(
-        "side_info",
-        [symmetric_cycle(5), symmetric_cycle(7), random_digraph(7, 0.4, 3)],
-        ids=["bidirected-C5", "bidirected-C7", "random_digraph(7,0.4,3)"],
-    )
-    def test_gap_wrappings(self, side_info):
-        # the slack |F| - rcp is positive, so fixing has room to be wrong
-        net = network_from_side_info_graph(side_info)
-        g, packing = self.report_packing(net)
-        lexmin = min_fvs_exact(g, 64)
-        assert len(lexmin) > packing.value
-        approx = subset_fes_approx(net).fes
-        for upper in (None, approx, frozenset(range(g.n))):
-            assert min_fvs_exact(g, 64, upper=upper, packing=packing) == lexmin
-        if g.n <= 26:  # the recursive reference takes over 30 s at m = 36
-            size = reference_max_acyclic(g._out, search_order(g))
-            assert lexmin == _reference_lexmin(g, g.n - size, False)
-
-    def test_networks_where_the_packing_proves_the_incumbent(self):
-        for seed in range(1, 11):
-            net = random_dag_network(7, 12, 3, seed=seed)
-            g, packing = self.report_packing(net)
-            lexmin = min_fvs_exact(g, 64)
-            assert len(lexmin) == math.ceil(packing.value)
-            assert min_fvs_exact(g, 64, upper=lexmin, packing=packing) == lexmin
-            size = reference_max_acyclic(g._out, search_order(g))
-            assert lexmin == _reference_lexmin(g, g.n - size, False)
-
-    def test_invalid_packing_is_refused(self):
-        g = directed_cycle(3)
-        overloaded = CyclePacking((((0, 1, 2), Fraction(2)),), Fraction(2))
-        missing_edge = CyclePacking((((0, 2, 1), Fraction(1)),), Fraction(1))
-        wrong_value = CyclePacking((((0, 1, 2), Fraction(1)),), Fraction(1, 2))
-        for bad in (overloaded, missing_edge, wrong_value):
-            for upper in (None, frozenset({0})):
-                with pytest.raises(ContractViolation):
-                    min_fvs_exact(g, upper=upper, packing=bad)
-
-    def test_weak_duality_is_asserted(self, monkeypatch):
-        # a packing that passes its check is never worth more than a
-        # feedback vertex set, so the check is bypassed to reach the guard
-        monkeypatch.setattr(gnskit.bounds, "validate_packing", lambda g, packing: None)
-        g = directed_cycle(3)
-        worth_two = CyclePacking((((0, 1, 2), Fraction(2)),), Fraction(2))
-        for upper in (None, frozenset({0})):  # value > |upper| and > the minimum
-            with pytest.raises(ContractViolation, match="exceeds the minimum"):
-                min_fvs_exact(g, upper=upper, packing=worth_two)
+        self.check(g, fvs)
+        for upper in (fvs, frozenset(range(g.n))):
+            self.check(g, min_fvs_exact(g, upper=upper))
 
 
 class TestProbeDown:
@@ -348,36 +283,70 @@ class TestTensorBound:
             tensor_bound(g, 2, 5, tensor_cap=20, vertex_cap=10)
 
     @staticmethod
-    def too_small(monkeypatch):
-        # min_fvs_exact returning one vertex too few, so no feedback set
+    def wrong_search(monkeypatch, wrong):
         real = gnskit.bounds.min_fvs_exact
 
-        def drop_one(*args, **kwargs):
-            fvs = real(*args, **kwargs)
-            return fvs - {min(fvs)}
+        def spy(*args, **kwargs):
+            return wrong(real(*args, **kwargs))
 
-        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", drop_one)
+        monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", spy)
+
+    def too_small(self, monkeypatch):
+        # min_fvs_exact returning one vertex too few, so no feedback set
+        self.wrong_search(monkeypatch, lambda fvs: fvs - {min(fvs)})
+
+    def empty(self, monkeypatch):
+        # min_fvs_exact returning no vertex, fewer than the packing allows
+        self.wrong_search(monkeypatch, lambda fvs: frozenset())
+
+    @staticmethod
+    def swapped(monkeypatch):
+        # approx_fvs with one vertex swapped for another: its size, but no
+        # feedback set
+        real = gnskit.bounds.subset_fes_approx
+
+        def spy(net, *args):
+            a = real(net, *args)
+            g, _ = to_index_graph(net)
+            swaps = (a.fes - {v} | {u} for v in sorted(a.fes) for u in range(g.n) if u not in a.fes)
+            return dataclasses.replace(a, fes=next(f for f in swaps if not is_feedback_set(g, f)))
+
+        monkeypatch.setattr(gnskit.bounds, "subset_fes_approx", spy)
+
+    @staticmethod
+    def raised(monkeypatch):
+        # the packing with its first weight and its value raised by one, so
+        # the value matches and a vertex is overloaded
+        real = gnskit.bounds.packing_from_metric
+
+        def spy(*args):
+            p = real(*args)
+            (cyc, w), *rest = p.assignments
+            return CyclePacking(((cyc, w + 1), *rest), p.value + 1)
+
+        monkeypatch.setattr(gnskit.bounds, "packing_from_metric", spy)
+
+    # the C5 wrapping, where the packing leaves a gap (rcp 3, approx 4), and
+    # a draw where it proves approx_fvs minimum (rcp 4, approx 4)
+    GAP = network_from_side_info_graph(symmetric_cycle(5))
+    CLOSED = random_dag_network(7, 12, 3, seed=1)
 
     @pytest.mark.parametrize(
-        "net, refusal",
+        "net, mutation, refusal",
         [
-            # the packing leaves a gap (rcp 3, approx 4): the searched set is
-            # peeled like any other, and its complement holds a cycle
-            (
-                network_from_side_info_graph(symmetric_cycle(5)),
-                r"\[15, 23, 25\] is not a feedback vertex set of size 3 or more",
-            ),
-            # the packing proves approx_fvs minimum (rcp 4, approx 4), and the
-            # searched set must meet it
-            (
-                random_dag_network(7, 12, 3, seed=1),
-                r"\[4, 6, 9\] is not a feedback vertex set of size 4",
-            ),
+            # the searched set is peeled like any other: its complement holds
+            # a cycle, or it is shorter than the packing allows
+            (GAP, "too_small", "is not a feedback vertex set of size 3 or more"),
+            (GAP, "empty", r"\[\] is not a feedback vertex set of size 3 or more"),
+            # nothing is searched: the printed approx_fvs is peeled, and the
+            # packing that proves it minimum is checked
+            (CLOSED, "swapped", "is not a feedback vertex set$"),
+            (CLOSED, "raised", "is overloaded"),
         ],
-        ids=["gap", "closed"],
+        ids=["gap-dropped", "gap-empty", "closed-swapped", "closed-raised"],
     )
-    def test_a_wrong_fvs_still_trips_the_report(self, net, refusal, monkeypatch):
-        self.too_small(monkeypatch)
+    def test_a_wrong_fvs_still_trips_the_report(self, net, mutation, refusal, monkeypatch):
+        getattr(self, mutation)(monkeypatch)
         with pytest.raises(ContractViolation, match=refusal):
             bound_report(net, caps=Caps(mais_vertices=64))
 
@@ -557,7 +526,8 @@ class TestBoundReport:
             g, _ = to_index_graph(net)
             report = bound_report(net)
             assert report.mais_value == mais_exact(g)[0] == oracle_mais(g)
-            assert report.fvs == min_fvs_exact(g)
+            assert len(min_fvs_exact(g)) == len(report.fvs) == g.n - report.mais_value
+            assert is_feedback_set(g, report.fvs)
 
     def test_two_disjoint_unicasts(self):
         report = bound_report(parse_network(TWO_DISJOINT))
@@ -699,28 +669,30 @@ class TestBoundReport:
 
 
 class TestReportFvsPaths:
-    """`bound_report` hands the checked approximate FVS to `min_fvs_exact`
-    as its incumbent and its own packing as a lower bound, so the search
-    refutes one vertex fewer only when the packing does not prove the
-    incumbent minimum (rcp > |approx_fvs| - 1). It gives the lexmin minimum
-    FVS either way, and the q = 1 tensor radicand is its mais."""
+    """Where the packing proves the approximate FVS minimum (ceil(rcp) ==
+    approx_weight), `bound_report` prints it and searches nothing. Where it
+    leaves a gap, `bound_report` hands the checked approximate FVS to
+    `min_fvs_exact`, whose size search probes up from its complement. Either
+    way `fvs` is a minimum FVS, and the q = 1 tensor radicand is its mais."""
 
     @staticmethod
     def check(net, monkeypatch):
         given = []
 
-        def spy(g, vertex_cap, upper=None, packing=None):
-            given.append((upper, packing))
-            return min_fvs_exact(g, vertex_cap, upper, packing)
+        def spy(g, vertex_cap, upper=None):
+            given.append(upper)
+            return min_fvs_exact(g, vertex_cap, upper)
 
         monkeypatch.setattr(gnskit.bounds, "min_fvs_exact", spy)
         report = bound_report(net, caps=Caps(mais_vertices=64))
         monkeypatch.undo()
         g, _ = to_index_graph(net)
-        assert len(given) == 1
-        assert given[0][0] == report.approx_fvs
-        assert given[0][1] is report.packing
-        assert report.fvs == min_fvs_exact(g, 64)
+        closed = math.ceil(report.rcp_value) == report.approx_weight
+        assert given == ([] if closed else [report.approx_fvs])
+        if closed:
+            assert report.fvs == report.approx_fvs
+        assert len(report.fvs) == len(min_fvs_exact(g, 64))
+        assert is_feedback_set(g, report.fvs)
         assert report.tensor_bounds[0].q == 1
         assert report.tensor_bounds[0].radicand == report.mais_value == g.n - len(report.fvs)
         return report
@@ -728,7 +700,7 @@ class TestReportFvsPaths:
     def test_lp_tight_networks(self, monkeypatch):
         for seed in range(1, 11):
             report = self.check(random_dag_network(7, 12, 3, seed=seed), monkeypatch)
-            assert len(report.fvs) == math.ceil(report.rcp_value)
+            assert len(report.fvs) == math.ceil(report.rcp_value) == report.approx_weight
 
     def test_gap_network(self, monkeypatch):
         # objective 3, weight 4: the packing proves nothing, and the probe
@@ -753,14 +725,20 @@ class TestReportFvsPaths:
 
     @pytest.mark.parametrize("mais_vertices", [64, 1])
     def test_one_index_graph_and_one_fvs_check(self, mais_vertices, monkeypatch):
-        # the FES maps to the FVS through the report's own index graph, and
-        # each set is checked once. min_fvs_exact peels approx_fvs before its
-        # cap refuses the search; within the cap bound_report peels the set
-        # it searched. Past the cap the printed set is approx_fvs where the
-        # packing proves it minimum (the draw), and the cap refuses mais
-        # where the packing leaves a gap (the C5 wrapping)
-        calls = {"to_index_graph": 0, "fvs check": 0}
-        counts = {"to_index_graph": "to_index_graph", "_residual_cycle": "fvs check"}
+        # the FES maps to the FVS through the report's own index graph, the
+        # packing is checked once, and the report peels approx_fvs once.
+        # Where the packing proves it minimum (the draw), that is the only
+        # peel and no probe runs, at either cap. Where it leaves a gap (the
+        # C5 wrapping), min_fvs_exact peels its `upper` before its cap
+        # refuses the search, and within the cap the report peels the set
+        # it searched
+        calls = {"to_index_graph": 0, "packing check": 0, "fvs check": 0, "probe": 0}
+        counts = {
+            "to_index_graph": "to_index_graph",
+            "validate_packing": "packing check",
+            "_residual_cycle": "fvs check",
+            "_max_acyclic": "probe",
+        }
 
         def counted(name, real):
             def spy(*args):
@@ -773,7 +751,7 @@ class TestReportFvsPaths:
             for name, key in counts.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
-        # min_fvs_exact's and the report's peel; the searches call it through digraph's name
+        # min_fvs_exact's and the report's peels; the searches call it through digraph's name
         peel = counted("fvs check", gnskit.bounds._acyclic)
         monkeypatch.setattr(gnskit.bounds, "_acyclic", peel)
         nets = [(random_dag_network(7, 12, 3, seed=1), True)]
@@ -781,10 +759,12 @@ class TestReportFvsPaths:
         for net, closed in nets:
             calls.update(dict.fromkeys(calls, 0))
             report = bound_report(net, caps=Caps(mais_vertices=mais_vertices))
-            assert (report.rcp_value > report.approx_weight - 1) == closed
+            assert (math.ceil(report.rcp_value) == report.approx_weight) == closed
             assert ("mais" in report.skipped) == (mais_vertices == 1 and not closed)
-            checks = 2 if mais_vertices == 64 else 1
-            assert calls == {"to_index_graph": 1, "fvs check": checks}
+            checks = 1 if closed else 3 if mais_vertices == 64 else 2
+            assert calls["fvs check"] == checks
+            assert calls["to_index_graph"] == calls["packing check"] == 1
+            assert (calls["probe"] == 0) == (closed or mais_vertices == 1)
 
 
 @st.composite
@@ -804,14 +784,18 @@ def dag_draws(draw):
 
 class TestStagedCutIsTheFvs:
     """`bound_report(exact_gns=True)` takes the GNS cut from its minimum
-    FVS, certified on the staged network: the same cut and permutation that
-    `min_gns_cut_exact` finds by its own search."""
+    FVS, certified on the staged network: a cut of the size that
+    `min_gns_cut_exact` finds by its own search, with the checker's
+    permutation."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(dag_draws(), random_graphs(max_n=5, p=0.4).map(network_from_side_info_graph)))
     def test_matches_the_exact_search(self, net):
         report = bound_report(net, exact_gns=True, caps=Caps(mais_vertices=64))
-        assert report.gns_exact == min_gns_cut_exact(tilde_transform(net), 64)
+        staged = tilde_transform(net)
+        assert report.gns_exact.cut == report.fvs
+        assert is_gns_cut(staged, report.fvs) == report.gns_exact
+        assert len(report.fvs) == len(min_gns_cut_exact(staged, 64).cut)
 
     def test_the_report_runs_no_exact_gns_search(self, monkeypatch):
         calls = []
@@ -855,11 +839,11 @@ GAP_IDS = ["C5", "C7", "C9", "C11", "rd(7,0.4,3)", "rd(8,0.4,5)", "LS(4,2,2,1)"]
 
 class TestLpSandwich:
     """Where the packing proves the approximate feedback set minimum
-    (ceil(rcp) == approx_weight, weak duality), the report takes mais and
-    the staged GNS cut from that proof at any size: within `mais_vertices`
-    its `fvs` is still the lexmin minimum set, past it the approximate set
-    itself, and nothing is skipped. The q=1 radicand is mais wherever mais
-    is known, as the first tensor power of g is g."""
+    (ceil(rcp) == approx_weight, weak duality), the report's `fvs` is the
+    approximate set itself at any size, mais and the staged GNS cut come
+    from it, and nothing is searched or skipped. Where the packing leaves a
+    gap, `fvs` is searched within `mais_vertices`. The q=1 radicand is mais
+    wherever mais is known, as the first tensor power of g is g."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -879,13 +863,11 @@ class TestLpSandwich:
         assert [tb.radicand for tb in report.tensor_bounds] == [report.mais_value]
         assert report.gns_exact.cut == report.fvs
         if closed:
+            assert report.fvs == report.approx_fvs
             assert len(report.fvs) == math.ceil(report.rcp_value)
         if g.n <= cap:
             radicand = tensor_bound(g, 1, g.n, vertex_cap=64).radicand
             assert report.mais_value == radicand == reference_mais_size(g)
-            assert report.fvs == min_fvs_exact(g, cap)
-        else:
-            assert report.fvs == report.approx_fvs
 
     @pytest.mark.parametrize("cap", [22, 64])
     @pytest.mark.parametrize("side_info", GAP_GRAPHS, ids=GAP_IDS)
@@ -944,19 +926,25 @@ class TestLpSandwich:
         assert searched.tensor_bounds == report.tensor_bounds
         assert len(searched.gns_exact.cut) == len(report.gns_exact.cut)
 
+    # a draw where the packing proves approx_fvs minimum (rcp 4, approx 4),
+    # and the C5 wrapping, where it leaves a gap (rcp 3, approx 4)
+    NETS = [random_dag_network(7, 12, 3, seed=1), network_from_side_info_graph(symmetric_cycle(5))]
+
     @pytest.mark.parametrize("cap", [1, 64])
     @pytest.mark.parametrize(
         "mutation, refusal",
         [
             ("value", "packing value does not match"),
             ("load", "is overloaded"),
+            ("edge", "uses missing edge"),
             ("fvs", "not a feedback vertex set"),
         ],
     )
     def test_a_wrong_certificate_still_raises(self, mutation, refusal, cap, monkeypatch):
         # a packing that claims more than its assignments give, or its whole
         # value on one cycle (so ceil(rcp) still meets approx_weight where
-        # it did), or an approximate set with a vertex dropped, and its weight
+        # it did), or its cycles run backwards; or an approximate set with a
+        # vertex dropped, and its weight
         real_packing, real_approx = packing_from_metric, subset_fes_approx
 
         def packing(*args):
@@ -965,6 +953,9 @@ class TestLpSandwich:
                 return CyclePacking(p.assignments, p.value + 1)
             if mutation == "load":
                 return CyclePacking(((p.assignments[0][0], p.value),), p.value)
+            if mutation == "edge":
+                backwards = tuple(((c[0], *reversed(c[1:])), w) for c, w in p.assignments)
+                return CyclePacking(backwards, p.value)
             return p
 
         def approx(*args):
@@ -976,9 +967,25 @@ class TestLpSandwich:
 
         monkeypatch.setattr(gnskit.bounds, "packing_from_metric", packing)
         monkeypatch.setattr(gnskit.bounds, "subset_fes_approx", approx)
-        nets = [random_dag_network(7, 12, 3, seed=1), network_from_side_info_graph(symmetric_cycle(5))]
-        for net in nets:
+        for net in self.NETS:
             with pytest.raises(ContractViolation, match=refusal):
+                bound_report(net, caps=Caps(mais_vertices=cap))
+
+    @pytest.mark.parametrize("cap", [1, 64])
+    def test_weak_duality_is_asserted(self, cap, monkeypatch):
+        # a packing that passes its check is never worth more than a
+        # feedback set, so the check is bypassed to reach the guard; raised
+        # by 2, the packing's value is past approx_weight on both networks
+        monkeypatch.setattr(gnskit.bounds, "validate_packing", lambda g, packing: None)
+        real_packing = packing_from_metric
+
+        def packing(*args):
+            p = real_packing(*args)
+            return CyclePacking(p.assignments, p.value + 2)
+
+        monkeypatch.setattr(gnskit.bounds, "packing_from_metric", packing)
+        for net in self.NETS:
+            with pytest.raises(ContractViolation, match="below the packing value"):
                 bound_report(net, caps=Caps(mais_vertices=cap))
 
 
@@ -1032,8 +1039,10 @@ class TestWeakDuality:
 
 
 class TestCertificateTieBreaking:
-    """Certificates are the lexicographically smallest optimal sets; checked
-    against first-hit subset scans in combination order."""
+    """The mais and alpha certificates are the lexicographically smallest
+    optimal sets, checked against first-hit subset scans in combination
+    order; the minimum FVS is any minimum set, checked against the same
+    scan's size."""
 
     @staticmethod
     def _induced_acyclic(g, sub):
@@ -1059,16 +1068,18 @@ class TestCertificateTieBreaking:
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=6))
-    def test_fvs_certificate_is_lex_smallest(self, g):
+    def test_fvs_certificate_is_minimum(self, g):
         from itertools import combinations
 
         fvs = min_fvs_exact(g)
         first = next(
             sub
-            for sub in combinations(range(g.n), len(fvs))
+            for size in range(g.n + 1)
+            for sub in combinations(range(g.n), size)
             if self._induced_acyclic(g, set(range(g.n)) - set(sub))
         )
-        assert tuple(sorted(fvs)) == first
+        assert len(fvs) == len(first)
+        assert self._induced_acyclic(g, set(range(g.n)) - fvs)
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=6))
@@ -1085,10 +1096,10 @@ class TestCertificateTieBreaking:
         assert tuple(sorted(cert)) == first
 
 
-def _reference_lexmin(g, size, required_trial):
-    """The lexmin certificate loop driven by the reference search: keep each
-    vertex in order if a set of `size` still fits around the vertices so far
-    (as required members for mais, as removed vertices for the FVS)."""
+def _reference_lexmin(g, size):
+    """The lexmin mais certificate loop driven by the reference search: keep
+    each vertex in order if an acyclic set of `size` still holds the
+    vertices so far."""
     order = search_order(g)
     target = reference_max_acyclic(g._out, order)
     chosen = []
@@ -1097,8 +1108,7 @@ def _reference_lexmin(g, size, required_trial):
             break
         trial = chosen + [v]
         cand = [c for c in order if c not in trial]
-        required = trial if required_trial else ()
-        if reference_max_acyclic(g._out, cand, required, target=target) >= target:
+        if reference_max_acyclic(g._out, cand, trial, target=target) >= target:
             chosen.append(v)
     return frozenset(chosen)
 
@@ -1118,31 +1128,39 @@ class TestSearchMatchesReference:
         for g in self._graphs():
             assert 18 <= g.n <= 27
             size = reference_max_acyclic(g._out, search_order(g))
-            assert mais_exact(g, 64) == (size, _reference_lexmin(g, size, True))
-            assert min_fvs_exact(g, 64) == _reference_lexmin(g, g.n - size, False)
+            assert mais_exact(g, 64) == (size, _reference_lexmin(g, size))
+            fvs = min_fvs_exact(g, 64)
+            assert len(fvs) == g.n - size
+            assert is_feedback_set(g, fvs)
 
-    def test_a_given_minimum_gives_the_lexmin_certificate(self):
-        # F is the lexmin minimum FVS under reversed labels, so the search
-        # starts from a minimum set that is not the lexmin one; F plus a
-        # vertex and the whole vertex set are not minimum: the search probes
-        # up from the complement of the first, and down from the ceiling for
-        # the second, whose complement is empty
+    def test_a_given_minimum_is_kept(self):
+        # F is a minimum FVS found under reversed labels, so the search
+        # starts from a minimum set of its own: no larger acyclic set is
+        # found, and F comes back. F plus a vertex and the whole vertex set
+        # are not minimum: the search probes up from the complement of the
+        # first, and down from the ceiling for the second, whose complement
+        # is empty
         for g in self._graphs():
             n = g.n
+            size = reference_max_acyclic(g._out, search_order(g))
             reversed_g = Digraph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])
             other = frozenset(n - 1 - v for v in min_fvs_exact(reversed_g, 64))
-            lexmin = min_fvs_exact(g, 64)
-            assert other != lexmin and len(other) == len(lexmin)
+            assert len(other) == n - size
+            assert min_fvs_exact(g, 64, upper=other) == other
             larger = other | {min(frozenset(range(n)) - other)}
-            for upper in (other, larger, frozenset(range(n))):
-                assert min_fvs_exact(g, 64, upper=upper) == lexmin
+            for upper in (larger, frozenset(range(n))):
+                fvs = min_fvs_exact(g, 64, upper=upper)
+                assert len(fvs) == n - size
+                assert is_feedback_set(g, fvs)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graphs(max_n=7))
     def test_small_graphs(self, g):
         size = reference_max_acyclic(g._out, search_order(g))
-        assert mais_exact(g) == (size, _reference_lexmin(g, size, True))
-        assert min_fvs_exact(g) == _reference_lexmin(g, g.n - size, False)
+        assert mais_exact(g) == (size, _reference_lexmin(g, size))
+        fvs = min_fvs_exact(g)
+        assert len(fvs) == g.n - size
+        assert is_feedback_set(g, fvs)
 
     def test_targets_and_required_sets(self):
         # a target is a decision: the size says whether a set of that size
@@ -1232,7 +1250,9 @@ class TestDeepInputs:
     def test_directed_cycle(self):
         g = directed_cycle(DEEP)
         assert _mais_size(g) == reference_mais_size(g) == DEEP - 1
-        assert min_fvs_exact(g, DEEP) == frozenset({0})
+        fvs = min_fvs_exact(g, DEEP)
+        assert len(fvs) == 1
+        assert is_feedback_set(g, fvs)
         assert mais_exact(g, DEEP) == (DEEP - 1, frozenset(range(DEEP - 1)))
 
     def test_independence_of_a_clique(self):
