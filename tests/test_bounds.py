@@ -198,6 +198,37 @@ class TestMinFvsExact:
         for upper in (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2})):
             self.check(g, min_fvs_exact(g, upper=upper))
 
+    @staticmethod
+    def approximate(net):
+        """The index graph, the approximate FES (index-graph vertex v is
+        link v) and the packing that `bound_report` pairs with it."""
+        g, _ = to_index_graph(net)
+        approx = subset_fes_approx(net)
+        return g, approx.fes, packing_from_metric(closure_links(net), approx.metric)
+
+    @pytest.mark.parametrize(
+        "side_info",
+        [symmetric_cycle(5), symmetric_cycle(7), random_digraph(7, 0.4, 3)],
+        ids=["bidirected-C5", "bidirected-C7", "random_digraph(7,0.4,3)"],
+    )
+    def test_gap_wrappings(self, side_info):
+        # the packing value is below the minimum, so only the search proves
+        # it; from the approximate FES, from scratch and from every vertex
+        # the search finds the same size
+        g, fes, packing = self.approximate(network_from_side_info_graph(side_info))
+        fvs = min_fvs_exact(g, 64, upper=fes)
+        self.check(g, fvs)
+        assert packing.value < len(fvs) <= len(fes)
+        for upper in (None, frozenset(range(g.n))):
+            assert len(min_fvs_exact(g, 64, upper)) == len(fvs)
+
+    def test_an_approximate_fes_the_packing_proves_comes_back(self):
+        for seed in range(1, 11):
+            g, fes, packing = self.approximate(random_dag_network(7, 12, 3, seed=seed))
+            assert len(fes) == math.ceil(packing.value)
+            assert min_fvs_exact(g, 64, upper=fes) == fes
+            self.check(g, fes)
+
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_n=6))
     def test_complementarity_and_validity(self, g):
