@@ -256,10 +256,11 @@ def bound_report(
     the minimum feedback vertex set `fvs` at any size, and nothing is
     searched. Otherwise `min_fvs_exact` searches `fvs` up from the
     approximate set within `caps.mais_vertices`, and past it mais and the GNS
-    cut are skipped. The report peels the approximate set once, asserts
-    approx_weight >= ceil(rcp), and checks a searched `fvs` once: one peel,
-    and |fvs| >= ceil(rcp). mais and the GNS cut come from `fvs`, and the
-    q=1 radicand is mais, as tensor_power(g, 1) is g.
+    cut are skipped. The report asserts approx_weight >= ceil(rcp), peels the
+    approximate set once (itself where the sandwich closes, through
+    `min_fvs_exact`'s check of `upper` on a gap), and checks a searched
+    `fvs` once: one peel, and |fvs| >= ceil(rcp). mais and the GNS cut come
+    from `fvs`, and the q=1 radicand is mais, as tensor_power(g, 1) is g.
     """
     # a nan or infinite constant would switch the regression check off
     if not 0 < ratio_constant < math.inf:
@@ -282,14 +283,15 @@ def bound_report(
     rcp = packing_from_metric(closure_links(net), approx.metric)
     validate_packing(g, rcp)  # so no feedback set is smaller than ceil(rcp), by weak duality
     lower = math.ceil(rcp.value)
-    _check_fvs(g, approx_fvs)
     if approx_weight < lower:
         raise ContractViolation(
             f"approximate feedback weight {approx_weight} below the packing value {rcp.value}"
         )
     if approx_weight == lower:  # the LP sandwich proves approx_fvs minimum
+        _check_fvs(g, approx_fvs)
         fvs = approx_fvs
     else:  # a gap: only the search proves a minimum, which must meet the packing
+        # min_fvs_exact checks approx_fvs before its cap can refuse the search
         fvs = attempt("mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs))
         if fvs is not None:
             _check_fvs(g, fvs, lower)

@@ -757,12 +757,11 @@ class TestReportFvsPaths:
     @pytest.mark.parametrize("mais_vertices", [64, 1])
     def test_one_index_graph_and_one_fvs_check(self, mais_vertices, monkeypatch):
         # the FES maps to the FVS through the report's own index graph, the
-        # packing is checked once, and the report peels approx_fvs once.
-        # Where the packing proves it minimum (the draw), that is the only
-        # peel and no probe runs, at either cap. Where it leaves a gap (the
-        # C5 wrapping), min_fvs_exact peels its `upper` before its cap
-        # refuses the search, and within the cap the report peels the set
-        # it searched
+        # packing is checked once, and approx_fvs is peeled once. Where the
+        # packing proves it minimum (the draw), the report peels it, and no
+        # probe runs, at either cap. Where it leaves a gap (the C5 wrapping),
+        # min_fvs_exact peels it as `upper` before its cap refuses the
+        # search, and within the cap the report peels the set it searched
         calls = {"to_index_graph": 0, "packing check": 0, "fvs check": 0, "probe": 0}
         counts = {
             "to_index_graph": "to_index_graph",
@@ -792,7 +791,7 @@ class TestReportFvsPaths:
             report = bound_report(net, caps=Caps(mais_vertices=mais_vertices))
             assert (math.ceil(report.rcp_value) == report.approx_weight) == closed
             assert ("mais" in report.skipped) == (mais_vertices == 1 and not closed)
-            checks = 1 if closed else 3 if mais_vertices == 64 else 2
+            checks = 2 if not closed and mais_vertices == 64 else 1
             assert calls["fvs check"] == checks
             assert calls["to_index_graph"] == calls["packing check"] == 1
             assert (calls["probe"] == 0) == (closed or mais_vertices == 1)
@@ -975,7 +974,9 @@ class TestLpSandwich:
         # a packing that claims more than its assignments give, or its whole
         # value on one cycle (so ceil(rcp) still meets approx_weight where
         # it did), or its cycles run backwards; or an approximate set with a
-        # vertex dropped, and its weight
+        # vertex swapped for another, of its weight but no feedback set. The
+        # report peels it where the sandwich closes, min_fvs_exact before
+        # its cap on a gap
         real_packing, real_approx = packing_from_metric, subset_fes_approx
 
         def packing(*args):
@@ -993,8 +994,9 @@ class TestLpSandwich:
             a = real_approx(*args)
             if mutation != "fvs":
                 return a
-            diagnostics = dataclasses.replace(a.diagnostics, weight=a.diagnostics.weight - 1)
-            return dataclasses.replace(a, fes=a.fes - {min(a.fes)}, diagnostics=diagnostics)
+            g, _ = to_index_graph(args[0])
+            swaps = (a.fes - {v} | {u} for v in sorted(a.fes) for u in range(g.n) if u not in a.fes)
+            return dataclasses.replace(a, fes=next(f for f in swaps if not is_feedback_set(g, f)))
 
         monkeypatch.setattr(gnskit.bounds, "packing_from_metric", packing)
         monkeypatch.setattr(gnskit.bounds, "subset_fes_approx", approx)
