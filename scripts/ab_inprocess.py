@@ -21,8 +21,11 @@ Prints, for each tree, the median over instances of each instance's median
 report time; then, over the rounds, the median and quartiles of the ratio
 new/old of the round's total time, and in how many rounds the new tree was
 faster. Exits 1 if any report (exit code or output) differs between the
-trees or between rounds, else 0. Imports only from `bench/` and the standard
-library.
+trees or between rounds, else 0. Where outputs differ, it also says whether
+the report values differ, as each tree's own `parse_report` reads them (m,
+k, mais, rcp, approx_weight, code_rate, co_rate_lb, the gns size, skipped,
+and the exit code), or only certificate bytes moved. Imports only from
+`bench/` and the standard library.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ CAP_ENV = "GNSKIT_CAP_OVERRIDES"
 
 
 def load_cli(tree: Path):
-    """`gnskit.cli` imported from tree/src, after dropping any loaded gnskit."""
+    """`gnskit.cli` and the `gnskit` package imported from tree/src, after
+    dropping any loaded gnskit."""
     src = tree.resolve() / "src"
     for name in [n for n in sys.modules if n == "gnskit" or n.startswith("gnskit.")]:
         del sys.modules[name]
@@ -57,7 +61,22 @@ def load_cli(tree: Path):
         sys.path.remove(str(src))
     if Path(cli.__file__).resolve().parent != src / "gnskit":
         raise SystemExit(f"imported gnskit from {cli.__file__}, not from {src}")
-    return cli
+    return cli, sys.modules["gnskit"]
+
+
+def values(gnskit, result: tuple[str, str]) -> tuple:
+    """The exit code and the report values of one call's result, as the
+    tree's `gnskit.parse_report` reads them, leaving out the certificates."""
+    code, text = result
+    if not text:
+        return (code,)
+    try:
+        r = gnskit.parse_report(text)
+    except gnskit.FormatError as exc:  # an unreadable report is a value to compare too
+        return code, f"unparsed: {exc}"
+    gns = None if r.gns_exact is None else len(r.gns_exact.cut)
+    return (code, r.m, r.k, r.mais_value, r.rcp_value, r.approx_weight, r.code_rate,
+            r.co_rate_lb, gns, r.skipped)
 
 
 def run(cli, argv: list[str]) -> tuple[float, tuple[str, str]]:
@@ -88,12 +107,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--limit must be at least 1")
     workload = WORKLOADS[args.workload]
     os.environ[CAP_ENV] = workload.cap_overrides
-    clis = {"old": load_cli(args.old), "new": load_cli(args.new)}
+    clis, packages = {}, {}
+    for side, tree in (("old", args.old), ("new", args.new)):
+        clis[side], packages[side] = load_cli(tree)
     instances = corpus(workload, args.seed)[: args.limit]
     times = {side: [[] for _ in instances] for side in clis}  # calibrated, per instance
     totals = {side: [] for side in clis}  # per round
-    seen: list[tuple[str, str] | None] = [None] * len(instances)
+    seen: list[tuple[str, tuple[str, str]] | None] = [None] * len(instances)  # (side, result)
     differ: set[str] = set()
+    values_differ: set[str] = set()
     with tempfile.TemporaryDirectory() as tmp:
         argvs = []
         for inst in instances:
@@ -114,9 +136,12 @@ def main(argv: list[str] | None = None) -> int:
                     times[side][i].append(calibrated)
                     total += calibrated
                     if seen[i] is None:
-                        seen[i] = result
-                    elif seen[i] != result:
+                        seen[i] = side, result
+                    elif seen[i][1] != result:
                         differ.add(instances[i].name)
+                        first, earlier = seen[i]
+                        if values(packages[first], earlier) != values(packages[side], result):
+                            values_differ.add(instances[i].name)
                 totals[side].append(total)
             print(f"round {r + 1}: new/old {totals['new'][-1] / totals['old'][-1]:.3f}", flush=True)
 
@@ -131,6 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"new faster in {wins}/{len(ratios)} rounds")
     if differ:
         print(f"outputs differ on {len(differ)} instances, e.g. {sorted(differ)[:5]}")
+        if values_differ:
+            print(f"report values differ on {len(values_differ)} of them, "
+                  f"e.g. {sorted(values_differ)[:5]}")
+        else:
+            print("report values: identical (only certificate bytes differ)")
         return 1
     print("outputs: identical")
     return 0

@@ -39,6 +39,11 @@ where the LP sandwich proves every exact value. Beside the digest it prints
 each report's wall time and that of its approximation
 (`subset_fes_approx`) alone. It takes no seed either.
 
+The workload `ladder` is `scale` one size step up, the size ladder of the
+approximation: the three networks `bench/corpus.py` draws for the parameter
+sets of `LADDER_SETS` (m = 442, 648 and 1052 links), reported and timed as
+`scale` is. It takes no seed either, and `all` runs it last, in about 17 s.
+
 The workload `gns-large` runs the exact GNS cut search far past the
 benchmark's sizes, with `mais_vertices=128`: `gnskit gnscut --exact --tilde`
 on the `large-dags` networks, and `gnscut --exact` with and without
@@ -109,6 +114,9 @@ LARGE_DAG_SETS = (
 SCALE = "scale"
 # (nodes, links, pairs, seed) of dag_network, m = 226, 227, 294 and 291
 SCALE_SETS = ((50, 200, 12, 15), (50, 200, 12, 16), (60, 260, 14, 13), (60, 260, 14, 2))
+LADDER = "ladder"
+# (nodes, links, pairs, seed) of dag_network, m = 442, 648 and 1052
+LADDER_SETS = ((80, 400, 14, 1), (100, 600, 14, 7), (150, 1000, 16, 14))
 GNS_LARGE = "gns-large"
 CODES = "codes"
 NETWORKS = "networks"
@@ -149,8 +157,11 @@ def large_dags() -> list[Instance]:
     ]
 
 
-def scale(digest, tmp: Path) -> int:
-    for params in SCALE_SETS:
+def timed(digest, tmp: Path, sets) -> int:
+    """The `scale` and `ladder` workloads: `bounds --exact-gns` on the
+    dag_network draws of `sets`, printing each report's wall time and that
+    of its approximation alone."""
+    for params in sets:
         text = dag_network(*params).text(f"dag_network{params}")
         path = tmp / "scale.mun"
         path.write_text(text, encoding="utf-8")
@@ -164,7 +175,7 @@ def scale(digest, tmp: Path) -> int:
         approx_s = time.perf_counter() - start
         print(f"dag_network{params}: m = {net.m}, report {report_s:.2f} s, "
               f"approximation {approx_s:.2f} s")
-    return len(SCALE_SETS)
+    return len(sets)
 
 
 def run(digest, argv: list[str]) -> bytes:
@@ -252,9 +263,10 @@ def print_digest(workload: str, seed: int) -> None:
         elif workload == GNS_LARGE:
             os.environ["GNSKIT_CAP_OVERRIDES"] = "mais_vertices=128"
             count, unit = gns_large(digest, Path(tmp)), "searches"
-        elif workload == SCALE:
+        elif workload in (SCALE, LADDER):
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
-            count, unit = scale(digest, Path(tmp)), "instances"
+            sets = SCALE_SETS if workload == SCALE else LADDER_SETS
+            count, unit = timed(digest, Path(tmp), sets), "instances"
         elif workload == NETWORKS:
             os.environ["GNSKIT_CAP_OVERRIDES"] = ""
             count, unit = networks(digest, seed, Path(tmp)), "networks"
@@ -281,7 +293,8 @@ def print_digest(workload: str, seed: int) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     workloads = [
-        *WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, SCALE, GNS_LARGE, NETWORKS, CODES, GAP_PATHS
+        *WORKLOADS, GAP_WRAPPINGS, LARGE_DAGS, SCALE, GNS_LARGE, NETWORKS, CODES, GAP_PATHS,
+        LADDER,
     ]
     parser.add_argument("--workload", default=ALL, choices=sorted([*workloads, ALL]))
     parser.add_argument("--seed", type=int, required=True)

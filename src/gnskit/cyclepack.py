@@ -352,6 +352,11 @@ def solve_spreading_metric(
     or proves feasibility, which by LP duality makes the metric optimal and
     the last packing an optimal packing over all cycles through a terminal
     (column generation with a shortest-cycle pricing step).
+
+    Pricing runs on the lengths x_p*H + 1 with H = len(pairs) + 1, so a
+    simple cycle C measures H*x(C) + |C| with 1 <= |C| < H: it is violated
+    (x(C) < d) exactly when that is below d*H, and of the shortest violated
+    cycles Dijkstra returns one with the fewest pairs.
     """
     terminals = set(terminals)
     index, pairs, ids, out = _pair_graph(links, terminals)
@@ -368,10 +373,12 @@ def solve_spreading_metric(
     known: set[frozenset[int]] = set()
     x, d = [0] * len(pairs), 1  # pair lengths, over the common denominator d
     weights: list[int] = []
+    hops = len(pairs) + 1  # H, more than any simple cycle's pair count
     for _ in range(iteration_cap + 1):
         violated = []
+        priced = [xp * hops + 1 for xp in x]
         for t in order:
-            found = _shortest_cycle_through(t, out, inn, x, d)  # violated: shorter than 1
+            found = _shortest_cycle_through(t, out, inn, priced, d * hops)  # x-length below d
             if found is not None:
                 column = frozenset(found[1])
                 if column not in known:

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import networkx as nx
 
@@ -608,17 +608,29 @@ def reference_rcp_exact(g: Digraph, cycle_cap: int = DEFAULT_CAPS.rcp_cycles) ->
 HALF = Fraction(1, 2)
 
 
+class Priced(NamedTuple):
+    """A walk's length under the metric and its number of pairs, added by
+    component and ordered as a tuple: the pricing's shortest cycle is one of
+    least length, and of those one with the fewest pairs."""
+
+    length: Fraction
+    hops: int
+
+    def __add__(self, other: "Priced") -> "Priced":
+        return Priced(self.length + other.length, self.hops + other.hops)
+
+
 def reference_distances_from(
     terminal: str,
     out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
-    lengths: dict[tuple[str, str], Fraction],
-) -> tuple[dict[str, Fraction], dict[str, tuple[str, tuple[str, str]]]]:
+    lengths: dict[tuple[str, str], Fraction | Priced],
+) -> tuple[dict[str, Fraction | Priced], dict[str, tuple[str, tuple[str, str]]]]:
     """Dijkstra from the exit side of `terminal`, never re-entering it.
     Returns each reached node's distance and its (parent, pair) on one
     shortest path."""
-    dist: dict[str, Fraction] = {}
+    dist: dict[str, Fraction | Priced] = {}
     prev: dict[str, tuple[str, tuple[str, str]]] = {}
-    heap: list[tuple[Fraction, str, str, tuple[str, str]]] = []
+    heap: list[tuple[Fraction | Priced, str, str, tuple[str, str]]] = []
     for head, key in out_pairs.get(terminal, ()):
         if head == terminal:
             continue
@@ -639,8 +651,8 @@ def reference_distances_from(
 def reference_shortest_cycle_through(
     terminal: str,
     out_pairs: dict[str, list[tuple[str, tuple[str, str]]]],
-    lengths: dict[tuple[str, str], Fraction],
-) -> tuple[Fraction, tuple[tuple[str, str], ...]] | None:
+    lengths: dict[tuple[str, str], Fraction | Priced],
+) -> tuple[Fraction | Priced, tuple[tuple[str, str], ...]] | None:
     """Shortest closed walk through `terminal` under the given lengths,
     treating the terminal as split into an exit side and an entry side.
     Returns its length and the pair sequence, or None if no cycle passes."""
@@ -678,7 +690,9 @@ def reference_solve_spreading_metric(
     shortest-closed-walk oracle per terminal either finds a violated cycle
     or proves feasibility, which by LP duality makes the metric optimal and
     the last packing an optimal packing over all cycles through a terminal
-    (column generation with a shortest-cycle pricing step).
+    (column generation with a shortest-cycle pricing step). Pricing
+    measures each pair as `Priced(x_p, 1)`, so of the shortest violated
+    cycles it finds one with the fewest pairs.
     """
     grouped = _group_pairs(links)
     pair_keys = sorted(grouped)
@@ -694,11 +708,11 @@ def reference_solve_spreading_metric(
     x = [F0] * len(pair_keys)
     weights: list[Fraction] = []
     for _ in range(iteration_cap + 1):
-        lengths = {key: x[pair_index[key]] for key in pair_keys}
+        lengths = {key: Priced(x[pair_index[key]], 1) for key in pair_keys}
         violated = 0
         for t in sorted(set(terminals)):
             found = reference_shortest_cycle_through(t, out_pairs, lengths)
-            if found is not None and found[0] < 1:
+            if found is not None and found[0].length < 1:
                 row = frozenset(pair_index[key] for key in found[1])
                 if row not in known:
                     known.add(row)

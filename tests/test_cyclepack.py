@@ -558,6 +558,50 @@ class TestPricingCutoff:
             assert (full[0], tuple(keys[p] for p in full[1])) == expected
 
 
+def simple_cycles_through(terminal, out):
+    """Every simple cycle through `terminal` as its pair sequence from the
+    terminal, by plain depth-first enumeration (no self-loops are drawn)."""
+    found = []
+
+    def extend(node, seq, seen):
+        for p, head in out[node]:
+            if head == terminal:
+                found.append((*seq, p))
+            elif head not in seen:
+                extend(head, (*seq, p), seen | {head})
+
+    extend(terminal, (), {terminal})
+    return found
+
+
+class TestPricingPrefersFewestPairs:
+    """The cutting plane prices on x_p*H + 1 with the bound d*H, where H is
+    one more than the number of pairs: a simple cycle C measures
+    H*x(C) + |C| with 1 <= |C| < H, so it is violated (x(C) < d) exactly
+    when that is below d*H, and among the shortest the fewest pairs win."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair_graphs(), st.data())
+    def test_a_shortest_violated_cycle_with_the_fewest_pairs(self, graph, data):
+        out, inn, x = graph
+        terminal = data.draw(st.integers(0, len(out) - 1))
+        d = data.draw(st.integers(1, 12))
+        hops = len(x) + 1
+        found = _shortest_cycle_through(terminal, out, inn, [xp * hops + 1 for xp in x], d * hops)
+        violated = [
+            (sum(x[p] for p in cyc), len(cyc), cyc)
+            for cyc in simple_cycles_through(terminal, out)
+            if sum(x[p] for p in cyc) < d
+        ]
+        assert (found is None) == (not violated)
+        if found is not None:
+            total, seq = found
+            assert seq in [cyc for *_, cyc in violated]
+            length = sum(x[p] for p in seq)
+            assert (length, len(seq)) == min((xc, n) for xc, n, _ in violated)
+            assert total == length * hops + len(seq)
+
+
 class TestIntegerPathsMatchReference:
     """The cutting-plane loop, the sphere growing and the packing map run on
     ints over one common denominator; `tests/helpers.py` keeps their
