@@ -9,7 +9,6 @@ cycle-saving index codes, and minrank brackets over prime fields.
 
 from .bounds import (
     BoundReport,
-    alpha_exact,
     bound_report,
     mais_exact,
     min_fvs_exact,

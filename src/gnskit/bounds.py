@@ -1,11 +1,11 @@
 """Exact combinatorial bound quantities and the assembled bound report.
 
-Maximum acyclic induced subgraphs (and so minimum feedback vertex sets) are
-found by branch and bound over extendable acyclic sets, exponential only in
-practice-small quantities; independence numbers use a bitmask branch and
-bound. The certificates of `mais_exact` and `alpha_exact` are tie-broken to
-the lexicographically smallest optimal vertex set; `min_fvs_exact` returns
-the minimum feedback vertex set that its size search finds. Roots of
+Minimum feedback vertex sets (and so maximum acyclic induced subgraphs) are
+found by one exact search, `min_fvs_exact`: branch and bound over
+extendable acyclic sets, exponential only in practice-small quantities,
+which returns the set its size search proves minimum and breaks no tie
+among minimum sets. `mais_exact` and `network.min_gns_cut_exact` call it;
+independence numbers use a bitmask branch and bound. Roots of
 tensorized bounds are reported in floating point with their exact integer
 radicands retained, and every inequality assertion compares exact integers
 or rationals.
@@ -27,7 +27,7 @@ from .cyclepack import (
     validate_packing,
 )
 from .digraph import Digraph, _acyclic, _bitmask, tensor_power
-from .digraph import _largest_acyclic, _lexmin, _masks, _max_acyclic, _search_masks
+from .digraph import _largest_acyclic, _masks, _search_masks
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import IndexCode, _code_lines, _cycle_code, co_rate_from_beta, parse_index_code
 from .network import GnsCertificate, MUNetwork, _staged_cut, closure_links
@@ -44,52 +44,58 @@ def _mais_size(g: Digraph) -> int:
 def mais_exact(
     g: Digraph, vertex_cap: int = DEFAULT_CAPS.mais_vertices
 ) -> tuple[int, frozenset[int]]:
-    """Maximum acyclic induced subgraph size with the lexicographically
-    smallest witnessing vertex set."""
-    if g.n > vertex_cap:
-        raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    out, inn, order = _search_masks(g)
-    size, acyclic = _largest_acyclic(out, inn, order)
-
-    def fits(trial: list[int]) -> int | None:
-        skip = set(trial)
-        cand = [v for v in order if v not in skip]
-        found, members = _max_acyclic(out, inn, cand, trial, target=size)
-        return members if found >= size else None
-
-    return size, frozenset(_lexmin(g.n, size, fits, acyclic))
+    """Maximum acyclic induced subgraph size with a witnessing vertex set:
+    the complement of `min_fvs_exact`'s minimum feedback vertex set."""
+    fvs = min_fvs_exact(g, vertex_cap)
+    return g.n - len(fvs), frozenset(range(g.n)) - fvs
 
 
-def _check_fvs(g: Digraph, fvs: frozenset[int], lower: int = 0) -> None:
+def _check_fvs(
+    g: Digraph, fvs: frozenset[int], lower: int = 0, required: frozenset[int] = frozenset()
+) -> None:
     """ContractViolation unless `fvs` is a feedback vertex set of g (one
-    peel of its complement) with `lower` vertices or more."""
+    peel of its complement) with `lower` vertices or more and none of
+    `required`."""
     out, inn, _ = _search_masks(g)
     if (
         len(fvs) < lower
         or not fvs <= frozenset(range(g.n))
+        or fvs & required
         or not _acyclic(out, inn, (1 << g.n) - 1 & ~_bitmask(fvs))
     ):
         least = f" of size {lower} or more" if lower else ""
-        raise ContractViolation(f"{sorted(fvs)} is not a feedback vertex set{least}")
+        outside = " outside the required vertices" if required else ""
+        raise ContractViolation(f"{sorted(fvs)} is not a feedback vertex set{least}{outside}")
 
 
 def min_fvs_exact(
     g: Digraph,
     vertex_cap: int = DEFAULT_CAPS.mais_vertices,
     upper: frozenset[int] | None = None,
+    required: frozenset[int] = frozenset(),
 ) -> frozenset[int]:
-    """A minimum feedback vertex set: the complement of the largest acyclic
-    set that the size search finds. A feedback vertex set `upper`, checked
-    before the cap refuses the search, gives the witness that
+    """A minimum feedback vertex set that cuts none of the `required`
+    vertices: the complement of the largest acyclic set holding them that
+    the size search finds, over the other vertices, of which there may be
+    `vertex_cap`. A feedback vertex set `upper` that cuts none of them,
+    checked before the cap refuses the search, gives the witness that
     `_largest_acyclic` probes up from; the last, refuted probe proves the
-    set found largest."""
+    set found largest. A cyclic `required` set is refused."""
     witness = 0
     if upper is not None:
-        _check_fvs(g, upper)
+        _check_fvs(g, upper, required=required)
         witness = (1 << g.n) - 1 & ~_bitmask(upper)
-    if g.n > vertex_cap:
-        raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    _, acyclic = _largest_acyclic(*_search_masks(g), witness=witness)
+    if g.n - len(required) > vertex_cap:
+        raise CapacityError(
+            f"{g.n - len(required)} vertices exceed the exact-search cap of {vertex_cap}"
+        )
+    out, inn, order = _search_masks(g)
+    if required and (
+        not required <= frozenset(range(g.n)) or not _acyclic(out, inn, _bitmask(required))
+    ):
+        raise ContractViolation(f"required vertices {sorted(required)} hold a cycle or lie outside")
+    cuttable = [v for v in order if v not in required]
+    _, acyclic = _largest_acyclic(out, inn, cuttable, required, witness)
     return frozenset(v for v in range(g.n) if not acyclic >> v & 1)
 
 
@@ -128,30 +134,6 @@ def _mis_size(
 
 def _neighbour_masks(g: Digraph) -> list[int]:
     return [o | i for o, i in zip(_masks(g._out), _masks(g._in))]
-
-
-def alpha_exact(
-    g: Digraph, vertex_cap: int = DEFAULT_CAPS.alpha_vertices
-) -> tuple[int, frozenset[int]]:
-    """Independence number (no edge in either direction) with the
-    lexicographically smallest maximum independent set."""
-    if g.n > vertex_cap:
-        raise CapacityError(f"{g.n} vertices exceed the exact-search cap of {vertex_cap}")
-    masks, full = _neighbour_masks(g), (1 << g.n) - 1
-    size, independent = _mis_size(masks, full)
-
-    def fits(trial: list[int]) -> int | None:
-        *chosen, v = trial
-        if any(masks[v] >> u & 1 for u in chosen):
-            return None
-        rest = full
-        for u in trial:
-            rest &= ~(masks[u] | 1 << u)
-        need = size - len(trial)
-        found, members = _mis_size(masks, rest, target=need)
-        return members | _bitmask(trial) if found >= need else None
-
-    return size, frozenset(_lexmin(g.n, size, fits, independent))
 
 
 class TensorBound(NamedTuple):

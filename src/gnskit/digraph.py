@@ -10,7 +10,7 @@ through constructions but are ignored by equality and never serialized.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
 from .errors import CapacityError, FormatError
@@ -394,15 +394,15 @@ def _largest_acyclic(
     `order`) as (size, members mask), size -1 if `required` has a cycle, by
     decision probes `_max_acyclic(target=t)`, whose roots keep the greedy
     disjoint cycles in `order`; no set is larger than n minus their count,
-    the ceiling. A nonempty `witness` mask, checked by `_acyclic` and ignored
-    unless it is such a set, proves its own size: the probes go up from it
-    one vertex at a time, up to the ceiling, each set found the next
-    witness, until one is refuted. Otherwise they go down from the ceiling
-    until one finds a set. The size is the same either way."""
+    the ceiling. A nonempty `witness` mask, which the caller has checked to
+    be such a set, proves its own size: the probes go up from it one vertex
+    at a time, up to the ceiling, each set found the next witness, until one
+    is refuted. Otherwise they go down from the ceiling until one finds a
+    set. The size is the same either way."""
     n, fixed = len(out), _bitmask(required)
     cycles = _disjoint_cycles(out, inn, fixed, (1 << n) - 1 & ~fixed, order, n)
     ceiling = n - len(cycles)
-    if witness and not witness >> n and witness & fixed == fixed and _acyclic(out, inn, witness):
+    if witness:
         size = witness.bit_count()
         while size < ceiling:
             found, larger = _max_acyclic(out, inn, order, required, size + 1, cycles)
@@ -416,23 +416,6 @@ def _largest_acyclic(
         if found >= target or found < 0:
             return found, acyclic
         target -= 1
-
-
-def _lexmin(n: int, size: int, fits: Callable[..., int | None], witness: int) -> list[int]:
-    """Lexicographically smallest `size`-subset of range(n) inside a
-    solution: each vertex in order is kept if some solution holds it and the
-    vertices kept so far. `witness` masks one solution holding those, so a
-    vertex in it is kept unsearched; `fits(trial)` returns the mask of a
-    solution holding `trial`, or None."""
-    chosen: list[int] = []
-    for v in range(n):
-        if len(chosen) == size:
-            break
-        found = witness if witness >> v & 1 else fits(chosen + [v])
-        if found is not None:
-            witness = found
-            chosen.append(v)
-    return chosen
 
 
 def _strong_components(g: Digraph, low: int) -> list[list[int]]:

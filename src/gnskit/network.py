@@ -3,8 +3,9 @@
 Covers the ".mun" text format, unit-capacity max-flow mincuts, the cyclic
 closure (destinations feeding back into their sources' tail-less links) and
 its reversed line graph, the staging transform that turns source links into
-cuttable regular links, and exact GNS cut search with a polynomial-time
-certificate checker.
+cuttable regular links, and the exact GNS cut, a minimum feedback set of
+the closing line graph that `bounds.min_fvs_exact` finds, with a
+polynomial-time certificate checker.
 
 Link ids are dense integers: regular links first in declaration order, then
 synthesized source links grouped by pair. The staging transform preserves
@@ -21,7 +22,6 @@ from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
 from .digraph import Digraph, _find_cycle, _residual_cycle
-from .digraph import _largest_acyclic, _lexmin, _max_acyclic, _search_order
 from .errors import CapacityError, ContractViolation, FormatError
 
 
@@ -417,12 +417,14 @@ def is_gns_cut(net: MUNetwork, cut: Iterable[int]) -> GnsCertificate | GnsRefusa
 def min_gns_cut_exact(
     net: MUNetwork, cuttable_cap: int = DEFAULT_CAPS.mais_vertices
 ) -> GnsCertificate:
-    """Smallest GNS cut, ties to the lexicographically smallest id set. With
-    one closing link t_i -> s_i per pair, a cycle through closing links is a
-    cycle or loop of `_gns_verdict`'s pair digraph and back, so the cut is
-    the lexmin minimum feedback set, over the regular links (ids 0..r-1), of
-    the line graph of the regular and the kept closing links (r..r+k-1): the
-    acyclic-set search of the index graph, exponential only in r."""
+    """A smallest GNS cut. With one closing link t_i -> s_i per pair, a
+    cycle through closing links is a cycle or loop of `_gns_verdict`'s pair
+    digraph and back, so the cut is a minimum feedback vertex set, over the
+    regular links (ids 0..r-1), of the line graph of the regular and the
+    never-cut closing links (r..r+k-1): `bounds.min_fvs_exact` with the
+    closing links required, exponential only in r."""
+    from .bounds import min_fvs_exact  # bounds imports this module
+
     index, out, _ = net._graph
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     ends = [(index[e.tail], index[e.head]) for e in net.links if e.tail is not None]
@@ -433,23 +435,14 @@ def min_gns_cut_exact(
             f"{cuttable_cap}; use the subset feedback-edge-set approximation"
         )
     ends += [(t, s) for s, t in pair_idx]  # the closing links
-    leave, enter = [0] * len(index), [0] * len(index)  # line-graph vertices by tail, by head
-    for i, (tail, head) in enumerate(ends):
-        leave[tail] |= 1 << i
-        enter[head] |= 1 << i
-    succ, pred = [leave[head] for _, head in ends], [enter[tail] for tail, _ in ends]
-    closing = range(r, len(ends))
-    order = [v for v in _search_order(succ, pred) if v < r]
-    size, acyclic = _largest_acyclic(succ, pred, order, closing)
-    if size < 0:
-        raise ContractViolation("no GNS cut found even after cutting every link")
-
-    def fits(trial: list[int]) -> int | None:  # a cut's mask is its bits below r
-        cand = [v for v in order if v not in trial]
-        found, members = _max_acyclic(succ, pred, cand, closing, size)
-        return ~members if found >= size else None
-
-    cut = frozenset(_lexmin(r, len(ends) - size, fits, ~acyclic))
+    leave: list[list[int]] = [[] for _ in index]  # line-graph vertices by tail
+    for i, (tail, _) in enumerate(ends):
+        leave[tail].append(i)
+    line = Digraph(len(ends), [(i, j) for i, (_, head) in enumerate(ends) for j in leave[head]])
+    try:
+        cut = min_fvs_exact(line, cuttable_cap, required=frozenset(range(r, len(ends))))
+    except ContractViolation:  # the closing links alone close a cycle
+        raise ContractViolation("no GNS cut found even after cutting every link") from None
     perm, _ = _gns_verdict(out, pair_idx, cut)
     if perm is None:
         raise ContractViolation("the minimum feedback cut failed the GNS check")

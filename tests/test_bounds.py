@@ -38,7 +38,7 @@ import gnskit.network
 from gnskit.bounds import (
     _mais_size,
     _mis_size,
-    alpha_exact,
+    _neighbour_masks,
     mais_exact,
     min_fvs_exact,
     shannon_capacity_lb,
@@ -88,9 +88,10 @@ class TestMaisExact:
         assert mais_exact(g) == (5, frozenset(range(5)))
 
     def test_three_cycle(self):
-        size, cert = mais_exact(directed_cycle(3))
-        assert size == 2
-        assert cert == frozenset({0, 1})  # lexicographically smallest
+        g = directed_cycle(3)
+        size, cert = mais_exact(g)
+        assert size == len(cert) == oracle_mais(g) == 2
+        assert is_feedback_set(g, frozenset(range(3)) - cert)
 
     def test_bidirected_k22(self):
         g, _ = __import__("gnskit").to_index_graph(parse_network(PARALLEL_LINKS))
@@ -101,6 +102,7 @@ class TestMaisExact:
         g = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (1, 4)])
         size, cert = mais_exact(g)
         assert len(cert) == size == oracle_mais(g)
+        assert is_feedback_set(g, frozenset(range(6)) - cert)
 
     def test_cap(self):
         with pytest.raises(CapacityError):
@@ -109,29 +111,45 @@ class TestMaisExact:
     @settings(max_examples=50, deadline=None)
     @given(random_graphs(max_n=6))
     def test_matches_subset_oracle(self, g):
-        assert mais_exact(g)[0] == oracle_mais(g)
+        size, cert = mais_exact(g)
+        assert size == oracle_mais(g)
+        assert is_feedback_set(g, frozenset(range(g.n)) - cert)
+
+
+def alpha(g):
+    """The independence number of g, as `shannon_capacity_lb(g, 1)` reports
+    it, with the maximum independent set `_mis_size` finds."""
+    size, members = _mis_size(_neighbour_masks(g), (1 << g.n) - 1)
+    assert shannon_capacity_lb(g, 1).radicand == size
+    return size, frozenset(v for v in range(g.n) if members >> v & 1)
+
+
+def is_independent(g, members):
+    return all((u, v) not in g.edges for u in members for v in members)
 
 
 class TestAlphaExact:
     def test_empty_graph(self):
-        assert alpha_exact(Digraph(6)) == (6, frozenset(range(6)))
+        assert alpha(Digraph(6)) == (6, frozenset(range(6)))
 
     def test_c5(self):
-        size, cert = alpha_exact(symmetric_cycle(5))
-        assert size == 2
-        assert cert == frozenset({0, 2})
+        g = symmetric_cycle(5)
+        size, cert = alpha(g)
+        assert size == len(cert) == 2
+        assert is_independent(g, cert)
 
     def test_c5_square(self):
         p = strong_product(symmetric_cycle(5), symmetric_cycle(5))
-        assert alpha_exact(p)[0] == 5 == oracle_alpha(p)
+        assert alpha(p)[0] == 5 == oracle_alpha(p)
 
     def test_matches_the_search_without_witnesses(self):
         c5, c6 = symmetric_cycle(5), symmetric_cycle(6)
         graphs = [strong_product(c5, c5), strong_product(c5, c6)]
         graphs += [random_digraph(30, (0.1, 0.15, 0.2)[s % 3], s) for s in range(1, 16)]
         for g in graphs:
-            size, cert = alpha_exact(g)
-            assert (size, cert) == reference_alpha_exact(g)
+            size, cert = alpha(g)
+            assert size == len(cert) == reference_alpha_exact(g)[0]
+            assert is_independent(g, cert)
             # the probes' contract: a target is decided, and a set found is
             # an independent set of at least that size
             adj = [sum(1 << w for w in set(g._out[v]) | set(g._in[v])) for v in range(g.n)]
@@ -146,11 +164,9 @@ class TestAlphaExact:
     @settings(max_examples=50, deadline=None)
     @given(random_graphs(max_n=6))
     def test_matches_clique_oracle(self, g):
-        size, cert = alpha_exact(g)
-        assert size == oracle_alpha(g)
-        assert all(
-            (u, v) not in g.edges for u in cert for v in cert if u != v
-        )
+        size, cert = alpha(g)
+        assert size == len(cert) == oracle_alpha(g)
+        assert is_independent(g, cert)
 
 
 class TestMinFvsExact:
@@ -237,6 +253,36 @@ class TestMinFvsExact:
         self.check(g, fvs)
         for upper in (fvs, frozenset(range(g.n))):
             self.check(g, min_fvs_exact(g, upper=upper))
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graphs(max_n=9, p=0.4), st.data())
+    def test_required_vertices_are_never_cut(self, g, data):
+        # the largest acyclic superset of `required` is the reference's; the
+        # cap counts only the other vertices, and within it a cyclic
+        # `required` is refused
+        kept = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        required = frozenset(v for v in range(g.n) if kept[v])
+        cuttable = [v for v in search_order(g) if v not in required]
+        most = reference_max_acyclic(g._out, cuttable, sorted(required))
+        cap = data.draw(st.integers(0, g.n))
+        if len(cuttable) > cap:
+            with pytest.raises(CapacityError, match=f"{len(cuttable)} vertices exceed"):
+                min_fvs_exact(g, cap, required=required)
+            return
+        if most < 0:
+            with pytest.raises(ContractViolation, match="hold a cycle"):
+                min_fvs_exact(g, cap, required=required)
+            return
+        fvs = min_fvs_exact(g, cap, required=required)
+        assert len(fvs) == g.n - most
+        assert is_feedback_set(g, fvs)
+        assert not fvs & required
+        # from every cuttable vertex the search finds the same size; an
+        # upper set that cuts a required vertex is refused
+        assert len(min_fvs_exact(g, cap, frozenset(cuttable), required)) == len(fvs)
+        if required:
+            with pytest.raises(ContractViolation, match="outside the required vertices"):
+                min_fvs_exact(g, cap, frozenset(range(g.n)), required)
 
 
 class TestProbeDown:
@@ -420,13 +466,13 @@ class TestProductBlowupIdentities:
     @given(random_graphs(max_n=5), st.integers(1, 3))
     def test_blowup_scaling(self, g, k):
         b = blowup(g, k)
-        assert alpha_exact(b)[0] == k * alpha_exact(g)[0]
+        assert alpha(b)[0] == k * alpha(g)[0]
         assert mais_exact(b, vertex_cap=15)[0] == k * mais_exact(g)[0]
 
     @settings(max_examples=40, deadline=None)
     @given(random_graphs(max_n=5))
     def test_alpha_le_mais_le_n(self, g):
-        a = alpha_exact(g)[0]
+        a = alpha(g)[0]
         m = mais_exact(g)[0]
         assert a <= m <= g.n
 
@@ -434,7 +480,7 @@ class TestProductBlowupIdentities:
     @given(random_graphs(max_n=5))
     def test_diagonal_independent_in_complement_product(self, g):
         p = strong_product(g, complement(g))
-        assert alpha_exact(p)[0] >= g.n
+        assert alpha(p)[0] >= g.n
 
 
 # reports with every section, skipped components, empty sets and fractions
@@ -938,7 +984,7 @@ class TestLpSandwich:
             return spy
 
         for module in (gnskit.digraph, gnskit.bounds, gnskit.network):
-            for name in ("_max_acyclic", "_lexmin"):
+            for name in ("_largest_acyclic", "_max_acyclic"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refused(name))
         # m = 25 and 116, past the default mais_vertices=22
@@ -1071,11 +1117,10 @@ class TestWeakDuality:
         assert packing.value <= g.n - mais_exact(g)[0]
 
 
-class TestCertificateTieBreaking:
-    """The mais and alpha certificates are the lexicographically smallest
-    optimal sets, checked against first-hit subset scans in combination
-    order; the minimum FVS is any minimum set, checked against the same
-    scan's size."""
+class TestCertificatesAreOptimal:
+    """The mais, alpha and minimum FVS certificates are optimal sets, of the
+    size of a first-hit subset scan in combination order; no tie among
+    optimal sets is broken."""
 
     @staticmethod
     def _induced_acyclic(g, sub):
@@ -1088,16 +1133,18 @@ class TestCertificateTieBreaking:
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=6))
-    def test_mais_certificate_is_lex_smallest(self, g):
+    def test_mais_certificate_is_maximum(self, g):
         from itertools import combinations
 
         size, cert = mais_exact(g)
         first = next(
             sub
-            for sub in combinations(range(g.n), size)
+            for most in range(g.n, -1, -1)
+            for sub in combinations(range(g.n), most)
             if self._induced_acyclic(g, set(sub))
         )
-        assert tuple(sorted(cert)) == first
+        assert len(cert) == size == len(first)
+        assert self._induced_acyclic(g, cert)
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=6))
@@ -1116,34 +1163,19 @@ class TestCertificateTieBreaking:
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=6))
-    def test_alpha_certificate_is_lex_smallest(self, g):
+    def test_alpha_certificate_is_maximum(self, g):
         from itertools import combinations
 
-        size, cert = alpha_exact(g)
+        size, cert = alpha(g)
         und = {frozenset(e) for e in g.edges}
         first = next(
             sub
-            for sub in combinations(range(g.n), size)
+            for most in range(g.n, -1, -1)
+            for sub in combinations(range(g.n), most)
             if all(frozenset((u, v)) not in und for u in sub for v in sub if u < v)
         )
-        assert tuple(sorted(cert)) == first
-
-
-def _reference_lexmin(g, size):
-    """The lexmin mais certificate loop driven by the reference search: keep
-    each vertex in order if an acyclic set of `size` still holds the
-    vertices so far."""
-    order = search_order(g)
-    target = reference_max_acyclic(g._out, order)
-    chosen = []
-    for v in range(g.n):
-        if len(chosen) == size:
-            break
-        trial = chosen + [v]
-        cand = [c for c in order if c not in trial]
-        if reference_max_acyclic(g._out, cand, trial, target=target) >= target:
-            chosen.append(v)
-    return frozenset(chosen)
+        assert len(cert) == size == len(first)
+        assert is_independent(g, cert)
 
 
 class TestSearchMatchesReference:
@@ -1161,8 +1193,8 @@ class TestSearchMatchesReference:
         for g in self._graphs():
             assert 18 <= g.n <= 27
             size = reference_max_acyclic(g._out, search_order(g))
-            assert mais_exact(g, 64) == (size, _reference_lexmin(g, size))
             fvs = min_fvs_exact(g, 64)
+            assert mais_exact(g, 64) == (size, frozenset(range(g.n)) - fvs)
             assert len(fvs) == g.n - size
             assert is_feedback_set(g, fvs)
 
@@ -1190,8 +1222,8 @@ class TestSearchMatchesReference:
     @given(random_graphs(max_n=7))
     def test_small_graphs(self, g):
         size = reference_max_acyclic(g._out, search_order(g))
-        assert mais_exact(g) == (size, _reference_lexmin(g, size))
         fvs = min_fvs_exact(g)
+        assert mais_exact(g) == (size, frozenset(range(g.n)) - fvs)
         assert len(fvs) == g.n - size
         assert is_feedback_set(g, fvs)
 
@@ -1286,7 +1318,7 @@ class TestDeepInputs:
         fvs = min_fvs_exact(g, DEEP)
         assert len(fvs) == 1
         assert is_feedback_set(g, fvs)
-        assert mais_exact(g, DEEP) == (DEEP - 1, frozenset(range(DEEP - 1)))
+        assert mais_exact(g, DEEP) == (DEEP - 1, frozenset(range(DEEP)) - fvs)
 
     def test_independence_of_a_clique(self):
         # every search node branches: the include side ends at once, the

@@ -1,13 +1,16 @@
 """Command-line contract: exit codes, formats, determinism."""
 
+import contextlib
 import errno
 import functools
 import io
 import os
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gnskit import (
     cli,
@@ -15,7 +18,9 @@ from gnskit import (
     parse_digraph,
     parse_network,
     parse_report,
+    random_dag_network,
     serialize_network,
+    tilde_transform,
 )
 from gnskit.cli import main
 
@@ -25,6 +30,7 @@ from helpers import (
     SHARED_BOTTLENECK,
     SINGLE_PATH,
     TWO_DISJOINT,
+    oracle_min_gns_size,
     run_cli,
     symmetric_cycle,
 )
@@ -182,6 +188,35 @@ class TestGnscut:
     def test_exact_tilde_parallel(self, parallel, capsys):
         assert main(["gnscut", parallel, "--tilde", "--exact"]) == 0
         assert "size: 2" in capsys.readouterr().out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 4), st.integers(1, 3), st.integers(0, 2**16),
+           st.booleans())
+    def test_exact_cut_is_minimum_and_verifies(self, nodes, extra, pairs, seed, tilde):
+        try:
+            net = random_dag_network(nodes, nodes - 1 + extra, min(pairs, nodes // 2), seed=seed)
+        except ValueError:  # no pair of distinct endpoints is connected
+            assume(False)
+        target = tilde_transform(net) if tilde else net
+        assume(len(target.regular_links()) <= 12)
+        flag = ["--tilde"] if tilde else []
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                return main(list(argv)), out.getvalue()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.mun")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(serialize_network(net))
+            code, out = run("gnscut", path, "--exact", *flag)
+            assert code == 0
+            lines = dict(line.split(":", 1) for line in out.splitlines()[1:])
+            cut = lines["cut"].split()
+            assert int(lines["size"]) == len(cut) == oracle_min_gns_size(target)
+            code, out = run("verify", "gnscut", "--network", path, "--cut", ",".join(cut), *flag)
+            assert code == 0 and "ok: true" in out
 
     def test_approx_always_verified(self, parallel, capsys):
         assert main(["gnscut", parallel, "--approx"]) == 0

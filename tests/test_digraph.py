@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gnskit import (
     CapacityError,
+    ContractViolation,
     Digraph,
     FormatError,
     blowup,
@@ -21,7 +22,7 @@ from gnskit import (
     verify_product_blowup_embedding,
 )
 import gnskit.digraph as digraph_mod
-from gnskit.bounds import alpha_exact, mais_exact
+from gnskit.bounds import mais_exact, min_fvs_exact, shannon_capacity_lb
 from gnskit.digraph import (
     _acyclic,
     _disjoint_cycles,
@@ -101,7 +102,7 @@ class TestStrongProduct:
         p = strong_product(c5, c5)
         expected = oracle_alpha(p)
         assert expected == 5
-        assert alpha_exact(p)[0] == 5
+        assert shannon_capacity_lb(p, 1).radicand == 5
 
     def test_size_law(self):
         g = directed_cycle(3)
@@ -147,7 +148,7 @@ class TestBlowup:
         b = blowup(symmetric_cycle(5), 2)
         expected = oracle_alpha(b)
         assert expected == 4
-        assert alpha_exact(b)[0] == 4
+        assert shannon_capacity_lb(b, 1).radicand == 4
 
     @settings(max_examples=30, deadline=None)
     @given(random_graphs(max_n=4), st.integers(1, 3))
@@ -416,10 +417,11 @@ class TestAcyclicPeel:
 
 
 class TestWitnessEndsTheProbes:
-    """`_largest_acyclic` with a witness mask: the size and a witnessing
-    set are those of the search without it, whatever the mask. The probes
-    go up from a valid nonempty witness, and down from the ceiling without
-    one."""
+    """`_largest_acyclic` with a witness mask, an acyclic superset of the
+    required vertices: the size and a witnessing set are those of the
+    search without it. The probes go up from a nonempty witness, and down
+    from the ceiling without one. `min_fvs_exact` checks the witness, as the
+    complement of its `upper` set, and refuses any other mask."""
 
     @settings(max_examples=300, deadline=None)
     @given(random_graphs(max_n=8, p=0.4), st.data())
@@ -431,23 +433,40 @@ class TestWitnessEndsTheProbes:
         size = reference_max_acyclic(g._out, cand, required)
         full, fixed = (1 << g.n) - 1, sum(1 << v for v in required)
         _, best = _max_acyclic(out, inn, cand, required)  # a maximum set, if any
+        if size < 0:
+            assert _largest_acyclic(out, inn, cand, required)[0] == -1
         drop = data.draw(st.integers(0, full))
-        witnesses = {
-            "maximum": best,
-            "smaller": best & ~(drop & ~fixed),
-            "missing a required vertex": best & ~(fixed & -fixed),
-            "any": data.draw(st.integers(0, full)),  # often cyclic
-            "cyclic": full,
-            "out of range": best | 1 << g.n,
-            "negative": -1,
+
+        def upper(mask):  # the vertices a witness mask leaves out
+            return frozenset(v for v in range(g.n) if not mask >> v & 1)
+
+        uppers = {
+            "maximum": upper(best),
+            "smaller": upper(best & ~(drop & ~fixed)),
+            "missing a required vertex": upper(best & ~(fixed & -fixed)),
+            "any": upper(data.draw(st.integers(0, full))),  # often cyclic
+            "cyclic": frozenset(),  # the whole graph, when it has a cycle
+            "out of range": upper(best) | {g.n},
+            "negative": upper(best) | {-1},
         }
-        for kind, witness in witnesses.items():
+        for kind, fvs in uppers.items():
+            rest = set(range(g.n)) - fvs
+            if not (
+                fvs <= set(range(g.n))
+                and not fvs & set(required)
+                and nx.is_directed_acyclic_graph(to_nx(g).subgraph(rest))
+            ):
+                with pytest.raises(ContractViolation):
+                    min_fvs_exact(g, g.n, fvs, frozenset(required))
+                continue
+            assert kind not in ("out of range", "negative")
+            witness = full & ~sum(1 << v for v in fvs)
             found, mask = _largest_acyclic(out, inn, cand, required, witness)
             assert found == size, kind
-            if size >= 0:
-                members = [v for v in range(g.n) if mask >> v & 1]
-                assert len(members) == size and not fixed & ~mask, kind
-                assert nx.is_directed_acyclic_graph(to_nx(g).subgraph(members)), kind
+            members = [v for v in range(g.n) if mask >> v & 1]
+            assert len(members) == size and not fixed & ~mask, kind
+            assert nx.is_directed_acyclic_graph(to_nx(g).subgraph(members)), kind
+            assert len(min_fvs_exact(g, g.n, fvs, frozenset(required))) == g.n - size, kind
 
     def test_a_witness_as_large_as_the_bound_runs_no_probe(self, monkeypatch):
         # one disjoint cycle in a 5-cycle: the bound 4 is the witness's size
@@ -461,10 +480,12 @@ class TestWitnessEndsTheProbes:
         order = list(range(5))
         assert _largest_acyclic(out, inn, order, (), 0b01111) == (4, 0b01111)
         assert probes == []
-        # a smaller or cyclic witness leaves the probe to find the set
+        # a smaller witness leaves the probe to find the set; a cyclic one
+        # is refused before any probe
         assert _largest_acyclic(out, inn, order, (), 0b00111)[0] == 4
-        assert _largest_acyclic(out, inn, order, (), 0b11111)[0] == 4
-        assert len(probes) == 2
+        with pytest.raises(ContractViolation):
+            min_fvs_exact(g, 5, upper=frozenset())
+        assert len(probes) == 1
 
     def test_probes_go_up_from_a_witness_and_down_without_one(self, monkeypatch):
         # a bidirected K5 beside four isolated vertices: mais 5, and the two
@@ -477,10 +498,15 @@ class TestWitnessEndsTheProbes:
         monkeypatch.setattr(
             digraph_mod, "_max_acyclic", lambda *args: targets.append(args[4]) or real(*args)
         )
-        for witness, probed in ((0b1, [2, 3, 4, 5, 6]), (0, [7, 6, 5]), (0b11, [7, 6, 5])):
+        for witness, probed in ((0b1, [2, 3, 4, 5, 6]), (0, [7, 6, 5])):
             targets.clear()
             assert _largest_acyclic(out, inn, order, (), witness)[0] == 5
             assert targets == probed
+        # the cyclic witness {0, 1} is refused before any probe
+        targets.clear()
+        with pytest.raises(ContractViolation):
+            min_fvs_exact(g, 9, upper=frozenset(range(2, 9)))
+        assert targets == []
 
 
 class TestEmbedding:

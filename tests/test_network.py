@@ -375,9 +375,10 @@ class TestMinGnsCutExact:
             "network\nnode s\nnode a\nnode b\nnode t\n"
             "link s a\nlink a b\nlink b t\npair s t\n"
         )
-        cert = min_gns_cut_exact(parse_network(text))
-        assert len(cert.cut) == 1
-        assert cert.cut == frozenset({0})  # lexicographically first path edge
+        net = parse_network(text)
+        cert = min_gns_cut_exact(net)
+        assert len(cert.cut) == oracle_min_gns_size(net) == 1
+        assert is_gns_cut(net, cert.cut) == cert
 
     def test_cap_names_approximation(self):
         import pytest as _pytest
@@ -398,9 +399,12 @@ class TestMinGnsCutExact:
         assert oracle_min_gns_size(tilde_transform(net)) == 2
         assert len(cert.cut) == net.m - mais_exact(g)[0] == 2
 
-    def test_deterministic_tie_break(self):
-        cert = min_gns_cut_exact(tilde_transform(parse_network(PARALLEL_LINKS)))
-        assert sorted(cert.cut) == [0, 1]
+    def test_the_same_cut_on_every_call(self):
+        # no tie among minimum cuts is broken, but the search is deterministic
+        staged = tilde_transform(parse_network(PARALLEL_LINKS))
+        cert = min_gns_cut_exact(staged)
+        assert cert == min_gns_cut_exact(tilde_transform(parse_network(PARALLEL_LINKS)))
+        assert is_gns_cut(staged, cert.cut) == cert
 
     def test_matches_brute_force_on_corpus(self):
         for net in corpus(6):
@@ -409,7 +413,9 @@ class TestMinGnsCutExact:
     @settings(max_examples=200, deadline=None)
     @given(small_networks())
     def test_matches_the_reference_search(self, net):
-        assert min_gns_cut_exact(net) == reference_min_gns_cut_exact(net)
+        cert = min_gns_cut_exact(net)
+        assert len(cert.cut) == len(reference_min_gns_cut_exact(net).cut)
+        assert is_gns_cut(net, cert.cut) == cert
 
     @settings(max_examples=300, deadline=None)
     @given(dag_networks(), st.booleans())
@@ -432,7 +438,33 @@ class TestMinGnsCutExact:
             with pytest.raises(ContractViolation, match="no GNS cut"):
                 min_gns_cut_exact(net)
         else:
-            assert min_gns_cut_exact(net) == expected
+            cert = min_gns_cut_exact(net)
+            assert len(cert.cut) == len(expected.cut)
+            assert is_gns_cut(net, cert.cut) == cert
+
+    @settings(max_examples=150, deadline=None)
+    @given(dag_networks(), st.data())
+    def test_an_unreachable_pair_beside_its_reverse(self, net, data):
+        # with (t, s) beside (s, t), one of the two pairs is unreachable in
+        # a DAG, and their closing links close a 2-cycle that no cut of
+        # regular links breaks; staged, each closing link enters a fresh
+        # staging node, and a minimum cut is found
+        s, t = net.pairs[data.draw(st.integers(0, net.k - 1))]
+        assume(all(t != source and s != dest for source, dest in net.pairs))
+        net = build_network(
+            net.nodes,
+            [(e.tail, e.head) for e in net.regular_links()],
+            [*net.pairs, (t, s)],
+            require_reachable=False,
+        )
+        assert 0 in (mincut(net, s, t), mincut(net, t, s))
+        with pytest.raises(ContractViolation, match="no GNS cut"):
+            min_gns_cut_exact(net)
+        staged = tilde_transform(net)
+        assume(len(staged.regular_links()) <= 14)
+        cert = min_gns_cut_exact(staged)
+        assert len(cert.cut) == len(reference_min_gns_cut_exact(staged).cut)
+        assert is_gns_cut(staged, cert.cut) == cert
 
     def test_the_report_fvs_is_the_staged_cut(self):
         # a minimum FVS of the index graph, certified on the staged network,
