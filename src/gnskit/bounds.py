@@ -241,8 +241,9 @@ def bound_report(
     cut are skipped. The report asserts approx_weight >= ceil(rcp), peels the
     approximate set once (itself where the sandwich closes, through
     `min_fvs_exact`'s check of `upper` on a gap), and checks a searched
-    `fvs` once: one peel, and |fvs| >= ceil(rcp). mais and the GNS cut come
-    from `fvs`, and the q=1 radicand is mais, as tensor_power(g, 1) is g.
+    `fvs` other than that set once: one peel, and |fvs| >= ceil(rcp). mais
+    and the GNS cut come from `fvs`, and the q=1 radicand is mais, as
+    tensor_power(g, 1) is g.
     """
     # a nan or infinite constant would switch the regression check off
     if not 0 < ratio_constant < math.inf:
@@ -275,7 +276,7 @@ def bound_report(
     else:  # a gap: only the search proves a minimum, which must meet the packing
         # min_fvs_exact checks approx_fvs before its cap can refuse the search
         fvs = attempt("mais", lambda: min_fvs_exact(g, caps.mais_vertices, upper=approx_fvs))
-        if fvs is not None:
+        if fvs is not None and fvs != approx_fvs:  # approx_fvs was peeled, and exceeds lower
             _check_fvs(g, fvs, lower)
     mais_value = None if fvs is None else m - len(fvs)  # one vertex per link
     gns = None

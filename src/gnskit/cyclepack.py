@@ -73,17 +73,15 @@ class _Tableau:
     ints over one common denominator d, the previous pivot element (d =
     |det| of the current basis, starting at 1), so every row update
     (p*x - f*y) // d divides exactly. Bland's rule for both the entering
-    column and ratio ties, so the optimum (and the returned vertex) is
-    deterministic and cycling is impossible.
+    column and ratio ties, so cycling is impossible.
 
-    Each `add` returns what a cold run on all columns so far returns, new
-    columns numbered after the old ones and before the slacks. They change
-    no other reduced cost or ratio, so that run repeats the last one's
-    pivots until a new column prices negative, which only happens where the
-    last run entered a slack, or at its end. So the state before each slack
-    entry is kept, and `add` resumes from the first one where a new column
-    prices negative, else from the end; as the slack block is d times the
-    basis inverse, a column joins a state as its entries' sum of slack columns.
+    Each `add` runs on from the last optimal basis, new columns numbered
+    after the old ones and before the slacks. The right-hand side never
+    changes, so that basis stays primal feasible, and the result is an
+    optimum over all columns so far, though not always the vertex a cold
+    run would reach. As the slack block is d times the basis inverse, a new
+    column joins as its entries' sum of slack columns; at the slack basis
+    (d = 1) that is the column itself.
     """
 
     def __init__(self, rhs: Sequence[int]):
@@ -92,8 +90,6 @@ class _Tableau:
         for r, row in enumerate(self.tableau):
             row[r] = 1
         self.cost, self.basis, self.d = [0] * (len(rhs) + 1), list(range(len(rhs))), 1
-        self.columns: list[tuple[Sequence[tuple[int, int]], int]] = []  # (entries, objective)
-        self.saved: list[tuple[list[list[int]], list[int], list[int], int]] = []
 
     def add(
         self, columns: Iterable[Sequence[tuple[int, int]]], objective: Iterable[int]
@@ -101,23 +97,10 @@ class _Tableau:
         """Add columns as (row, entry) pairs with their objective entries and
         solve: (value, primal x, dual y) as ints over the final d, then d > 0;
         the duals are the reduced costs of the slack columns."""
-        m = len(self.tableau)
-        self.columns += zip(columns, objective)
-        for k, (_, cost, _, d) in enumerate(self.saved):
-            new = self.columns[len(cost) - m - 1 :]
-            if any(sum(a * cost[i] for i, a in col) < d * c for col, c in new):
-                self.tableau, self.cost, self.basis, self.d = self.saved[k]
-                del self.saved[k:]
-                break
         tableau, cost, basis, d = self.tableau, self.cost, self.basis, self.d
-        new = self.columns[len(cost) - m - 1 :]
-        if len(cost) == m + 1:  # the slack basis: a column's entries are its own
-            self.tableau = tableau = [row + [0] * len(new) for row in tableau]
-            for j, (col, _) in enumerate(new, m + 1):
-                for i, a in col:
-                    tableau[i][j] = a
-            self.cost = cost = cost + [-c for _, c in new]
-        elif new:
+        m = len(tableau)
+        new = list(zip(columns, objective))
+        if new:
             at = {b: r for r, b in enumerate(basis) if b < m}  # basic slack -> its row
             block = []
             for col, _ in new:
@@ -129,15 +112,16 @@ class _Tableau:
                         for r, row in enumerate(tableau):
                             entries[r] += a * row[i]
                 block.append(entries)
-            self.tableau = tableau = [[*row, *e] for row, e in zip(tableau, zip(*block))]
-            self.cost = cost = cost + [sum(a * cost[i] for i, a in col) - d * c for col, c in new]
-        order = [*range(m + 1, len(cost)), *range(m)]  # the cold run's column order
+            for row, e in zip(tableau, zip(*block)):
+                row += e
+            cost += [sum(a * cost[i] for i, a in col) - d * c for col, c in new]
+        order = [*range(m + 1, len(cost)), *range(m)]  # Bland's order: structurals, then slacks
 
         while True:
             enter = next((j for j in order if cost[j] < 0), -1)
             if enter < 0:
                 break
-            # ratio test b_i/a_i by cross-multiplication, ties to the cold run's order
+            # ratio test b_i/a_i by cross-multiplication, ties in Bland's order
             leave = -1
             for i in range(m):
                 a = tableau[i][enter]
@@ -153,24 +137,21 @@ class _Tableau:
                         leave, best_b, best_a = i, b, a
             if leave < 0:
                 raise ContractViolation("unbounded packing LP; constraints are malformed")
-            if enter < m:
-                self.saved.append((list(tableau), cost, list(basis), d))
             pivot_row = tableau[leave]
             p = pivot_row[enter]
             # every other row, the cost row too, becomes (p*x - f*y) // d, which
-            # is p*x // d where y == 0: a copy (p == d) or rescale, patched on the
-            # pivot row's support. Rows are replaced, never changed: saves share them
+            # is p*x // d where y == 0: a rescale (none if p == d), patched on the
+            # pivot row's support
             support = [(j, y) for j, y in enumerate(pivot_row) if y]
-            rows = [*tableau, cost]
-            for i, row in enumerate(rows):
+            for row in (*tableau, cost):
                 f = row[enter]
-                if i != leave and (f or p != d):
-                    rows[i] = new = row[:] if p == d else [p * x // d for x in row]
-                    if f:
-                        for j, y in support:
-                            new[j] = (p * row[j] - f * y) // d
-            self.cost = cost = rows.pop()
-            tableau[:] = rows
+                if row is pivot_row or not f and p == d:
+                    continue
+                patch = [(j, (p * row[j] - f * y) // d) for j, y in support] if f else ()
+                if p != d:
+                    row[:] = [p * x // d for x in row]
+                for j, v in patch:
+                    row[j] = v
             basis[leave] = enter
             self.d = d = p
 

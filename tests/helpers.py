@@ -799,9 +799,12 @@ def reference_minimal_cut(pairs, cut_pairs: set) -> set:
 def reference_subset_fes_approx(
     net: MUNetwork,
     iteration_cap: int = DEFAULT_CAPS.spreading_iterations,
+    metric: SpreadingMetric | None = None,
 ) -> ApproxFes:
     """Feedback edge set of the network closure by region growing on the
-    spreading metric, always re-verified.
+    spreading metric, always re-verified. The metric is `metric` if given
+    (say, the one `gnskit` solved, so that the growing and the minimality
+    pass are compared on one metric), else the reference cutting plane's.
 
     Every cycle of the closure passes through a source node (regular links
     are acyclic and closure links end at sources), so terminals are
@@ -823,7 +826,8 @@ def reference_subset_fes_approx(
     """
     closed = closure_links(net)
     terminals = sorted({s for s, _ in net.pairs})
-    metric = reference_solve_spreading_metric(closed, terminals, iteration_cap)
+    if metric is None:
+        metric = reference_solve_spreading_metric(closed, terminals, iteration_cap)
     grouped = _group_pairs(closed)
     by_id = metric.as_dict()
     lengths = {key: by_id[ids[0]] for key, ids in grouped.items()}

@@ -107,9 +107,11 @@ class TestSimplexMatchesReference:
         ) == expected
 
     def test_rcp_and_spreading_metric_on_networks(self, monkeypatch):
-        # the metric keeps one tableau across its pricing rounds, so it is
-        # compared with the cutting plane of `tests/helpers.py`, which solves
-        # every round from scratch, here on the Fraction tableau
+        # rcp is one batch, so it is compared exactly with the Fraction
+        # tableau. The metric keeps one tableau across its pricing rounds and
+        # may end at another optimal vertex than the cutting plane of
+        # `tests/helpers.py`, which solves every round from scratch (here on
+        # the Fraction tableau), so it is compared as an optimum
         nets = [random_dag_network(7, 12, 3, seed=seed) for seed in range(1, 11)]
 
         def solve_all(solve_metric):
@@ -123,7 +125,10 @@ class TestSimplexMatchesReference:
         fraction_free = solve_all(solve_spreading_metric)
         monkeypatch.setattr(cyclepack, "_simplex_max", reference_on_ints)
         monkeypatch.setattr(helpers, "_simplex_max", reference_on_ints)
-        assert solve_all(reference_solve_spreading_metric) == fraction_free
+        reference = solve_all(reference_solve_spreading_metric)
+        for net, (rcp, metric), (ref_rcp, ref_metric) in zip(nets, fraction_free, reference):
+            assert rcp == ref_rcp
+            check_optimal_metric(closure_links(net), [s for s, _ in net.pairs], metric, ref_metric)
 
 
 class TestPivotOffTheDenominator:
@@ -147,7 +152,7 @@ class TestTableauBatches:
     @settings(max_examples=400, deadline=None)
     @given(integer_lps(), st.lists(st.integers(0, 5), max_size=4))
     @example(RESUMED_LP, [3])
-    def test_each_batch_matches_a_cold_run(self, lp, cuts):
+    def test_each_batch_is_an_optimum_over_its_columns(self, lp, cuts):
         n, rows, rhs, objective = lp
         tableau, start = _Tableau(rhs), 0
         for stop in sorted([*(min(cut, n) for cut in cuts), n]):  # empty batches too
@@ -156,7 +161,7 @@ class TestTableauBatches:
                 objective[start:stop],
             )
             so_far = (stop, [row[:stop] for row in rows], rhs, objective[:stop])
-            start = stop
+            first, start = start == 0, stop
             try:
                 expected = reference_on_ints(*so_far)
             except ContractViolation:
@@ -165,12 +170,20 @@ class TestTableauBatches:
                         solve()
                 return
             value, x, duals, d = result = tableau.add(*batch)
-            assert result == _simplex_core(*so_far)
-            assert Fraction(value, d) == expected[0]
-            assert [Fraction(v, d) for v in x] == expected[1]
-            assert [Fraction(y, d) for y in duals] == expected[2]
+            if first:  # from the slack basis, a batch is a cold run
+                assert result == _simplex_core(*so_far)
+            assert d > 0 and Fraction(value, d) == expected[0]
+            # (x, duals) over d certify the optimum: both feasible, equal values
+            assert len(x) == stop and all(v >= 0 for v in x)
+            assert all(sum(a * v for a, v in zip(row, x)) <= d * b for row, b in zip(rows, rhs))
+            assert all(y >= 0 for y in duals)
+            for j in range(stop):
+                assert sum(y * row[j] for y, row in zip(duals, rows)) >= d * objective[j]
+            assert sum(c * v for c, v in zip(objective, x)) == value == sum(
+                b * y for b, y in zip(rhs, duals)
+            )
 
-    def test_resumes_where_the_last_run_entered_a_slack(self):
+    def test_runs_on_from_the_last_vertex(self):
         # a packing LP on three pairs: cycle 0 covers all of them, cycles 1
         # and 2 cover pairs 1 and 2. Bland's rule enters cycles 0, 1 and 2,
         # then slack 0, which pushes cycle 0 out again
@@ -178,15 +191,12 @@ class TestTableauBatches:
         assert lp.add([[(0, 1), (1, 1), (2, 1)], [(1, 1)], [(2, 1)]], [1, 1, 1]) == (
             2, [0, 1, 1], [0, 1, 1], 1
         )
-        [(_, cost, _, d)] = lp.saved
-        # cycle 3 on pairs 0 and 2 prices negative before that slack entry,
-        # so a cold run enters it there instead and ends at another vertex
-        # than a run resumed from the end would
-        assert cost[0] + cost[2] - d < 0  # the reduced costs of slacks 0 and 2, less d
-        assert lp.add([[(0, 1), (2, 1)]], [1]) == _simplex_core(*RESUMED_LP) == (
-            2, [0, 1, 0, 1], [0, 1, 1], 1
-        )
-        assert lp.saved == []  # the save was resumed from, and the new path enters no slack
+        # cycle 3 on pairs 0 and 2 prices 0 + 1 against its cost 1 at those
+        # duals, so the last vertex stays optimal and no pivot is made; a
+        # cold run enters cycle 3 before slack 0 and ends at another vertex
+        # of the same value
+        assert lp.add([[(0, 1), (2, 1)]], [1]) == (2, [0, 1, 1, 0], [0, 1, 1], 1)
+        assert _simplex_core(*RESUMED_LP) == (2, [0, 1, 0, 1], [0, 1, 1], 1)
 
 
 class TestRcpExact:
@@ -602,19 +612,52 @@ class TestPricingPrefersFewestPairs:
             assert total == length * hops + len(seq)
 
 
+def line_graph(links):
+    """One vertex per link, with an edge v -> w whenever link v's head is
+    link w's tail: the graph a metric's packing is a vertex packing of."""
+    edges = {(a.id, b.id) for a in links for b in links if a.head == b.tail}
+    return Digraph(1 + max((e.id for e in links), default=-1), sorted(edges))
+
+
+def check_optimal_metric(links, terminals, metric, reference):
+    """Assert that `metric` is optimal: its objective equals that of the
+    `reference` metric, no cycle through a terminal measures below 1, and
+    its packing, mapped as `reference_packing_from_metric` maps it, passes
+    `validate_packing` with the same value, so by weak duality both are
+    optimal. Returns the packing."""
+    assert metric.objective == reference.objective
+    lengths = metric.as_dict()
+    pair_length = {(e.tail, e.head): lengths[e.id] for e in links if e.tail is not None}
+    out_pairs = {}
+    for tail, head in pair_length:
+        out_pairs.setdefault(tail, []).append((head, (tail, head)))
+    for t in terminals:
+        found = reference_shortest_cycle_through(t, out_pairs, pair_length)
+        assert found is None or found[0] >= 1
+    packing = packing_from_metric(links, metric)
+    assert packing == reference_packing_from_metric(links, metric)
+    validate_packing(line_graph(links), packing)
+    assert packing.value == metric.objective
+    return packing
+
+
 class TestIntegerPathsMatchReference:
     """The cutting-plane loop, the sphere growing and the packing map run on
     ints over one common denominator; `tests/helpers.py` keeps their
-    Fraction versions, and the results must be exactly equal."""
+    Fraction versions. The metric is an optimum of the same objective as the
+    reference's, which re-solves every pricing round from scratch and may
+    end at another optimal vertex; the sphere growing and the packing map
+    are compared exactly on the metric solved here."""
 
     @staticmethod
     def check_network(net):
         closed = closure_links(net)
         terminals = [s for s, _ in net.pairs]
         metric = solve_spreading_metric(closed, terminals)
-        assert metric == reference_solve_spreading_metric(closed, terminals)
-        assert packing_from_metric(closed, metric) == reference_packing_from_metric(closed, metric)
-        assert subset_fes_approx(net) == reference_subset_fes_approx(net)
+        check_optimal_metric(
+            closed, terminals, metric, reference_solve_spreading_metric(closed, terminals)
+        )
+        assert subset_fes_approx(net) == reference_subset_fes_approx(net, metric=metric)
         return metric
 
     def test_random_dag_networks(self):
@@ -664,9 +707,8 @@ class TestIntegerPathsMatchReference:
     def test_vertex_splits(self, g):
         links, terminals = vertex_split_links(g)
         metric = solve_spreading_metric(links, terminals)
-        assert metric == reference_solve_spreading_metric(links, terminals)
-        packing = packing_from_metric(links, metric)
-        assert packing == reference_packing_from_metric(links, metric)
+        reference = reference_solve_spreading_metric(links, terminals)
+        packing = check_optimal_metric(links, terminals, metric, reference)
         public = [metric.objective, packing.value]
         public += [x for _, x in metric.lengths + metric.packing + packing.assignments]
         assert all(type(x) is Fraction for x in public)
