@@ -1,10 +1,8 @@
 """Exact combinatorial bound quantities and the assembled bound report.
 
-Minimum feedback vertex sets (and so maximum acyclic induced subgraphs) are
-found by one exact search, `min_fvs_exact`: branch and bound over
-extendable acyclic sets, exponential only in practice-small quantities,
-which returns the set its size search proves minimum and breaks no tie
-among minimum sets. `mais_exact` and `network.min_gns_cut_exact` call it;
+Maximum acyclic induced subgraphs (`mais_exact`), tensor radicands and the
+report's searched feedback set all come from `digraph.min_fvs_exact`, the
+one exact feedback-set search, which `network.min_gns_cut_exact` calls too;
 independence numbers use a bitmask branch and bound. Roots of
 tensorized bounds are reported in floating point with their exact integer
 radicands retained, and every inequality assertion compares exact integers
@@ -26,8 +24,7 @@ from .cyclepack import (
     subset_fes_approx,
     validate_packing,
 )
-from .digraph import Digraph, _acyclic, _bitmask, tensor_power
-from .digraph import _largest_acyclic, _masks, _search_masks
+from .digraph import Digraph, _check_fvs, _masks, min_fvs_exact, tensor_power
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import IndexCode, _code_lines, _cycle_code, co_rate_from_beta, parse_index_code
 from .network import GnsCertificate, MUNetwork, _staged_cut, closure_links
@@ -35,10 +32,6 @@ from .network import tilde_transform, to_index_graph
 
 
 _T = TypeVar("_T")
-
-
-def _mais_size(g: Digraph) -> int:
-    return _largest_acyclic(*_search_masks(g))[0]
 
 
 def mais_exact(
@@ -50,63 +43,12 @@ def mais_exact(
     return g.n - len(fvs), frozenset(range(g.n)) - fvs
 
 
-def _check_fvs(
-    g: Digraph, fvs: frozenset[int], lower: int = 0, required: frozenset[int] = frozenset()
-) -> None:
-    """ContractViolation unless `fvs` is a feedback vertex set of g (one
-    peel of its complement) with `lower` vertices or more and none of
-    `required`."""
-    out, inn, _ = _search_masks(g)
-    if (
-        len(fvs) < lower
-        or not fvs <= frozenset(range(g.n))
-        or fvs & required
-        or not _acyclic(out, inn, (1 << g.n) - 1 & ~_bitmask(fvs))
-    ):
-        least = f" of size {lower} or more" if lower else ""
-        outside = " outside the required vertices" if required else ""
-        raise ContractViolation(f"{sorted(fvs)} is not a feedback vertex set{least}{outside}")
-
-
-def min_fvs_exact(
-    g: Digraph,
-    vertex_cap: int = DEFAULT_CAPS.mais_vertices,
-    upper: frozenset[int] | None = None,
-    required: frozenset[int] = frozenset(),
-) -> frozenset[int]:
-    """A minimum feedback vertex set that cuts none of the `required`
-    vertices: the complement of the largest acyclic set holding them that
-    the size search finds, over the other vertices, of which there may be
-    `vertex_cap`. A feedback vertex set `upper` that cuts none of them,
-    checked before the cap refuses the search, gives the witness that
-    `_largest_acyclic` probes up from; the last, refuted probe proves the
-    set found largest. A cyclic `required` set is refused."""
-    witness = 0
-    if upper is not None:
-        _check_fvs(g, upper, required=required)
-        witness = (1 << g.n) - 1 & ~_bitmask(upper)
-    if g.n - len(required) > vertex_cap:
-        raise CapacityError(
-            f"{g.n - len(required)} vertices exceed the exact-search cap of {vertex_cap}"
-        )
-    out, inn, order = _search_masks(g)
-    if required and (
-        not required <= frozenset(range(g.n)) or not _acyclic(out, inn, _bitmask(required))
-    ):
-        raise ContractViolation(f"required vertices {sorted(required)} hold a cycle or lie outside")
-    cuttable = [v for v in order if v not in required]
-    _, acyclic = _largest_acyclic(out, inn, cuttable, required, witness)
-    return frozenset(v for v in range(g.n) if not acyclic >> v & 1)
-
-
-def _mis_size(
-    masks: Sequence[int], allowed: int, target: int | None = None
-) -> tuple[int, int]:
+def _mis_size(masks: Sequence[int], allowed: int) -> tuple[int, int]:
     """Independence number inside `allowed`, as (size, members mask), by
     binary branch on the vertex of largest remaining degree: include it
-    first, then exclude it. A `target` is decided as in `_max_acyclic`."""
-    best, best_mask = 0 if target is None else target - 1, 0
-    stop = allowed.bit_count() if target is None else target
+    first, then exclude it."""
+    best, best_mask = 0, 0
+    stop = allowed.bit_count()
     stack = [(allowed, 0, 0)]
     while stack:
         remaining, count, members = stack.pop()
@@ -169,7 +111,7 @@ def tensor_bound(
     strong power; tighter for larger powers on many graphs, though no
     monotonicity in q is claimed or asserted."""
     gq = _searchable_power(g, q, tensor_cap, vertex_cap)
-    radicand = _mais_size(gq)
+    radicand = gq.n - len(min_fvs_exact(gq, vertex_cap))
     return TensorBound(q=q, radicand=radicand, value=m_links - radicand ** (1.0 / q))
 
 

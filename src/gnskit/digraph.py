@@ -5,6 +5,11 @@ vertex orderings (product index ``u*|V(h)| + v``, blowup index ``v*k + i``)
 so outputs are reproducible byte for byte. Optional labels are opaque
 provenance strings (blowup coordinates, subset contents); they ride along
 through constructions but are ignored by equality and never serialized.
+
+`min_fvs_exact`, the one exact feedback-set search, sits beside the bitmask
+branch and bound over extendable acyclic sets that it drives. Exponential
+only in practice-small quantities, it returns the set its size search
+proves minimum and breaks no tie among minimum sets.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
-from .errors import CapacityError, FormatError
+from .errors import CapacityError, ContractViolation, FormatError
 
 CYCLE_CAP = 10**6
 """Default refusal point of `enumerate_simple_cycles`."""
@@ -416,6 +421,55 @@ def _largest_acyclic(
         if found >= target or found < 0:
             return found, acyclic
         target -= 1
+
+
+def _check_fvs(
+    g: Digraph, fvs: frozenset[int], lower: int = 0, required: frozenset[int] = frozenset()
+) -> None:
+    """ContractViolation unless `fvs` is a feedback vertex set of g (one
+    peel of its complement) with `lower` vertices or more and none of
+    `required`."""
+    out, inn, _ = _search_masks(g)
+    if (
+        len(fvs) < lower
+        or not fvs <= frozenset(range(g.n))
+        or fvs & required
+        or not _acyclic(out, inn, (1 << g.n) - 1 & ~_bitmask(fvs))
+    ):
+        least = f" of size {lower} or more" if lower else ""
+        outside = " outside the required vertices" if required else ""
+        raise ContractViolation(f"{sorted(fvs)} is not a feedback vertex set{least}{outside}")
+
+
+def min_fvs_exact(
+    g: Digraph,
+    vertex_cap: int = DEFAULT_CAPS.mais_vertices,
+    upper: frozenset[int] | None = None,
+    required: frozenset[int] = frozenset(),
+) -> frozenset[int]:
+    """A minimum feedback vertex set that cuts none of the `required`
+    vertices: the complement of the largest acyclic set holding them that
+    the size search finds, over the other vertices, of which there may be
+    `vertex_cap`. A feedback vertex set `upper` that cuts none of them,
+    checked before the cap refuses the search, gives the witness that
+    `_largest_acyclic` probes up from; the last, refuted probe proves the
+    set found largest. A cyclic `required` set is refused."""
+    witness = 0
+    if upper is not None:
+        _check_fvs(g, upper, required=required)
+        witness = (1 << g.n) - 1 & ~_bitmask(upper)
+    if g.n - len(required) > vertex_cap:
+        raise CapacityError(
+            f"{g.n - len(required)} vertices exceed the exact-search cap of {vertex_cap}"
+        )
+    out, inn, order = _search_masks(g)
+    if required and (
+        not required <= frozenset(range(g.n)) or not _acyclic(out, inn, _bitmask(required))
+    ):
+        raise ContractViolation(f"required vertices {sorted(required)} hold a cycle or lie outside")
+    cuttable = [v for v in order if v not in required]
+    _, acyclic = _largest_acyclic(out, inn, cuttable, required, witness)
+    return frozenset(v for v in range(g.n) if not acyclic >> v & 1)
 
 
 def _strong_components(g: Digraph, low: int) -> list[list[int]]:

@@ -4,7 +4,7 @@ Covers the ".mun" text format, unit-capacity max-flow mincuts, the cyclic
 closure (destinations feeding back into their sources' tail-less links) and
 its reversed line graph, the staging transform that turns source links into
 cuttable regular links, and the exact GNS cut, a minimum feedback set of
-the closing line graph that `bounds.min_fvs_exact` finds, with a
+the closing line graph that `digraph.min_fvs_exact` finds, with a
 polynomial-time certificate checker.
 
 Link ids are dense integers: regular links first in declaration order, then
@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS
-from .digraph import Digraph, _find_cycle, _residual_cycle
+from .digraph import Digraph, _find_cycle, _residual_cycle, min_fvs_exact
 from .errors import CapacityError, ContractViolation, FormatError
 
 
@@ -421,10 +421,8 @@ def min_gns_cut_exact(
     cycle through closing links is a cycle or loop of `_gns_verdict`'s pair
     digraph and back, so the cut is a minimum feedback vertex set, over the
     regular links (ids 0..r-1), of the line graph of the regular and the
-    never-cut closing links (r..r+k-1): `bounds.min_fvs_exact` with the
+    never-cut closing links (r..r+k-1): `digraph.min_fvs_exact` with the
     closing links required, exponential only in r."""
-    from .bounds import min_fvs_exact  # bounds imports this module
-
     index, out, _ = net._graph
     pair_idx = [(index[s], index[t]) for s, t in net.pairs]
     ends = [(index[e.tail], index[e.head]) for e in net.links if e.tail is not None]

@@ -213,10 +213,10 @@ def reference_max_acyclic(out_adj, candidates, required=(), target=None) -> int:
 
 
 def reference_mais_size(g: Digraph) -> int:
-    """`gnskit.bounds._mais_size` before it probed down from the
-    disjoint-cycle bound: one branch and bound without a target, whose best
-    set grows from empty. The reference the probe-down search is compared
-    against."""
+    """The size of `gnskit.bounds.mais_exact` before its search probed down
+    from the disjoint-cycle bound: one branch and bound without a target,
+    whose best set grows from empty. The reference the probe-down search is
+    compared against."""
     return _max_acyclic(_masks(g._out), _masks(g._in), search_order(g))[0]
 
 
