@@ -21,10 +21,10 @@ of `GRAPHS` in scripts/gap_wrappings.py, reported with
 the minimum feedback vertex set. It takes no seed; `--seed` is ignored.
 
 The workload `gap-paths` covers the paths of `bound_report`'s exact layer
-on the same wrappings: `bounds --exact-gns --q 1 2` and `bounds --q 2`, each
-under the default caps (the search refused, or past the cap where the
-packing proves the minimum) and under `mais_vertices=64` (the search run,
-with and without a q=1 record). It takes no seed either.
+on the same wrappings: `bounds --exact-gns` and `bounds`, each under the
+default caps (the search refused, or past the cap where the packing proves
+the minimum) and under `mais_vertices=64` (the search run, with and without
+the staged GNS cut built from it). It takes no seed either.
 
 The workload `large-dags` is not a benchmark corpus either: it is the
 networks `bench/corpus.py` draws for the parameter sets of `LARGE_DAG_SETS`
@@ -102,7 +102,7 @@ GAP_PATHS = "gap-paths"
 GAP_PATH_RUNS = [
     (overrides, flags)
     for overrides in ("", "mais_vertices=64")
-    for flags in (("--exact-gns", "--q", "1", "2"), ("--q", "2"))
+    for flags in (("--exact-gns",), ())
 ]
 LARGE_DAGS = "large-dags"
 # (nodes, links, pairs, seed) of dag_network, by link count m from 66 to 119

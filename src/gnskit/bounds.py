@@ -6,7 +6,9 @@ one exact feedback-set search, which `network.min_gns_cut_exact` calls too;
 independence numbers use a bitmask branch and bound. Roots of
 tensorized bounds are reported in floating point with their exact integer
 radicands retained, and every inequality assertion compares exact integers
-or rationals.
+or rationals. A report carries only the q=1 tensor record, built from
+mais; `tensor_bound` and `shannon_capacity_lb` compute higher powers for
+library callers.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from .cyclepack import (
     subset_fes_approx,
     validate_packing,
 )
-from .digraph import Digraph, _check_fvs, _masks, min_fvs_exact, tensor_power
+from .digraph import TENSOR_CAP, Digraph, _check_fvs, _masks, min_fvs_exact, tensor_power
 from .errors import CapacityError, ContractViolation, FormatError
 from .indexcoding import IndexCode, _code_lines, _cycle_code, co_rate_from_beta, parse_index_code
 from .network import GnsCertificate, MUNetwork, _staged_cut, closure_links
 from .network import tilde_transform, to_index_graph
 
 
+ALPHA_CAP = 30
+"""Default vertex cap of `shannon_capacity_lb`'s independence search."""
 _T = TypeVar("_T")
 
 
@@ -104,7 +108,7 @@ def tensor_bound(
     g: Digraph,
     q: int,
     m_links: int,
-    tensor_cap: int = DEFAULT_CAPS.tensor_vertices,
+    tensor_cap: int = TENSOR_CAP,
     vertex_cap: int = DEFAULT_CAPS.mais_vertices,
 ) -> TensorBound:
     """m_links minus the q-th root of the acyclic maximum of the q-fold
@@ -118,8 +122,8 @@ def tensor_bound(
 def shannon_capacity_lb(
     g: Digraph,
     power: int,
-    tensor_cap: int = DEFAULT_CAPS.tensor_vertices,
-    vertex_cap: int = DEFAULT_CAPS.alpha_vertices,
+    tensor_cap: int = TENSOR_CAP,
+    vertex_cap: int = ALPHA_CAP,
 ) -> ShannonBound:
     """Independence number of the strong power, taken to the 1/power; a
     finite-power lower bound on the broadcast rate."""
@@ -147,7 +151,6 @@ class BoundReport:
     approx_fvs: frozenset[int] | None
     gns_exact: GnsCertificate | None
     tensor_bounds: tuple[TensorBound, ...]
-    shannon_lb: tuple[ShannonBound, ...]
     code_rate: Fraction | None
     code: IndexCode | None
     co_rate_lb: Fraction | None
@@ -156,10 +159,8 @@ class BoundReport:
 
 def bound_report(
     net: MUNetwork,
-    qs: Sequence[int] = (1,),
     field: int = 2,
     exact_gns: bool = False,
-    shannon_powers: Sequence[int] = (),
     ratio_constant: float = 8.0,
     caps: Caps = DEFAULT_CAPS,
 ) -> BoundReport:
@@ -231,24 +232,11 @@ def bound_report(
             skipped.append("gns")
         else:
             gns = _staged_cut(staged, fvs)
-    tensors = []
-    for q in qs:
-        if q != 1:
-            tensors.append(attempt(
-                f"tensor:q={q}",
-                lambda: tensor_bound(g, q, m, caps.tensor_vertices, caps.mais_vertices),
-            ))
-        elif mais_value is None:  # past mais_vertices, which tensor_bound shares
-            skipped.append("tensor:q=1")
-        else:  # tensor_power(g, 1) is g: tensor_bound's record for the radicand mais
-            tensors.append(TensorBound(1, mais_value, m - mais_value**1.0))
-    shannon = [
-        attempt(
-            f"shannon:power={power}",
-            lambda: shannon_capacity_lb(g, power, caps.tensor_vertices, caps.alpha_vertices),
-        )
-        for power in shannon_powers
-    ]
+    tensors: tuple[TensorBound, ...] = ()
+    if mais_value is None:  # past mais_vertices, which tensor_bound shares
+        skipped.append("tensor:q=1")
+    else:  # tensor_power(g, 1) is g: tensor_bound's record for the radicand mais
+        tensors = (TensorBound(1, mais_value, m - mais_value**1.0),)
     code = attempt("code", lambda: _cycle_code(g, rcp, field, caps.code_lcm))
     code_rate = None if code is None else code.rate
     co_rate = None if code_rate is None else co_rate_from_beta(m, code_rate)
@@ -283,8 +271,7 @@ def bound_report(
         approx_weight=approx_weight,
         approx_fvs=approx_fvs,
         gns_exact=gns,
-        tensor_bounds=tuple(tb for tb in tensors if tb is not None),
-        shannon_lb=tuple(sb for sb in shannon if sb is not None),
+        tensor_bounds=tensors,
         code_rate=code_rate,
         code=code,
         co_rate_lb=co_rate,
@@ -323,10 +310,7 @@ _SCALARS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
 )
 # Then one `key: name=value ...` line per record, as (key, BoundReport field,
 # record type); the names are the record's fields, read by their annotations.
-_RECORDS = (
-    ("tensor_bound", "tensor_bounds", TensorBound),
-    ("shannon_lb", "shannon_lb", ShannonBound),
-)
+_RECORDS = (("tensor_bound", "tensor_bounds", TensorBound),)
 
 
 def serialize_report(report: BoundReport) -> str:

@@ -19,10 +19,8 @@ ENV_VAR = "GNSKIT_CAP_OVERRIDES"
 
 @dataclass(frozen=True)
 class Caps:
-    tensor_vertices: int = 5000
     rcp_cycles: int = 20_000
     mais_vertices: int = 22
-    alpha_vertices: int = 30
     minrank_base_edges: int = 16
     code_lcm: int = 64
     spreading_iterations: int = 10**4

@@ -68,11 +68,6 @@ def _human_report(report: bounds_mod.BoundReport) -> str:
         lines.append(f"correlated-sources rate achieved: {report.co_rate_lb}")
     for tb in report.tensor_bounds:
         lines.append(f"tensor bound q={tb.q}: {tb.value!r} (radicand {tb.radicand})")
-    for sb in report.shannon_lb:
-        lines.append(
-            f"independence-power lower bound power={sb.power}: {sb.value!r} "
-            f"(radicand {sb.radicand})"
-        )
     if report.rcp_value is not None and report.mais_value is not None:
         lines.append(
             f"chain: rcp {report.rcp_value} <= m - mais {report.m - report.mais_value}"
@@ -87,10 +82,8 @@ def _cmd_bounds(args, caps: Caps) -> int:
     net = network_mod.parse_network(_read(args.network))
     report = bounds_mod.bound_report(
         net,
-        qs=tuple(args.q),
         field=args.field,
         exact_gns=args.exact_gns,
-        shannon_powers=tuple(args.shannon_powers),
         ratio_constant=args.ratio_constant,
         caps=caps,
     )
@@ -245,10 +238,8 @@ def _cmd_verify(args, caps: Caps) -> int:
 
 def _add_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("network")
-    p.add_argument("--q", type=int, nargs="+", default=(1,))
     p.add_argument("--field", type=int, default=2)
     p.add_argument("--exact-gns", action="store_true", dest="exact_gns")
-    p.add_argument("--shannon-powers", type=int, nargs="*", default=())
     p.add_argument("--ratio-constant", type=float, default=8.0)
     p.add_argument("--out", choices=["human", "machine"], default="human")
     p.add_argument("--output", default=None)

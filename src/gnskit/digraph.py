@@ -22,6 +22,8 @@ from .errors import CapacityError, ContractViolation, FormatError
 
 CYCLE_CAP = 10**6
 """Default refusal point of `enumerate_simple_cycles`."""
+TENSOR_CAP = 5000
+"""Default vertex cap of `tensor_power` and `verify_product_blowup_embedding`."""
 
 
 class Digraph:
@@ -136,7 +138,7 @@ def blowup(g: Digraph, k: int) -> Digraph:
     return Digraph(g.n * k, edges, labels)
 
 
-def tensor_power(g: Digraph, q: int, vertex_cap: int = DEFAULT_CAPS.tensor_vertices) -> Digraph:
+def tensor_power(g: Digraph, q: int, vertex_cap: int = TENSOR_CAP) -> Digraph:
     """Strong product of g with itself q times; q=1 returns g unchanged."""
     if q < 1:
         raise ValueError("tensor power must be >= 1")
@@ -575,7 +577,7 @@ def enumerate_simple_cycles(g: Digraph, cap: int = CYCLE_CAP) -> list[tuple[int,
 def verify_product_blowup_embedding(
     graphs: Sequence[Digraph],
     ks: Sequence[int],
-    vertex_cap: int = DEFAULT_CAPS.tensor_vertices,
+    vertex_cap: int = TENSOR_CAP,
 ) -> tuple[bool, tuple[int, ...]]:
     """Check that the product of blowups embeds edge-wise into the blowup of
     the product under the coordinate bijection, and return that bijection.

@@ -140,11 +140,16 @@ def random_digraph(
 ) -> Digraph:
     """Seeded Erdos-Renyi style digraph; identical seeds give identical
     graphs. All n * (n - 1) pairs are drawn, so more than `vertex_cap`
-    vertices are refused first."""
+    vertices, or more than `vertex_cap` expected edges (each a link, and so
+    an index-graph vertex, of its `network_from_side_info_graph`), are
+    refused first."""
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge probability must be in [0, 1]")
     if n > vertex_cap:
         raise CapacityError(f"{n} vertices exceed the vertex cap of {vertex_cap}")
+    expected = n * (n - 1) * edge_prob
+    if expected > vertex_cap:
+        raise CapacityError(f"{expected!r} expected edges exceed the vertex cap of {vertex_cap}")
     rng = random.Random(seed)
     edges = [
         (u, v)

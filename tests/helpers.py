@@ -30,7 +30,7 @@ from gnskit import (
     build_network,
     enumerate_simple_cycles,
 )
-from gnskit.bounds import BoundReport, ShannonBound, TensorBound
+from gnskit.bounds import BoundReport, TensorBound
 from gnskit.caps import DEFAULT_CAPS
 from gnskit.cyclepack import (
     ApproxDiagnostics,
@@ -1254,7 +1254,6 @@ def reference_parse_report(text: str, fraction=Fraction) -> BoundReport:
         raise FormatError("missing 'boundreport' header")
     scalars: dict[str, str] = {}
     tensors: list[TensorBound] = []
-    shannon: list[ShannonBound] = []
     gns_fields: dict[str, str] = {}
     packing_value: Fraction | None = None
     assigns: list[tuple[tuple[int, ...], Fraction]] = []
@@ -1297,11 +1296,6 @@ def reference_parse_report(text: str, fraction=Fraction) -> BoundReport:
             tensors.append(
                 TensorBound(int(kv["q"]), int(kv["radicand"]), float(kv["value"]))
             )
-        elif key == "shannon_lb":
-            kv = dict(item.split("=", 1) for item in value.split())
-            shannon.append(
-                ShannonBound(int(kv["power"]), int(kv["radicand"]), float(kv["value"]))
-            )
         else:
             scalars[key] = value
 
@@ -1341,7 +1335,6 @@ def reference_parse_report(text: str, fraction=Fraction) -> BoundReport:
         approx_fvs=_opt_set("approx_fvs"),
         gns_exact=gns,
         tensor_bounds=tuple(tensors),
-        shannon_lb=tuple(shannon),
         code_rate=_opt_frac("code_rate"),
         code=code,
         co_rate_lb=_opt_frac("co_rate_lb"),

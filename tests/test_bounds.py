@@ -415,15 +415,6 @@ class TestTensorBound:
         with pytest.raises(ContractViolation, match=refusal):
             bound_report(net, caps=Caps(mais_vertices=64))
 
-    @pytest.mark.parametrize("qs", [(2,), ()], ids=["q2", "no-q"])
-    def test_a_wrong_fvs_trips_the_report_without_q1(self, qs, monkeypatch):
-        # with no q=1 radicand beside it, the searched set of the C5 wrapping
-        # is still checked
-        self.too_small(monkeypatch)
-        net = network_from_side_info_graph(symmetric_cycle(5))
-        with pytest.raises(ContractViolation, match="is not a feedback vertex set"):
-            bound_report(net, qs=qs, caps=Caps(mais_vertices=64))
-
 
 class TestShannonLowerBound:
     def test_empty_graph(self):
@@ -439,6 +430,23 @@ class TestShannonLowerBound:
         sb = shannon_capacity_lb(symmetric_cycle(5), 2)
         assert sb.radicand == 5
         assert sb.value == pytest.approx(math.sqrt(5))
+
+
+class TestPowerBoundsOrder:
+    """The two power bounds the library keeps, against the oracles: an
+    independent set of a power is acyclic, so its independence number is at
+    most its acyclic maximum, and the square of a maximum acyclic set of g
+    is acyclic in the square of g."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_n=4), st.sampled_from([1, 2]))
+    def test_independence_below_acyclic_and_the_square_above_mais_squared(self, g, p):
+        gp = tensor_power(g, p)
+        sb, tb = shannon_capacity_lb(g, p), tensor_bound(g, p, g.n)
+        assert sb.radicand == oracle_alpha(gp) == reference_alpha_exact(gp)[0]
+        assert tb.radicand == reference_mais_size(gp)
+        assert sb.radicand <= tb.radicand
+        assert tensor_bound(g, 2, g.n).radicand >= oracle_mais(g) ** 2
 
 
 class TestProductBlowupIdentities:
@@ -471,16 +479,26 @@ class TestProductBlowupIdentities:
         assert alpha(p)[0] >= g.n
 
 
+def report_with_q2(net, **kwargs):
+    """bound_report(net, **kwargs) with `tensor_bound`'s q=2 record after its
+    q=1 one: no report computes it, and parse_report still reads it."""
+    report = bound_report(net, **kwargs)
+    q2 = tensor_bound(to_index_graph(net)[0], 2, net.m)
+    return dataclasses.replace(report, tensor_bounds=(*report.tensor_bounds, q2))
+
+
 # reports with every section, skipped components, empty sets and fractions
 REPORT_TEXTS = [
-    serialize_report(bound_report(net, **kwargs))
-    for net, kwargs in [
-        (parse_network(PARALLEL_LINKS), dict(exact_gns=True, qs=(1, 2), shannon_powers=(1, 2))),
-        (parse_network(PARALLEL_LINKS), dict(caps=Caps(mais_vertices=2))),
-        (crossed_unicasts(), dict(exact_gns=True)),
-        (network_from_side_info_graph(symmetric_cycle(3)), dict(field=3)),
-        (random_dag_network(8, 14, 3, seed=5), dict(exact_gns=True)),
-    ]
+    serialize_report(report_with_q2(parse_network(PARALLEL_LINKS), exact_gns=True)),
+    *(
+        serialize_report(bound_report(net, **kwargs))
+        for net, kwargs in [
+            (parse_network(PARALLEL_LINKS), dict(caps=Caps(mais_vertices=2))),
+            (crossed_unicasts(), dict(exact_gns=True)),
+            (network_from_side_info_graph(symmetric_cycle(3)), dict(field=3)),
+            (random_dag_network(8, 14, 3, seed=5), dict(exact_gns=True)),
+        ]
+    ),
 ]
 HOSTILE_TOKENS = [
     "", "x", "0", "-1", "1/0", "1/2", "1.5", "1_0", "nan", "1e999", ":", "=", "q=", "p=4", "gns:",
@@ -611,20 +629,30 @@ class TestBoundReport:
         assert report.skipped == ()
         assert len(report.gns_exact.cut) == report.m - report.mais_value == 5
 
-    def test_tensor_and_shannon_fields(self):
-        report = bound_report(
-            parse_network(SINGLE_PATH), qs=(1, 2), shannon_powers=(1,)
-        )
-        assert [tb.q for tb in report.tensor_bounds] == [1, 2]
-        assert len(report.shannon_lb) == 1
+    def test_the_tensor_record_is_the_library_q1_bound(self):
+        net = parse_network(SINGLE_PATH)
+        g, _ = to_index_graph(net)
+        report = bound_report(net)
+        assert report.tensor_bounds == (tensor_bound(g, 1, net.m),)
+        assert [tb.q for tb in report_with_q2(net).tensor_bounds] == [1, 2]
+        assert shannon_capacity_lb(g, 1).radicand <= report.mais_value
 
     def test_round_trip(self):
-        for kwargs in (
-            dict(exact_gns=True, qs=(1, 2), shannon_powers=(1, 2)),
-            dict(),
+        net = parse_network(PARALLEL_LINKS)
+        for report in (
+            bound_report(net, exact_gns=True),
+            report_with_q2(net, exact_gns=True),
+            bound_report(net),
         ):
-            report = bound_report(parse_network(PARALLEL_LINKS), **kwargs)
             assert parse_report(serialize_report(report)) == report
+
+    def test_old_shannon_lines_are_ignored(self):
+        # the report no longer writes them, and older reports still parse
+        report = bound_report(parse_network(PARALLEL_LINKS))
+        text = serialize_report(report)
+        old = text.replace("tensor_bound:", "shannon_lb: power=1 radicand=2 value=2.0\ntensor_bound:")
+        assert old != text
+        assert parse_report(old) == report == reference_parse_report(old)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_ratio_constant_must_be_finite_and_positive(self, value):
@@ -953,19 +981,26 @@ class TestLpSandwich:
             radicand = tensor_bound(g, 1, g.n, vertex_cap=64).radicand
             assert report.mais_value == radicand == reference_mais_size(g)
 
-    def test_a_lowered_tensor_cap_keeps_the_q1_record(self):
+    def test_the_q1_record_builds_no_power(self):
         # the C5 wrapping (m = 26, rcp 3, approx 4) leaves a gap, and its
-        # mais is searched within the cap; the power tensor_vertices refuses
-        # is g itself, so the q=1 record is that mais, as where the sandwich
-        # closes (PARALLEL_LINKS, m = 4)
+        # mais is searched within the cap; the power a tensor cap of 25
+        # refuses is g itself, so the q=1 record is that mais, as where the
+        # sandwich closes (PARALLEL_LINKS, m = 4, past a tensor cap of 3)
         gap = network_from_side_info_graph(symmetric_cycle(5))
-        report = bound_report(gap, qs=(1, 2), caps=Caps(mais_vertices=64, tensor_vertices=25))
+        report = bound_report(gap, caps=Caps(mais_vertices=64))
         assert math.ceil(report.rcp_value) < report.approx_weight
-        assert report.skipped == ("tensor:q=2",)
+        assert report.skipped == ()
         assert report.tensor_bounds == ((1, 22, 4.0),)
-        closed = bound_report(parse_network(PARALLEL_LINKS), caps=Caps(tensor_vertices=3))
+        g, _ = to_index_graph(gap)
+        with pytest.raises(CapacityError, match="tensor power would have 676 vertices"):
+            tensor_bound(g, 2, g.n, tensor_cap=25, vertex_cap=64)
+        parallel = parse_network(PARALLEL_LINKS)
+        closed = bound_report(parallel)
         assert closed.skipped == ()
         assert closed.tensor_bounds == ((1, 2, 2.0),)
+        g, _ = to_index_graph(parallel)
+        with pytest.raises(CapacityError, match="tensor power would have 4 vertices"):
+            tensor_bound(g, 1, g.n, tensor_cap=3)
 
     def test_past_the_cap_nothing_is_searched(self, monkeypatch):
         def refused(name):

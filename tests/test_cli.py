@@ -8,6 +8,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -149,18 +150,30 @@ class TestBounds:
             assert ("gns" in report.skipped) == ("mais" in report.skipped) == skipped
             assert (report.gns_exact is None) == (report.mais_value is None) == skipped
 
-    def test_q_list_prints_tensor_bounds(self, single, capsys):
-        assert main(["bounds", single, "--q", "1", "2", "--out", "machine"]) == 0
-        report = parse_report(capsys.readouterr().out)
-        assert [tb.q for tb in report.tensor_bounds] == [1, 2]
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (["--q", "2"], ""),
+            (["--shannon-powers", "1"], ""),
+            ([], "alpha_vertices=30"),
+            ([], "tensor_vertices=5000"),
+        ],
+        ids=["q", "shannon-powers", "alpha_vertices", "tensor_vertices"],
+    )
+    def test_the_retired_power_options_are_input_errors(
+        self, single, argv, overrides, monkeypatch
+    ):
+        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", overrides)
+        code, out, err = run_cli(["bounds", single, *argv, "--out", "machine"])
+        assert (code, out, "Traceback" in err) == (2, b"", False), err
 
     def test_in_process_calls_share_no_state(self, single, capsys):
-        assert main(["bounds", single, "--q", "1", "2", "--out", "machine"]) == 0
+        assert main(["bounds", single, "--exact-gns", "--out", "machine"]) == 0
         first = parse_report(capsys.readouterr().out)
         assert main(["bounds", single, "--out", "machine"]) == 0
         second = parse_report(capsys.readouterr().out)
-        assert [tb.q for tb in first.tensor_bounds] == [1, 2]
-        assert [tb.q for tb in second.tensor_bounds] == [1]
+        assert first.gns_exact is not None and second.gns_exact is None
+        assert [tb.q for tb in first.tensor_bounds] == [tb.q for tb in second.tensor_bounds] == [1]
 
     def test_ratio_constant_flag_accepted(self, parallel, capsys):
         assert main(["bounds", parallel, "--ratio-constant", "16"]) == 0
@@ -170,13 +183,6 @@ class TestBounds:
     def test_ratio_constant_must_be_finite_and_positive(self, parallel, capsys, value):
         assert main(["bounds", parallel, "--ratio-constant", value]) == 2
         assert capsys.readouterr().err.startswith("input error: ratio constant")
-
-    def test_shannon_powers(self, parallel, capsys):
-        assert main([
-            "bounds", parallel, "--shannon-powers", "1", "--out", "machine",
-        ]) == 0
-        report = parse_report(capsys.readouterr().out)
-        assert report.shannon_lb[0].power == 1
 
 
 class TestGnscut:
@@ -274,9 +280,10 @@ class TestGen:
 
 
 class TestOversizeRequests:
-    """Generator sizes and `.dg` headers past `ls_vertices` are refused
-    (exit 3) before anything is allocated for them; the cap is lowered here
-    so that a regression would allocate little."""
+    """Generator sizes, expected edge counts and `.dg` headers past
+    `ls_vertices` are refused (exit 3) before anything is allocated for
+    them; the cap is lowered here, or the random source taken away, so that
+    a regression would allocate little."""
 
     @pytest.fixture(autouse=True)
     def cap(self, monkeypatch):
@@ -286,15 +293,33 @@ class TestOversizeRequests:
         "argv, code",
         [
             (["digraph", "--n", "6", "--prob", "0.5", "--seed", "1"], 3),
-            (["digraph", "--n", "5", "--prob", "0.5", "--seed", "1"], 0),
+            (["digraph", "--n", "5", "--prob", "0.5", "--seed", "1"], 3),  # 10 expected edges
             (["network", "--nodes", "6", "--links", "5", "--pairs", "1", "--seed", "11"], 3),
             (["network", "--nodes", "5", "--links", "6", "--pairs", "1", "--seed", "11"], 3),
             (["network", "--nodes", "5", "--links", "5", "--pairs", "1", "--seed", "11"], 0),
+            (["digraph", "--n", "5", "--prob", "0.25", "--seed", "1"], 0),
         ],
     )
     def test_generators(self, argv, code, capsys):
         assert main(["gen", *argv]) == code
         assert ("capacity refusal" in capsys.readouterr().err) == (code == 3)
+
+    def test_a_dense_digraph_is_refused_by_its_expected_edges(self, capsys, monkeypatch):
+        # about 12.5 million edges, each a link of its side-information
+        # network, ran out of memory while they were drawn
+        monkeypatch.setenv("GNSKIT_CAP_OVERRIDES", "")
+        monkeypatch.setattr("random.Random", None)  # a draw would call it first
+        tracemalloc.start()
+        try:
+            code = main(["gen", "digraph", "--n", "5000", "--prob", "0.5", "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 10**6
+        assert capsys.readouterr().err == (
+            "capacity refusal: 12497500.0 expected edges exceed the vertex cap of 5000\n"
+        )
 
     @pytest.mark.parametrize("n, code", [(6, 3), (5, 0)])
     def test_digraph_headers(self, n, code, tmp_path, capsys):
@@ -552,10 +577,9 @@ _HELP = [[*cmd, "-h"] for cmd in (
 
 PARSER_ARGVS = [
     ["bounds", "f"],
-    ["bounds", "f", "--q", "1", "2", "--field", "3", "--exact-gns",
-     "--shannon-powers", "1", "2", "--ratio-constant", "16", "--out", "machine",
-     "--output", "o"],
-    ["bounds", "f", "--shannon-powers", "--out", "human"],
+    ["bounds", "f", "--field", "3", "--exact-gns", "--ratio-constant", "16",
+     "--out", "machine", "--output", "o"],
+    ["bounds", "f", "--out", "human"],
     ["gnscut", "f", "--exact"],
     ["gnscut", "f", "--tilde", "--approx", "--output", "o"],
     ["convert", "f"],
@@ -587,7 +611,7 @@ PARSER_ARGVS = [
     ["bounds", "f", "--threads", "2"],
     ["bounds", "f", "extra"],
     ["bounds", "f", "--out", "x"],
-    ["bounds", "f", "--q"],
+    ["bounds", "f", "--field"],
     ["bounds"],
     ["bounds", "-h"],
     ["gnscut", "f"],
@@ -642,9 +666,9 @@ class TestParser:
         capsys.readouterr()
 
     def test_cached_parsers_print_as_fresh_ones(self, parallel, capsys):
-        # the list defaults of --q and --shannon-powers would be shared
+        # a default that one call changed would show in the next
         argvs = [
-            ["bounds", parallel, "--q", "1", "2", "--shannon-powers", "1", "--out", "machine"],
+            ["bounds", parallel, "--exact-gns", "--field", "3", "--out", "machine"],
             ["bounds", parallel, "--out", "machine"],
             ["gnscut", parallel, "--exact"],
         ]

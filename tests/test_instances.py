@@ -171,6 +171,8 @@ class TestRandomInstances:
         for nodes, links in ((6, 5), (5, 6)):
             with pytest.raises(CapacityError, match="more than the vertex cap of 5"):
                 random_dag_network(nodes, links, 1, seed=1, vertex_cap=5)
+        with pytest.raises(CapacityError, match="10.0 expected edges exceed the vertex cap of 5"):
+            random_digraph(5, 0.5, seed=1, vertex_cap=5)
         monkeypatch.undo()
-        assert random_digraph(5, 0.5, seed=1, vertex_cap=5).n == 5
+        assert random_digraph(5, 0.25, seed=1, vertex_cap=5).n == 5
         assert random_dag_network(5, 5, 1, seed=11, vertex_cap=5) == random_dag_network(5, 5, 1, 11)
